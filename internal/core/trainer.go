@@ -4,12 +4,9 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/deploy"
-	"repro/internal/localize"
 	"repro/internal/mathx"
-	"repro/internal/rng"
 )
 
 // TrainConfig controls threshold training (Section 5.5).
@@ -28,22 +25,6 @@ type TrainConfig struct {
 	// the deployment field (edge sensors behave differently; the paper's
 	// setup keeps the field large enough that this barely matters).
 	KeepInField bool
-	// ReferenceLocalizer routes every benign trial's localization through
-	// the pre-PR3 likelihood arithmetic (full-scan g-table Eval plus a
-	// math.Log/math.Log1p per group per probe) instead of the log-space
-	// table engine. Benchmarks use it so the training-throughput speedup
-	// is measured against a runnable baseline, not remembered; thresholds
-	// under the two paths differ only by the log table's interpolation
-	// error.
-	ReferenceLocalizer bool
-	// ScalarProbes disables the localization engine's batched probe
-	// evaluation (localize.Beaconless.SetProbeBatch(false)): every
-	// pattern-search candidate is evaluated one point at a time through
-	// the scalar likelihood walk. The probe engine is bit-identical to
-	// the scalar path, so thresholds do not move — cmd/ladbench trains
-	// both ways and hard-fails if they ever differ — and this knob exists
-	// exactly so that comparison stays runnable.
-	ScalarProbes bool
 	// SimEpoch selects the simulation epoch; 0 means the default, 1.
 	// Epoch 1 is the bit-identity contract: trial streams, estimates,
 	// scores, and thresholds are bit-identical to the scalar seed path
@@ -57,12 +38,12 @@ type TrainConfig struct {
 	// but NOT stream-compatible with epoch 1. Values other than 0, 1, 2
 	// are rejected.
 	SimEpoch int
-	// Cancel, when non-nil, aborts the Monte-Carlo run: the trial pump
-	// checks it between trials, stops dispatching once it is closed, and
-	// Train/BenignScores return ErrTrainingCanceled after in-flight
-	// trials drain. The serving pool closes it when a mid-training
-	// detector is deleted, so detached flights stop burning cores
-	// instead of finishing a run nobody will read.
+	// Cancel, when non-nil, aborts the Monte-Carlo run: TrainRun.RunBatch
+	// checks it between trial dispatches, stops dispatching once it is
+	// closed, and returns ErrTrainingCanceled (as do Train and
+	// BenignScores) after in-flight trials drain. The serving pool closes
+	// it when a mid-training detector is deleted, so detached flights
+	// stop burning cores instead of finishing a run nobody will read.
 	Cancel <-chan struct{}
 }
 
@@ -92,18 +73,11 @@ func (c *TrainConfig) normalize() error {
 	return nil
 }
 
-// BenignSample is one training trial: a victim sensor in a clean
-// deployment, localized by the beaconless scheme.
-type BenignSample struct {
-	Observation []int
-	LocErr      float64 // |L_e − L_a| of the benign localization
-	Scores      []float64
-}
-
 // BenignScores simulates benign deployments and returns, per metric, the
 // score distribution observed on Trials victim sensors. It is the shared
-// engine behind Train and the experiment harness's ROC curves: training
-// data and false-positive measurements come from the same process.
+// engine behind the experiment harness's ROC curves and ensemble
+// calibration: training data and false-positive measurements come from
+// the same process as Train's.
 //
 // Each trial: draw a victim (group, actual location La), draw its
 // observation o_i ~ Binomial(m, g_i(La)) with self-exclusion, estimate
@@ -111,99 +85,38 @@ type BenignSample struct {
 // whose victims land outside the field (Gaussian tails) are redrawn when
 // KeepInField is set.
 //
-// Trials fan out over a worker pool; per-trial RNG substreams are derived
-// up front from the master seed, so results are identical for any worker
-// count.
+// The run is one TrainRun batch over every trial (see TrainRun for the
+// worker pool and the pre-derived per-trial seeds), so column i of the
+// result is bit-identical to a single-metric run of metrics[i], and
+// results are identical for any worker count.
 //
 // Trials whose localization fails (isolated sensors) carry a NaN entry in
 // the returned localization errors; use SummarizeLocErrs to aggregate
 // without the failures biasing the mean toward zero.
-//
-//lad:ctx
 func BenignScores(model *deploy.Model, metrics []Metric, cfg TrainConfig) ([][]float64, []float64, error) {
-	if err := cfg.normalize(); err != nil {
+	tr, err := newTrainRun(model, metrics, cfg, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	if len(metrics) == 0 {
-		return nil, nil, errors.New("core: no metrics given")
+	if _, err := tr.RunBatch(0); err != nil {
+		return nil, nil, err
 	}
-
-	loc := localize.NewBeaconlessModel(model)
-	loc.Reference = cfg.ReferenceLocalizer
-	loc.SetProbeBatch(!cfg.ScalarProbes)
-	loc.SetSimEpoch(cfg.SimEpoch)
-	scores := make([][]float64, len(metrics))
-	for i := range scores {
-		scores[i] = make([]float64, cfg.Trials)
-	}
-	locErrs := make([]float64, cfg.Trials)
-
-	// Pre-derive per-trial seeds so scheduling cannot perturb results.
-	master := rng.New(cfg.Seed)
-	seeds := make([]uint64, cfg.Trials)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan int, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Everything a trial touches is per-worker and reused (the
-			// trialRunner: observation buffer, localization Session,
-			// scoring Expectation, per-trial-reseeded RNG). Steady state
-			// the loop body performs no heap allocations, and since trial
-			// t's stream depends only on seeds[t], results are identical
-			// for any worker count and trial interleaving. TrainRun runs
-			// the same body, which is what makes a batched/resumed run
-			// bit-identical to this one.
-			w := newTrialRunner(model, loc, len(metrics))
-			//lint:ignore ladvet/ctxcheck bounded: the producer sends at most cfg.Trials indices and closes next early when TrainConfig.Cancel trips; batch-granular context handling lives in TrainRun
-			for t := range next {
-				locErrs[t] = w.trial(model, &cfg, seeds[t], metrics)
-				for mi := range metrics {
-					scores[mi][t] = w.out[mi]
-				}
-			}
-		}()
-	}
-	canceled := false
-	for t := 0; t < cfg.Trials; t++ {
-		// With a nil Cancel the second case can never fire and the select
-		// degenerates to the plain send. Cancellation is checked between
-		// trial dispatches only: in-flight trials run to completion, which
-		// bounds the abort latency at one trial per worker.
-		select {
-		case next <- t:
-		case <-cfg.Cancel:
-			canceled = true
-		}
-		if canceled {
-			break
-		}
-	}
-	close(next)
-	wg.Wait()
-	if canceled {
-		return nil, nil, ErrTrainingCanceled
-	}
-	return scores, locErrs, nil
+	return tr.scores, tr.locErrs, nil
 }
 
 // Train derives a detector for one metric: the threshold is the
 // τ-percentile of the benign score distribution. The benign scores are
-// returned alongside so callers can reuse them for ROC curves.
-//
-//lad:ctx
+// returned alongside so callers can reuse them for ROC curves. It is a
+// TrainRun executed in a single batch.
 func Train(model *deploy.Model, metric Metric, cfg TrainConfig) (*Detector, []float64, error) {
-	scores, _, err := BenignScores(model, []Metric{metric}, cfg)
+	tr, err := NewTrainRun(model, metric, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	th := mathx.Percentile(scores[0], cfg.Percentile)
-	return NewDetector(model, metric, th), scores[0], nil
+	if _, err := tr.RunBatch(0); err != nil {
+		return nil, nil, err
+	}
+	return tr.Finish()
 }
 
 // ThresholdFromScores computes the τ-percentile threshold from an

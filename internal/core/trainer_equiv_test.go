@@ -6,60 +6,50 @@ import (
 	"repro/internal/deploy"
 )
 
-// TestTrainIndexedBitIdenticalToScan is the PR's training-equivalence
-// acceptance check: with the deployment model's spatial index on or off,
-// BenignScores must produce bit-identical scores and localization errors
-// — the sampling consumes the RNG stream identically, the MLE returns
-// identical estimates, and the expectations fill identically — and Train
-// must therefore produce bit-identical thresholds. Checked for all three
-// layouts and all three metrics.
-func TestTrainIndexedBitIdenticalToScan(t *testing.T) {
-	for name, layout := range map[string]deploy.Layout{
-		"grid": deploy.LayoutGrid, "hex": deploy.LayoutHex, "random": deploy.LayoutRandom,
-	} {
+// TestBenignScoresMatchesSingleMetricRuns pins the driver unification:
+// BenignScores is one multi-metric TrainRun batch, and each of its
+// columns must equal a single-metric TrainRun of that metric driven in
+// uneven batches (7, 64, then the rest) with one and three workers —
+// on the paper grid and a random layout, under both simulation epochs.
+func TestBenignScoresMatchesSingleMetricRuns(t *testing.T) {
+	for _, layout := range []deploy.Layout{deploy.LayoutGrid, deploy.LayoutRandom} {
 		cfgD := deploy.PaperConfig()
 		cfgD.Layout = layout
 		cfgD.RandomSeed = 7
-		indexed := deploy.MustNew(cfgD)
-		scan := deploy.MustNew(cfgD)
-		scan.SetSpatialIndex(false)
-
-		cfg := TrainConfig{Trials: 120, Percentile: 99, Seed: 23, KeepInField: true}
-		s1, e1, err := BenignScores(indexed, AllMetrics(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, e2, err := BenignScores(scan, AllMetrics(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mi := range s1 {
-			for ti := range s1[mi] {
-				if s1[mi][ti] != s2[mi][ti] {
-					t.Fatalf("%s: score[%d][%d]: indexed %v != scan %v",
-						name, mi, ti, s1[mi][ti], s2[mi][ti])
+		model := deploy.MustNew(cfgD)
+		for _, epoch := range []int{1, 2} {
+			cfg := TrainConfig{Trials: 150, Percentile: 99, Seed: 23, KeepInField: true, SimEpoch: epoch}
+			cols, locErrs, err := BenignScores(model, AllMetrics(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(locErrs) != cfg.Trials {
+				t.Fatalf("%v/epoch %d: %d localization errors, want %d", layout, epoch, len(locErrs), cfg.Trials)
+			}
+			for mi, metric := range AllMetrics() {
+				for _, workers := range []int{1, 3} {
+					c := cfg
+					c.Workers = workers
+					run, err := NewTrainRun(model, metric, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, n := range []int{7, 64, 0} {
+						if _, err := run.RunBatch(n); err != nil {
+							t.Fatal(err)
+						}
+					}
+					_, got, err := run.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ti, want := range cols[mi] {
+						if got[ti] != want {
+							t.Fatalf("%v/epoch %d/%s/%d workers: trial %d score %v, BenignScores column %v",
+								layout, epoch, metric.Name(), workers, ti, got[ti], want)
+						}
+					}
 				}
-			}
-		}
-		for ti := range e1 {
-			// NaN marks a failed trial; both paths must fail identically.
-			if e1[ti] != e2[ti] && !(e1[ti] != e1[ti] && e2[ti] != e2[ti]) {
-				t.Fatalf("%s: locErr[%d]: indexed %v != scan %v", name, ti, e1[ti], e2[ti])
-			}
-		}
-
-		for _, metric := range AllMetrics() {
-			d1, _, err := Train(indexed, metric, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2, _, err := Train(scan, metric, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d1.Threshold() != d2.Threshold() {
-				t.Fatalf("%s/%s: threshold indexed %v != scan %v",
-					name, metric.Name(), d1.Threshold(), d2.Threshold())
 			}
 		}
 	}
@@ -85,86 +75,6 @@ func TestTrainThresholdIdenticalForAnyWorkerCount(t *testing.T) {
 		if det.Threshold() != want {
 			t.Fatalf("workers=%d: threshold %v != workers=1 threshold %v",
 				workers, det.Threshold(), want)
-		}
-	}
-}
-
-// TestReferenceLocalizerRuns keeps the benchmark baseline honest: the
-// pre-PR3 likelihood path must stay runnable through TrainConfig and
-// produce a threshold in the same ballpark as the engine (the two differ
-// only by log-table interpolation error).
-func TestReferenceLocalizerRuns(t *testing.T) {
-	model := paperModel()
-	cfg := TrainConfig{Trials: 100, Percentile: 99, Seed: 17, KeepInField: true}
-	refCfg := cfg
-	refCfg.ReferenceLocalizer = true
-	dEng, _, err := Train(model, DiffMetric{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dRef, _, err := Train(model, DiffMetric{}, refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := dEng.Threshold(), dRef.Threshold()
-	if diff := a - b; diff < -0.05*b || diff > 0.05*b {
-		t.Errorf("engine threshold %v vs reference %v: more than 5%% apart", a, b)
-	}
-}
-
-// TestTrainProbeEngineBitIdenticalToScalarProbes is the probe-engine
-// half of the training-equivalence guarantee: with batched probe
-// evaluation on (the default) or off (TrainConfig.ScalarProbes),
-// BenignScores must produce bit-identical scores and localization
-// errors, and Train bit-identical thresholds — for every layout and
-// every metric. This is what lets the SoA engine ship as a pure
-// speedup: no retraining, no threshold drift, no verdict changes.
-func TestTrainProbeEngineBitIdenticalToScalarProbes(t *testing.T) {
-	for name, layout := range map[string]deploy.Layout{
-		"grid": deploy.LayoutGrid, "hex": deploy.LayoutHex, "random": deploy.LayoutRandom,
-	} {
-		cfgD := deploy.PaperConfig()
-		cfgD.Layout = layout
-		cfgD.RandomSeed = 7
-		model := deploy.MustNew(cfgD)
-
-		batch := TrainConfig{Trials: 120, Percentile: 99, Seed: 29, KeepInField: true}
-		scalar := batch
-		scalar.ScalarProbes = true
-		s1, e1, err := BenignScores(model, AllMetrics(), batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, e2, err := BenignScores(model, AllMetrics(), scalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mi := range s1 {
-			for ti := range s1[mi] {
-				if s1[mi][ti] != s2[mi][ti] {
-					t.Fatalf("%s: score[%d][%d]: probe engine %v != scalar probes %v",
-						name, mi, ti, s1[mi][ti], s2[mi][ti])
-				}
-			}
-		}
-		for ti := range e1 {
-			if e1[ti] != e2[ti] && !(e1[ti] != e1[ti] && e2[ti] != e2[ti]) {
-				t.Fatalf("%s: locErr[%d]: probe engine %v != scalar probes %v", name, ti, e1[ti], e2[ti])
-			}
-		}
-		for _, metric := range AllMetrics() {
-			d1, _, err := Train(model, metric, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2, _, err := Train(model, metric, scalar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d1.Threshold() != d2.Threshold() {
-				t.Fatalf("%s/%s: probe-engine threshold %v != scalar-probe threshold %v",
-					name, metric.Name(), d1.Threshold(), d2.Threshold())
-			}
 		}
 	}
 }

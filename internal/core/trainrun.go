@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/deploy"
@@ -16,9 +17,9 @@ import (
 // loop: the observation buffer, the localization Session (active-set
 // and search scratch), the scoring Expectation, the per-metric score
 // scratch, and the RNG (reseeded per trial, bit-identical to a fresh
-// generator). It is the shared trial body behind BenignScores and
-// TrainRun — extracting it is what makes a resumed batch run
-// bit-identical to an uninterrupted one by construction.
+// generator). Every trial of every run executes through it, which is
+// what makes a resumed batch run bit-identical to an uninterrupted one
+// by construction.
 type trialRunner struct {
 	o    []int
 	out  []float64 // per-metric score scratch, len == len(metrics)
@@ -75,61 +76,75 @@ func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, 
 	return locErr
 }
 
-// TrainRun is a threshold training run sliced into batches: the same
-// Monte-Carlo process as Train, but the caller decides when each slice
-// of trials executes and may checkpoint durable progress between
-// slices. The serving scheduler interleaves batches of many runs on a
-// fixed worker pool (fair-share) and resumes a run from its last
-// checkpoint after eviction or a crash. For a given TrainConfig, the
-// finished threshold and benign sample are bit-identical to Train's,
-// regardless of batch sizes, interleaving, or resume points — per-trial
-// RNG substreams are pre-derived from the master seed, so trial t
-// depends only on its own seed.
+// TrainRun is the Monte-Carlo trial driver of Section 5.5, sliced into
+// batches: the caller decides when each slice of trials executes and may
+// checkpoint durable progress between slices. Train and BenignScores
+// are single-batch runs; the serving scheduler interleaves batches of
+// many runs on a fixed worker pool (fair-share) and resumes a run from
+// its last checkpoint after eviction or a crash. For a given
+// TrainConfig, the finished threshold and benign sample are bit-identical
+// regardless of batch sizes, worker counts, interleaving, or resume
+// points — per-trial RNG substreams are pre-derived from the master
+// seed, so trial t depends only on its own seed.
 //
 // A TrainRun is not safe for concurrent use; one batch executes at a
 // time (the batch itself fans out over cfg.Workers goroutines).
 type TrainRun struct {
 	model   *deploy.Model
-	metric  Metric
-	ms      []Metric // {metric}, reused by every trial body
+	metrics []Metric // metrics[0] is the run's detector metric
 	cfg     TrainConfig
 	loc     *localize.Beaconless
 	seeds   []uint64
-	scores  []float64
+	scores  [][]float64 // per metric, in trial order
+	// locErrs holds per-trial localization errors (NaN for isolated
+	// sensors) for BenignScores; nil in single-metric runs, which never
+	// report them.
+	locErrs []float64
 	done    int
 	workers []*trialRunner
 }
 
-// NewTrainRun prepares a batched training run starting from trial zero.
+// NewTrainRun prepares a batched training run of one metric, starting
+// from trial zero.
 func NewTrainRun(model *deploy.Model, metric Metric, cfg TrainConfig) (*TrainRun, error) {
+	return newTrainRun(model, []Metric{metric}, cfg, false)
+}
+
+// newTrainRun prepares a run scoring every metric per trial, recording
+// per-trial localization errors when withLocErrs is set.
+func newTrainRun(model *deploy.Model, metrics []Metric, cfg TrainConfig, withLocErrs bool) (*TrainRun, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if metric == nil {
+	if len(metrics) == 0 || slices.Contains(metrics, nil) {
 		return nil, errors.New("core: no metric given")
 	}
 	loc := localize.NewBeaconlessModel(model)
-	loc.Reference = cfg.ReferenceLocalizer
-	loc.SetProbeBatch(!cfg.ScalarProbes)
 	loc.SetSimEpoch(cfg.SimEpoch)
 
 	// Pre-derive per-trial seeds so neither scheduling nor batch
-	// boundaries can perturb results — the same schedule BenignScores
-	// derives, which is what makes resume bit-identity possible at all.
+	// boundaries can perturb results, which is what makes resume
+	// bit-identity possible at all.
 	master := rng.New(cfg.Seed)
 	seeds := make([]uint64, cfg.Trials)
 	for i := range seeds {
 		seeds[i] = master.Uint64()
 	}
-	return &TrainRun{
-		model:  model,
-		metric: metric,
-		ms:     []Metric{metric},
-		cfg:    cfg,
-		loc:    loc,
-		seeds:  seeds,
-		scores: make([]float64, cfg.Trials),
-	}, nil
+	tr := &TrainRun{
+		model:   model,
+		metrics: metrics,
+		cfg:     cfg,
+		loc:     loc,
+		seeds:   seeds,
+		scores:  make([][]float64, len(metrics)),
+	}
+	for mi := range tr.scores {
+		tr.scores[mi] = make([]float64, cfg.Trials)
+	}
+	if withLocErrs {
+		tr.locErrs = make([]float64, cfg.Trials)
+	}
+	return tr, nil
 }
 
 // ResumeTrainRun rebuilds a batched run from a checkpoint: trials
@@ -159,7 +174,7 @@ func ResumeTrainRun(model *deploy.Model, metric Metric, cfg TrainConfig, ck *Tra
 			ck.Metric, ck.Trials, ck.Percentile, ck.Seed, ck.SimEpoch,
 			metric.Name(), tr.cfg.Trials, tr.cfg.Percentile, tr.cfg.Seed, tr.cfg.SimEpoch)
 	}
-	copy(tr.scores[:ck.TrialsDone], ck.Scores)
+	copy(tr.scores[0][:ck.TrialsDone], ck.Scores)
 	tr.done = ck.TrialsDone
 	return tr, nil
 }
@@ -172,7 +187,8 @@ func (tr *TrainRun) TrialsDone() int { return tr.done }
 func (tr *TrainRun) Done() bool      { return tr.done >= tr.cfg.Trials }
 
 // RunBatch executes up to n further trials (clamped to the remaining
-// budget) over the run's worker pool and returns how many completed.
+// budget; n <= 0 runs them all) over the run's worker pool and returns
+// how many completed. It is the only trial-dispatch loop in the package.
 // Cancellation (TrainConfig.Cancel) is checked between trial
 // dispatches; on cancel the batch returns ErrTrainingCanceled and
 // progress stays at the previous batch boundary — partially computed
@@ -192,7 +208,7 @@ func (tr *TrainRun) RunBatch(n int) (int, error) {
 		workers := tr.cfg.Workers
 		tr.workers = make([]*trialRunner, workers)
 		for i := range tr.workers {
-			tr.workers[i] = newTrialRunner(tr.model, tr.loc, 1)
+			tr.workers[i] = newTrialRunner(tr.model, tr.loc, len(tr.metrics))
 		}
 	}
 	lo, hi := tr.done, tr.done+n
@@ -230,10 +246,15 @@ func (tr *TrainRun) RunBatch(n int) (int, error) {
 	return n, nil
 }
 
-// trialInto runs trial t on worker w and records its score.
+// trialInto runs trial t on worker w and records its scores.
 func (tr *TrainRun) trialInto(w *trialRunner, t int) {
-	w.trial(tr.model, &tr.cfg, tr.seeds[t], tr.ms)
-	tr.scores[t] = w.out[0]
+	locErr := w.trial(tr.model, &tr.cfg, tr.seeds[t], tr.metrics)
+	for mi := range tr.metrics {
+		tr.scores[mi][t] = w.out[mi]
+	}
+	if tr.locErrs != nil {
+		tr.locErrs[t] = locErr
+	}
 }
 
 // CheckpointInto captures the run's durable progress into ck, reusing
@@ -243,7 +264,7 @@ func (tr *TrainRun) trialInto(w *trialRunner, t int) {
 // be called before any trial completed (a zero-progress checkpoint
 // fails Validate; start from scratch instead).
 func (tr *TrainRun) CheckpointInto(ck *TrainCheckpoint) {
-	ck.Metric = tr.metric.Name()
+	ck.Metric = tr.metrics[0].Name()
 	ck.Trials = tr.cfg.Trials
 	ck.Percentile = tr.cfg.Percentile
 	ck.Seed = tr.cfg.Seed
@@ -254,16 +275,15 @@ func (tr *TrainRun) CheckpointInto(ck *TrainCheckpoint) {
 		ck.Scores = make([]float64, tr.done)
 	}
 	ck.Scores = ck.Scores[:tr.done]
-	copy(ck.Scores, tr.scores[:tr.done])
+	copy(ck.Scores, tr.scores[0][:tr.done])
 }
 
 // Finish cuts the τ-percentile threshold from the completed benign
-// sample and returns the detector plus the sample in trial order —
-// exactly what Train returns for the same configuration.
+// sample and returns the detector plus the sample in trial order.
 func (tr *TrainRun) Finish() (*Detector, []float64, error) {
 	if tr.done < tr.cfg.Trials {
 		return nil, nil, fmt.Errorf("core: training incomplete: %d of %d trials", tr.done, tr.cfg.Trials)
 	}
-	th := mathx.Percentile(tr.scores, tr.cfg.Percentile)
-	return NewDetector(tr.model, tr.metric, th), tr.scores, nil
+	th := mathx.Percentile(tr.scores[0], tr.cfg.Percentile)
+	return NewDetector(tr.model, tr.metrics[0], th), tr.scores[0], nil
 }

@@ -188,11 +188,11 @@ func (c *binomCache) tableFor(selfGroup bool, bin int) *binomTable {
 // SampleObservationInto: o_i ~ Binomial(trials, g_i(z_bin)) drawn through
 // the cached inverse-CDF tables, with z quantized to the nearest g-table
 // grid point. One uniform variate is consumed per group within MaxZ, in
-// ascending group order, so the draw stream is identical with the
-// spatial index on or off (the epoch-2 analogue of the epoch-1
-// bit-identity across index settings). It is NOT stream-compatible with
-// the epoch-1 sampler — that is the point of the epoch split; see the
-// cross-epoch distribution-level equivalence tests.
+// ascending group order, so the draw stream is identical to a full scan
+// over all n groups (binom_test.go pins it against that oracle, the
+// epoch-2 analogue of the epoch-1 index bit-identity). It is NOT
+// stream-compatible with the epoch-1 sampler — that is the point of the
+// epoch split; see the cross-epoch distribution-level equivalence tests.
 //
 //lad:noalloc
 func (m *Model) SampleObservationTableInto(dst []int, loc geom.Point, self int, r *rng.Rand) {
@@ -202,21 +202,8 @@ func (m *Model) SampleObservationTableInto(dst []int, loc geom.Point, self int, 
 	// Distances via sqrt(dx²+dy²) instead of the overflow-hardened
 	// math.Hypot the epoch-1 path shares with scoring: field coordinates
 	// are O(10³) m, far from any overflow, and epoch 2 owes only
-	// distribution-level fidelity. Both branches below compute z the same
-	// way, so draws stay bit-identical with the index on or off.
+	// distribution-level fidelity.
 	maxZ := m.gTable.MaxZ()
-	if m.index == nil {
-		for i, dp := range m.points {
-			dx, dy := loc.X-dp.X, loc.Y-dp.Y
-			z := math.Sqrt(dx*dx + dy*dy)
-			if z >= maxZ {
-				dst[i] = 0
-				continue
-			}
-			dst[i] = m.sampleGroupTable(i == self, z, r)
-		}
-		return
-	}
 	clear(dst)
 	near := m.scratch.get()
 	*near = m.index.appendNear((*near)[:0], loc, maxZ)

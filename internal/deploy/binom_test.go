@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/rng"
 )
 
@@ -145,34 +146,44 @@ func TestBinomTableSampleMoments(t *testing.T) {
 	}
 }
 
+// scanSampleObservationTableInto is the full-scan oracle of
+// SampleObservationTableInto: every group in ascending order, with the
+// same distance arithmetic and the same one-uniform-per-group draw.
+func scanSampleObservationTableInto(m *Model, dst []int, loc geom.Point, self int, r *rng.Rand) {
+	maxZ := m.gTable.MaxZ()
+	for i, dp := range m.points {
+		dx, dy := loc.X-dp.X, loc.Y-dp.Y
+		z := math.Sqrt(dx*dx + dy*dy)
+		if z >= maxZ {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = m.sampleGroupTable(i == self, z, r)
+	}
+}
+
 // TestSampleObservationTableIndexInvariant is the epoch-2 analogue of
 // the epoch-1 index equivalence: the table sampler consumes one uniform
-// per group within MaxZ in ascending group order, so draws are
-// bit-identical with the spatial index on or off.
+// per group within MaxZ in ascending group order, so the indexed draws
+// are bit-identical to the full-scan oracle's.
 func TestSampleObservationTableIndexInvariant(t *testing.T) {
-	for _, layout := range []Layout{LayoutGrid, LayoutHex, LayoutRandom} {
-		cfg := PaperConfig()
-		cfg.Layout = layout
-		cfg.RandomSeed = 11
-		indexed := MustNew(cfg)
-		scan := MustNew(cfg)
-		scan.SetSpatialIndex(false)
-
-		o1 := make([]int, indexed.NumGroups())
-		o2 := make([]int, scan.NumGroups())
-		r1, r2 := rng.New(7), rng.New(7)
+	for name, cfg := range indexTestConfigs() {
+		m := MustNew(cfg)
+		o1 := make([]int, m.NumGroups())
+		o2 := make([]int, m.NumGroups())
+		r := rng.New(7)
 		for trial := 0; trial < 50; trial++ {
-			g1, p1 := indexed.SampleLocation(r1)
-			g2, p2 := scan.SampleLocation(r2)
-			if g1 != g2 || p1 != p2 {
-				t.Fatalf("%v: location streams diverged", layout)
-			}
-			indexed.SampleObservationTableInto(o1, p1, g1, r1)
-			scan.SampleObservationTableInto(o2, p2, g2, r2)
+			g, p := m.SampleLocation(r)
+			r1, r2 := rng.New(uint64(trial)), rng.New(uint64(trial))
+			m.SampleObservationTableInto(o1, p, g, r1)
+			scanSampleObservationTableInto(m, o2, p, g, r2)
 			for i := range o1 {
 				if o1[i] != o2[i] {
-					t.Fatalf("%v trial %d: o[%d] indexed %d != scan %d", layout, trial, i, o1[i], o2[i])
+					t.Fatalf("%s trial %d: o[%d] indexed %d != scan %d", name, trial, i, o1[i], o2[i])
 				}
+			}
+			if v1, v2 := r1.Uint64(), r2.Uint64(); v1 != v2 {
+				t.Fatalf("%s trial %d: RNG streams diverged", name, trial)
 			}
 		}
 	}

@@ -20,10 +20,11 @@ import (
 // The index prunes at cell granularity only: a returned candidate may lie
 // a little beyond r (up to a cell diagonal). That is deliberate — callers
 // re-test each candidate with exactly the same floating-point predicate
-// the full scan uses (z >= MaxZ, dist <= margin, …), which makes the
-// indexed paths bit-identical to the scan paths by construction, immune
-// to any rounding disagreement between the index's arithmetic and the
-// caller's.
+// a full scan over all n groups would use (z >= MaxZ, dist <= margin, …),
+// which makes the indexed paths bit-identical to such a scan by
+// construction, immune to any rounding disagreement between the index's
+// arithmetic and the caller's. The scan itself survives only as the test
+// oracle in index_test.go.
 //
 // Layout is CSR (one offsets slice + one ids slice) rather than a
 // slice-of-slices: group ids of a cell are contiguous, and the whole
@@ -82,9 +83,7 @@ func newGroupIndex(points []geom.Point) *groupIndex {
 	// Counting sort by cell; ascending group order within each cell comes
 	// from the stable second pass.
 	cellOf := func(p geom.Point) int {
-		cx := gi.clampX(int(math.Floor((p.X - minX) * gi.invCell)))
-		cy := gi.clampY(int(math.Floor((p.Y - minY) * gi.invCell)))
-		return cy*nx + cx
+		return gi.cellY(p.Y)*nx + gi.cellX(p.X)
 	}
 	for _, p := range points {
 		gi.start[cellOf(p)+1]++
@@ -102,8 +101,26 @@ func newGroupIndex(points []geom.Point) *groupIndex {
 	return gi
 }
 
-func (gi *groupIndex) clampX(cx int) int { return min(max(cx, 0), gi.nx-1) }
-func (gi *groupIndex) clampY(cy int) int { return min(max(cy, 0), gi.ny-1) }
+func (gi *groupIndex) cellX(x float64) int { return cellCoord((x-gi.minX)*gi.invCell, gi.nx) }
+func (gi *groupIndex) cellY(y float64) int { return cellCoord((y-gi.minY)*gi.invCell, gi.ny) }
+
+// cellCoord maps an offset measured in cell sides to a cell index in
+// [0, n-1]. The clamp happens in float space, before the conversion: a
+// far-away query point or a huge (even infinite) radius puts the offset
+// outside int's range, where Go's float→int conversion is
+// implementation-defined (amd64 yields math.MinInt64, which a clamp
+// after the conversion would silently turn into cell 0 and shrink the
+// result below the superset callers rely on).
+func cellCoord(off float64, n int) int {
+	c := math.Floor(off)
+	if !(c > 0) { // negative, -Inf, or NaN
+		return 0
+	}
+	if c >= float64(n-1) {
+		return n - 1
+	}
+	return int(c)
+}
 
 // appendNear appends to dst the ids of every group whose cell rectangle
 // intersects the axis-aligned bounding square of the disk (loc, radius),
@@ -113,10 +130,8 @@ func (gi *groupIndex) appendNear(dst []int32, loc geom.Point, radius float64) []
 	if radius < 0 {
 		radius = 0
 	}
-	x0 := gi.clampX(int(math.Floor((loc.X - radius - gi.minX) * gi.invCell)))
-	x1 := gi.clampX(int(math.Floor((loc.X + radius - gi.minX) * gi.invCell)))
-	y0 := gi.clampY(int(math.Floor((loc.Y - radius - gi.minY) * gi.invCell)))
-	y1 := gi.clampY(int(math.Floor((loc.Y + radius - gi.minY) * gi.invCell)))
+	x0, x1 := gi.cellX(loc.X-radius), gi.cellX(loc.X+radius)
+	y0, y1 := gi.cellY(loc.Y-radius), gi.cellY(loc.Y+radius)
 	base := len(dst)
 	for cy := y0; cy <= y1; cy++ {
 		row := cy * gi.nx

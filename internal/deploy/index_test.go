@@ -51,12 +51,66 @@ func probeLocations(m *Model, r *rng.Rand) []geom.Point {
 	return pts
 }
 
+// The full-scan oracles: the pre-index implementations of the Model's
+// location-dependent methods, visiting all n groups in ascending order.
+// The indexed production paths must match them bit for bit — values and
+// the RNG stream consumed.
+
+func scanExpectedObservationInto(m *Model, dst []float64, loc geom.Point) {
+	mm, maxZ := float64(m.cfg.GroupSize), m.gTable.MaxZ()
+	for i, dp := range m.points {
+		z := loc.Dist(dp)
+		if z >= maxZ {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = mm * m.gTable.Eval(z)
+	}
+}
+
+func scanSampleObservationInto(m *Model, dst []int, loc geom.Point, self int, r *rng.Rand) {
+	maxZ := m.gTable.MaxZ()
+	for i, dp := range m.points {
+		z := loc.Dist(dp)
+		if z >= maxZ {
+			dst[i] = 0
+			continue
+		}
+		trials := m.cfg.GroupSize
+		if i == self {
+			trials--
+		}
+		dst[i] = r.Binomial(trials, m.gTable.Eval(z))
+	}
+}
+
+func scanGMuInto(m *Model, g, mu []float64, loc geom.Point) {
+	mm := float64(m.cfg.GroupSize)
+	for i, dp := range m.points {
+		gi := m.gTable.Eval(loc.Dist(dp))
+		g[i] = gi
+		mu[i] = mm * gi
+	}
+}
+
+func scanExpectedDegree(m *Model, loc geom.Point) float64 {
+	var sum float64
+	mm := float64(m.cfg.GroupSize)
+	for i := range m.points {
+		sum += mm * m.G(i, loc)
+	}
+	return sum
+}
+
 func TestNearGroupsIntoSupersetAndSorted(t *testing.T) {
 	for name, cfg := range indexTestConfigs() {
 		m := MustNew(cfg)
 		r := rng.New(7)
-		for _, radius := range []float64{0, 25, m.Range(), m.GTable().MaxZ()} {
-			for _, p := range probeLocations(m, r) {
+		probes := append(probeLocations(m, r),
+			geom.Pt(1e30, m.Field().Center().Y), geom.Pt(-1e30, 1e30))
+		radii := []float64{0, 25, m.Range(), m.GTable().MaxZ(), 1e30, math.Inf(1)}
+		for _, radius := range radii {
+			for _, p := range probes {
 				got := m.NearGroupsInto(nil, p, radius)
 				if !slices.IsSorted(got) {
 					t.Fatalf("%s: NearGroupsInto(%v, %g) not sorted: %v", name, p, radius, got)
@@ -77,29 +131,33 @@ func TestNearGroupsIntoSupersetAndSorted(t *testing.T) {
 				}
 			}
 		}
+		// A radius covering everything returns every group, from anywhere.
+		for _, p := range []geom.Point{m.Field().Center(), geom.Pt(1e30, 0)} {
+			if got := m.NearGroupsInto(nil, p, math.Inf(1)); len(got) != m.NumGroups() {
+				t.Fatalf("%s: NearGroupsInto(%v, +Inf) returned %d of %d groups", name, p, len(got), m.NumGroups())
+			}
+		}
+		if got := m.NearGroupsInto(nil, m.Field().Center(), 1e30); len(got) != m.NumGroups() {
+			t.Fatalf("%s: NearGroupsInto(center, 1e30) returned %d of %d groups", name, len(got), m.NumGroups())
+		}
 	}
 }
 
 func TestIndexedExpectedObservationBitIdentical(t *testing.T) {
 	for name, cfg := range indexTestConfigs() {
-		indexed := MustNew(cfg)
-		scan := MustNew(cfg)
-		scan.SetSpatialIndex(false)
-		if indexed.SpatialIndexEnabled() == scan.SpatialIndexEnabled() {
-			t.Fatal("index toggle did not take")
-		}
+		m := MustNew(cfg)
 		r := rng.New(11)
-		a := make([]float64, indexed.NumGroups())
-		b := make([]float64, indexed.NumGroups())
-		for _, p := range probeLocations(indexed, r) {
-			indexed.ExpectedObservationInto(a, p)
-			scan.ExpectedObservationInto(b, p)
+		a := make([]float64, m.NumGroups())
+		b := make([]float64, m.NumGroups())
+		for _, p := range probeLocations(m, r) {
+			m.ExpectedObservationInto(a, p)
+			scanExpectedObservationInto(m, b, p)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("%s: µ_%d at %v: indexed %v != scan %v", name, i, p, a[i], b[i])
 				}
 			}
-			if d1, d2 := indexed.ExpectedDegree(p), scan.ExpectedDegree(p); d1 != d2 {
+			if d1, d2 := m.ExpectedDegree(p), scanExpectedDegree(m, p); d1 != d2 {
 				t.Fatalf("%s: ExpectedDegree at %v: indexed %v != scan %v", name, p, d1, d2)
 			}
 		}
@@ -108,16 +166,14 @@ func TestIndexedExpectedObservationBitIdentical(t *testing.T) {
 
 func TestIndexedGMuIntoBitIdentical(t *testing.T) {
 	for name, cfg := range indexTestConfigs() {
-		indexed := MustNew(cfg)
-		scan := MustNew(cfg)
-		scan.SetSpatialIndex(false)
+		m := MustNew(cfg)
 		r := rng.New(13)
-		n := indexed.NumGroups()
+		n := m.NumGroups()
 		g1, mu1 := make([]float64, n), make([]float64, n)
 		g2, mu2 := make([]float64, n), make([]float64, n)
-		for _, p := range probeLocations(indexed, r) {
-			indexed.GMuInto(g1, mu1, p)
-			scan.GMuInto(g2, mu2, p)
+		for _, p := range probeLocations(m, r) {
+			m.GMuInto(g1, mu1, p)
+			scanGMuInto(m, g2, mu2, p)
 			for i := 0; i < n; i++ {
 				if g1[i] != g2[i] || mu1[i] != mu2[i] {
 					t.Fatalf("%s: GMuInto group %d at %v: (%v,%v) != (%v,%v)",
@@ -134,18 +190,16 @@ func TestIndexedGMuIntoBitIdentical(t *testing.T) {
 // every downstream Monte-Carlo result would silently change.
 func TestIndexedSampleObservationBitIdentical(t *testing.T) {
 	for name, cfg := range indexTestConfigs() {
-		indexed := MustNew(cfg)
-		scan := MustNew(cfg)
-		scan.SetSpatialIndex(false)
-		n := indexed.NumGroups()
+		m := MustNew(cfg)
+		n := m.NumGroups()
 		a, b := make([]int, n), make([]int, n)
-		probes := probeLocations(indexed, rng.New(17))
+		probes := probeLocations(m, rng.New(17))
 		for pi, p := range probes {
 			r1 := rng.New(uint64(1000 + pi))
 			r2 := rng.New(uint64(1000 + pi))
 			self := pi % n
-			indexed.SampleObservationInto(a, p, self, r1)
-			scan.SampleObservationInto(b, p, self, r2)
+			m.SampleObservationInto(a, p, self, r1)
+			scanSampleObservationInto(m, b, p, self, r2)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("%s: o_%d at %v: indexed %d != scan %d", name, i, p, a[i], b[i])
@@ -162,8 +216,6 @@ func TestIndexedSampleObservationBitIdentical(t *testing.T) {
 // pool from many goroutines under the race detector.
 func TestIndexedQueriesConcurrent(t *testing.T) {
 	m := MustNew(PaperConfig())
-	scan := MustNew(PaperConfig())
-	scan.SetSpatialIndex(false)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -176,7 +228,7 @@ func TestIndexedQueriesConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				p := geom.Pt(r.Uniform(-100, 1100), r.Uniform(-100, 1100))
 				m.ExpectedObservationInto(mu, p)
-				scan.ExpectedObservationInto(want, p)
+				scanExpectedObservationInto(m, want, p)
 				for j := range mu {
 					if mu[j] != want[j] {
 						t.Errorf("worker %d: µ_%d mismatch at %v", w, j, p)

@@ -78,19 +78,35 @@ func PaperConfig() Config {
 	}
 }
 
+// MaxExtent bounds every length in a Config, in meters: the absolute
+// value of each field corner coordinate, the field's width and height,
+// Sigma, and Range. It sits four orders of magnitude above the largest
+// deployment anywhere in this repository (a 2000 m field) and keeps the
+// g(z) table build, the spatial index, and resident-point sampling in
+// well-conditioned floating-point territory — without it a single
+// request spec with Sigma 1e300 or Range 1e160 could crash or wedge the
+// process that builds the model.
+const MaxExtent = 1e7
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
+	inExtent := func(v float64) bool { return math.Abs(v) <= MaxExtent } // false for NaN
 	switch {
+	case !inExtent(c.Field.Min.X) || !inExtent(c.Field.Min.Y) ||
+		!inExtent(c.Field.Max.X) || !inExtent(c.Field.Max.Y):
+		return fmt.Errorf("deploy: field corners must be finite and within ±%g m", MaxExtent)
 	case c.Field.Width() <= 0 || c.Field.Height() <= 0:
 		return errors.New("deploy: empty field")
+	case c.Field.Width() > MaxExtent || c.Field.Height() > MaxExtent:
+		return fmt.Errorf("deploy: field wider or taller than %g m", MaxExtent)
 	case c.GroupsX < 1 || c.GroupsY < 1:
 		return errors.New("deploy: need at least one group per axis")
 	case c.GroupSize < 1:
 		return errors.New("deploy: group size must be positive")
-	case c.Sigma <= 0:
-		return errors.New("deploy: sigma must be positive")
-	case c.Range <= 0:
-		return errors.New("deploy: transmission range must be positive")
+	case !(c.Sigma > 0 && c.Sigma <= MaxExtent):
+		return fmt.Errorf("deploy: sigma must be in (0, %g] m", MaxExtent)
+	case !(c.Range > 0 && c.Range <= MaxExtent):
+		return fmt.Errorf("deploy: transmission range must be in (0, %g] m", MaxExtent)
 	default:
 		return nil
 	}
@@ -105,10 +121,7 @@ type Model struct {
 	points []geom.Point // deployment point of group i
 	gTable *GTable
 	// index buckets the deployment points so the hot paths visit only
-	// groups within GTable.MaxZ() of a location instead of all n. nil
-	// (SetSpatialIndex(false)) selects the full-scan reference path; both
-	// paths are bit-identical, the scan one exists so benchmarks and
-	// equivalence tests can run against it.
+	// groups within GTable.MaxZ() of a location instead of all n.
 	index   *groupIndex
 	scratch scratchPool
 	// binom lazily caches the epoch-2 inverse-CDF observation samplers,
@@ -239,25 +252,6 @@ func (m *Model) Points() []geom.Point { return m.points }
 // GTable returns the model's precomputed g(z) lookup table.
 func (m *Model) GTable() *GTable { return m.gTable }
 
-// SetSpatialIndex enables (the default) or disables the spatial index
-// over deployment points. With the index off every location-dependent
-// method falls back to the full scan over all n groups — the pre-index
-// reference path, kept runnable so benchmarks measure the speedup
-// against it and equivalence tests can assert bit-identical results.
-// Not safe to call concurrently with queries; configure before use.
-func (m *Model) SetSpatialIndex(enabled bool) {
-	if enabled {
-		if m.index == nil {
-			m.index = newGroupIndex(m.points)
-		}
-		return
-	}
-	m.index = nil
-}
-
-// SpatialIndexEnabled reports whether the group index is active.
-func (m *Model) SpatialIndexEnabled() bool { return m.index != nil }
-
 // NearGroupsInto appends to dst (usually dst[:0] of a reusable buffer)
 // the ids of every group whose deployment point lies within radius of
 // loc, sorted ascending, and returns the extended slice. The result may
@@ -265,15 +259,9 @@ func (m *Model) SpatialIndexEnabled() bool { return m.index != nil }
 // done at spatial-grid-cell granularity): callers that need an exact
 // boundary must re-test each candidate, which keeps indexed code paths
 // bit-identical to full scans regardless of floating-point rounding at
-// the boundary. With the index disabled it appends every group id.
+// the boundary. Any finite or infinite radius and query point are
+// accepted; a radius covering the whole deployment returns every group.
 func (m *Model) NearGroupsInto(dst []int32, loc geom.Point, radius float64) []int32 {
-	if m.index == nil {
-		for i := range m.points {
-			//lint:ignore noalloc Into-style append into the caller's reusable buffer; growth is first-touch only
-			dst = append(dst, int32(i))
-		}
-		return dst
-	}
 	return m.index.appendNear(dst, loc, radius)
 }
 
@@ -322,25 +310,14 @@ func (m *Model) ExpectedObservation(loc geom.Point) []float64 {
 // avoiding allocation in Monte-Carlo loops. Only groups within
 // GTable.MaxZ() of loc are evaluated (g is exactly zero beyond); the
 // spatial index finds them without scanning all n, and the per-group
-// arithmetic is identical to the full scan, so results are bit-identical
-// either way.
+// arithmetic is identical to a full scan's, so results are bit-identical
+// to one (index_test.go holds the full-scan oracles).
 func (m *Model) ExpectedObservationInto(dst []float64, loc geom.Point) {
 	if len(dst) != m.NumGroups() {
 		panic("deploy: ExpectedObservationInto length mismatch")
 	}
 	mm := float64(m.cfg.GroupSize)
 	maxZ := m.gTable.MaxZ()
-	if m.index == nil {
-		for i, dp := range m.points {
-			z := loc.Dist(dp)
-			if z >= maxZ {
-				dst[i] = 0
-				continue
-			}
-			dst[i] = mm * m.gTable.Eval(z)
-		}
-		return
-	}
 	clear(dst)
 	near := m.scratch.get()
 	*near = m.index.appendNear((*near)[:0], loc, maxZ)
@@ -367,29 +344,14 @@ func (m *Model) SampleObservation(loc geom.Point, self int, r *rng.Rand) []int {
 // SampleObservationInto is SampleObservation writing into dst. The
 // spatial index prunes the scan to groups near loc; candidates are
 // visited in ascending group order and re-tested with the same z >= MaxZ
-// predicate as the full scan, so the binomial draws consume the RNG
-// stream identically and the outputs are bit-identical with the index on
-// or off.
+// predicate a full scan would use, so the binomial draws consume the RNG
+// stream exactly as a scan over all n groups does (index_test.go pins
+// this against a full-scan oracle).
 func (m *Model) SampleObservationInto(dst []int, loc geom.Point, self int, r *rng.Rand) {
 	if len(dst) != m.NumGroups() {
 		panic("deploy: SampleObservationInto length mismatch")
 	}
 	maxZ := m.gTable.MaxZ()
-	if m.index == nil {
-		for i, dp := range m.points {
-			z := loc.Dist(dp)
-			if z >= maxZ {
-				dst[i] = 0
-				continue
-			}
-			trials := m.cfg.GroupSize
-			if i == self {
-				trials-- // a sensor does not observe itself
-			}
-			dst[i] = r.Binomial(trials, m.gTable.Eval(z))
-		}
-		return
-	}
 	clear(dst)
 	near := m.scratch.get()
 	*near = m.index.appendNear((*near)[:0], loc, maxZ)
@@ -418,14 +380,6 @@ func (m *Model) GMuInto(g, mu []float64, loc geom.Point) {
 	}
 	mm := float64(m.cfg.GroupSize)
 	maxZ := m.gTable.MaxZ()
-	if m.index == nil {
-		for i, dp := range m.points {
-			gi := m.gTable.Eval(loc.Dist(dp))
-			g[i] = gi
-			mu[i] = mm * gi
-		}
-		return
-	}
 	clear(g)
 	clear(mu)
 	near := m.scratch.get()
@@ -441,16 +395,10 @@ func (m *Model) GMuInto(g, mu []float64, loc geom.Point) {
 // ExpectedDegree returns the expected total number of neighbors of a
 // sensor at loc: Σ_i m·g_i(loc). Far groups contribute exactly zero, so
 // summing only the indexed candidates (in ascending group order) is
-// bit-identical to the full scan.
+// bit-identical to a full scan.
 func (m *Model) ExpectedDegree(loc geom.Point) float64 {
 	var sum float64
 	mm := float64(m.cfg.GroupSize)
-	if m.index == nil {
-		for i := range m.points {
-			sum += mm * m.G(i, loc)
-		}
-		return sum
-	}
 	near := m.scratch.get()
 	*near = m.index.appendNear((*near)[:0], loc, m.gTable.MaxZ())
 	for _, i := range *near {

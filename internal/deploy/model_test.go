@@ -37,23 +37,51 @@ func TestPaperConfig(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	base := PaperConfig()
-	bad := []func(*Config){
-		func(c *Config) { c.Field = geom.Rect{} },
-		func(c *Config) { c.GroupsX = 0 },
-		func(c *Config) { c.GroupsY = -1 },
-		func(c *Config) { c.GroupSize = 0 },
-		func(c *Config) { c.Sigma = 0 },
-		func(c *Config) { c.Range = -5 },
+	inf, nan := math.Inf(1), math.NaN()
+	bad := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"empty field", func(c *Config) { c.Field = geom.Rect{} }},
+		{"zero groups x", func(c *Config) { c.GroupsX = 0 }},
+		{"negative groups y", func(c *Config) { c.GroupsY = -1 }},
+		{"zero group size", func(c *Config) { c.GroupSize = 0 }},
+		{"zero sigma", func(c *Config) { c.Sigma = 0 }},
+		{"negative range", func(c *Config) { c.Range = -5 }},
+		{"huge sigma", func(c *Config) { c.Sigma = 1e300 }},
+		{"inf sigma", func(c *Config) { c.Sigma = inf }},
+		{"nan sigma", func(c *Config) { c.Sigma = nan }},
+		{"sigma past extent", func(c *Config) { c.Sigma = MaxExtent * 1.5 }},
+		{"huge range", func(c *Config) { c.Range = 1e160 }},
+		{"inf range", func(c *Config) { c.Range = inf }},
+		{"nan range", func(c *Config) { c.Range = nan }},
+		{"field max 1e308", func(c *Config) { c.Field.Max = geom.Pt(1e308, 1e308) }},
+		{"field min -1e308", func(c *Config) { c.Field.Min = geom.Pt(-1e308, 0) }},
+		{"inf field corner", func(c *Config) { c.Field.Max.Y = inf }},
+		{"nan field corner", func(c *Config) { c.Field.Min.X = nan }},
+		{"far-away field", func(c *Config) { c.Field = geom.NewRect(geom.Pt(2e7, 0), geom.Pt(2e7+100, 100)) }},
+		{"field wider than extent", func(c *Config) { c.Field = geom.NewRect(geom.Pt(-9e6, 0), geom.Pt(9e6, 100)) }},
 	}
-	for i, mut := range bad {
+	for _, tc := range bad {
 		c := base
-		mut(&c)
+		tc.mut(&c)
 		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+			t.Errorf("%s: expected validation error", tc.name)
 		}
 		if _, err := New(c); err == nil {
-			t.Errorf("case %d: New should fail", i)
+			t.Errorf("%s: New should fail", tc.name)
 		}
+	}
+	// The bound itself is accepted, and a model at it builds and samples.
+	edge := base
+	edge.Field = geom.NewRect(geom.Pt(-MaxExtent/2, -MaxExtent/2), geom.Pt(MaxExtent/2, MaxExtent/2))
+	edge.Sigma, edge.Range = MaxExtent, MaxExtent
+	m, err := New(edge)
+	if err != nil {
+		t.Fatalf("config at MaxExtent rejected: %v", err)
+	}
+	if o := m.SampleObservation(m.Field().Center(), 0, rng.New(1)); len(o) != m.NumGroups() {
+		t.Fatalf("sampling at MaxExtent: %d groups", len(o))
 	}
 	if _, err := New(Config{Field: base.Field, GroupsX: 2, GroupsY: 2,
 		GroupSize: 10, Sigma: 50, Range: 50, Layout: Layout(99)}); err == nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/deploy"
 	"repro/internal/geom"
-	"repro/internal/mathx"
 	"repro/internal/wsn"
 )
 
@@ -42,23 +41,6 @@ type Beaconless struct {
 	MaxStep float64
 	MinStep float64
 
-	// Reference routes candidate evaluation through the pre-PR3
-	// arithmetic — full g-table Eval plus a math.Log and math.Log1p per
-	// active group per probe. It exists so benchmarks measure the
-	// log-space engine against a runnable baseline and tests can bound
-	// the (table-interpolation-sized) deviation between the two. Set it
-	// before handing the scheme out; it is not synchronized.
-	Reference bool
-
-	// probeBatch routes pattern search through the structure-of-arrays
-	// probe engine: all compass probes of a round are evaluated in one
-	// atN pass over the active set (likelihood.atN, probe.go). Enabled by
-	// the constructors; SetProbeBatch(false) forces the scalar
-	// point-at-a-time path (likelihood.at), which is the equivalence
-	// reference — the two are bit-identical by construction and tests
-	// enforce it. Reference mode always uses the scalar search.
-	probeBatch bool
-
 	// simEpoch selects the simulation epoch (0 means the default, 1).
 	// Epoch 1 is bit-identical to the scalar seed. Epoch ≥ 2 spends the
 	// bit-identity budget: the active set keeps zero-count groups only
@@ -70,7 +52,7 @@ type Beaconless struct {
 	// first-improvement order. Results are distribution-level equivalent
 	// to epoch 1 (threshold/detection-rate/FPR tolerance bands — see
 	// core's cross-epoch tests), not bit-identical. Not synchronized:
-	// configure before handing the scheme out, like Reference.
+	// configure before handing the scheme out.
 	simEpoch int
 
 	// sessions recycles Sessions for the convenience wrappers.
@@ -79,13 +61,13 @@ type Beaconless struct {
 
 // NewBeaconless builds the scheme for a deployed network.
 func NewBeaconless(net *wsn.Network) *Beaconless {
-	return &Beaconless{model: net.Model(), net: net, probeBatch: true}
+	return &Beaconless{model: net.Model(), net: net}
 }
 
 // NewBeaconlessModel builds an observation-only instance (no network),
 // for use with LocalizeObservation — the experiment harness path.
 func NewBeaconlessModel(model *deploy.Model) *Beaconless {
-	return &Beaconless{model: model, probeBatch: true}
+	return &Beaconless{model: model}
 }
 
 // SetSimEpoch selects the simulation epoch: 0 or 1 for the bit-identical
@@ -102,17 +84,6 @@ func (b *Beaconless) SimEpoch() int {
 	}
 	return b.simEpoch
 }
-
-// SetProbeBatch enables (the constructors' default) or disables the
-// batched probe engine. Disabled, every pattern-search candidate is
-// evaluated one point at a time through likelihood.at — the scalar
-// reference path benchmarks measure the engine against and equivalence
-// tests compare it to; results are bit-identical either way. Not
-// synchronized: configure before handing the scheme out, like Reference.
-func (b *Beaconless) SetProbeBatch(enabled bool) { b.probeBatch = enabled }
-
-// ProbeBatchEnabled reports whether the batched probe engine is active.
-func (b *Beaconless) ProbeBatchEnabled() bool { return b.probeBatch }
 
 // Name implements Scheme.
 func (b *Beaconless) Name() string { return "beaconless-mle" }
@@ -174,15 +145,12 @@ func (b *Beaconless) LogLikelihoodAt(o []int, loc geom.Point) float64 {
 }
 
 // Session is a reusable localization context: the likelihood's active
-// set, scratch buffers, and search closure, allocated once and recycled
+// set and probe scratch buffers, allocated once and recycled
 // across observations. A Session is NOT safe for concurrent use; give
-// each worker its own (the training loop in core.BenignScores does).
+// each worker its own (core.TrainRun's workers do).
 type Session struct {
 	b  *Beaconless
 	ll likelihood
-	// eval is ll.at bound once at construction, so the scalar pattern
-	// search does not materialize a new closure per localization.
-	eval func(geom.Point) float64
 	// probePts/probeVals are the pattern-search probe batch: the round
 	// center plus one slot per compass direction, reused across rounds
 	// and localizations.
@@ -195,7 +163,6 @@ type Session struct {
 // Session reuses its buffers.
 func (b *Beaconless) NewSession() *Session {
 	s := &Session{b: b}
-	s.eval = s.ll.at
 	s.probePts = make([]geom.Point, probeBatchMax)
 	s.probeVals = make([]float64, probeBatchMax)
 	return s
@@ -207,7 +174,7 @@ func (b *Beaconless) NewSession() *Session {
 // wrong-length observation. The Session keeps a reference to o until the
 // next Bind; callers reusing the slice must finish localizing first.
 func (s *Session) Bind(o []int) error {
-	if !s.ll.bind(s.b.model, o, s.b.Reference, s.b.simEpoch >= 2) {
+	if !s.ll.bind(s.b.model, o, s.b.simEpoch >= 2) {
 		return ErrNoObservation
 	}
 	return nil
@@ -244,12 +211,28 @@ func (s *Session) LocalizeMasked(exclude []bool) (geom.Point, error) {
 // A non-finite start or maxStep <= 0 select the defaults (the bound
 // centroid, the scheme's MaxStep).
 func (s *Session) LocalizeFrom(start geom.Point, maxStep float64, exclude []bool) (geom.Point, error) {
-	if !s.ll.bound() {
+	if !s.ll.bound() || !s.ll.mask(exclude) {
 		return geom.Point{}, ErrNoObservation
 	}
-	if !s.ll.mask(exclude) {
-		return geom.Point{}, ErrNoObservation
+	start, maxStep, minStep := s.searchBounds(start, maxStep)
+	// Epoch 1 replays the scalar first-improvement compass search on
+	// batched probe evaluations, so its fixpoints are bit-identical to a
+	// point-at-a-time search over likelihood.at (probe_test.go keeps that
+	// search as the oracle). Epoch ≥ 2 takes the full-poll search instead:
+	// all eight probes of a round fused into one atN8 pass from a fixed
+	// center, best improvement wins — equivalent only at the distribution
+	// level, which is epoch 2's contract.
+	if s.b.simEpoch >= 2 {
+		return s.ll.patternSearchPoll8(s.probePts, s.probeVals, start, maxStep, minStep), nil
 	}
+	return s.ll.patternSearchBatch(s.probePts, s.probeVals, start, maxStep, minStep), nil
+}
+
+// searchBounds resolves LocalizeFrom's pattern-search start and step
+// range for the bound observation: defaults for a non-finite start or
+// maxStep <= 0, and the centroid fallback for a start outside the
+// active-set envelope.
+func (s *Session) searchBounds(start geom.Point, maxStep float64) (geom.Point, float64, float64) {
 	if !start.IsFinite() {
 		start = s.ll.centroid
 	}
@@ -287,21 +270,7 @@ func (s *Session) LocalizeFrom(start geom.Point, maxStep float64, exclude []bool
 			minStep = 0.5
 		}
 	}
-	// Reference mode is the pre-PR3 anchor and stays on the scalar
-	// search; otherwise the probe engine evaluates each round's compass
-	// probes in one SoA pass. In epoch 1 both searches accept exactly the
-	// same move sequence, so the fixpoints are bit-identical
-	// (probe_test.go). Epoch ≥ 2 takes the full-poll search instead: all
-	// eight probes of a round fused into one atN8 pass from a fixed
-	// center, best improvement wins — equivalent only at the distribution
-	// level, which is epoch 2's contract.
-	if s.b.Reference || !s.b.probeBatch {
-		return patternSearch(s.eval, start, maxStep, minStep), nil
-	}
-	if s.b.simEpoch >= 2 {
-		return s.ll.patternSearchPoll8(s.probePts, s.probeVals, start, maxStep, minStep), nil
-	}
-	return s.ll.patternSearchBatch(s.probePts, s.probeVals, start, maxStep, minStep), nil
+	return start, maxStep, minStep
 }
 
 // LogLikelihoodAt evaluates the bound observation's log-likelihood at an
@@ -327,10 +296,10 @@ func (s *Session) LogLikelihoodAt(p geom.Point) float64 {
 // per-group likelihood weights o_i and m−o_i as floats — so probe
 // evaluation streams over compact arrays instead of indexing through
 // model.DeploymentPoint and counts[] per probe. The batched atN
-// (probe.go) runs on those arrays; the scalar at keeps the PR 3
-// id-indexed walk as the equivalence reference. Both accumulate per-group
-// terms in ascending group order with identical arithmetic, so their
-// results are bit-identical.
+// (probe.go) runs on those arrays; the scalar at keeps the id-indexed
+// walk for single-point queries (LogLikelihoodAt) and as the equivalence
+// reference. Both accumulate per-group terms in ascending group order
+// with identical arithmetic, so their results are bit-identical.
 type likelihood struct {
 	model  *deploy.Model
 	gt     *deploy.GTable
@@ -379,8 +348,7 @@ type likelihood struct {
 	// logs is the raw log-companion table view; at inlines the lookup
 	// (deploy.GTable.LogEval2 is over the compiler's inlining budget)
 	// using exactly LogEval2's arithmetic.
-	logs      deploy.LogTableView
-	reference bool
+	logs deploy.LogTableView
 }
 
 // epoch2TailSigmas is the epoch-2 zero-count relevance radius: a
@@ -395,7 +363,7 @@ const epoch2TailSigmas = 3
 // bind rebuilds the likelihood for an observation; false means the
 // observation is unusable (wrong length or no neighbors at all).
 // epoch2 selects the truncated epoch-2 active set (see epoch2TailSigmas).
-func (ll *likelihood) bind(model *deploy.Model, o []int, reference, epoch2 bool) bool {
+func (ll *likelihood) bind(model *deploy.Model, o []int, epoch2 bool) bool {
 	ll.counts = nil
 	if len(o) != model.NumGroups() {
 		return false
@@ -422,7 +390,6 @@ func (ll *likelihood) bind(model *deploy.Model, o []int, reference, epoch2 bool)
 	ll.m = model.GroupSize()
 	ll.logs = ll.gt.LogTable()
 	ll.maxZ = ll.gt.MaxZ()
-	ll.reference = reference
 	ll.centroid = geom.Pt(cx/cw, cy/cw)
 
 	// Active set: groups with a nonzero count always matter (their
@@ -432,7 +399,7 @@ func (ll *likelihood) bind(model *deploy.Model, o []int, reference, epoch2 bool)
 	// around that centroid covers every reachable candidate. The spatial
 	// index yields the margin disk's candidates; each is re-tested with
 	// the same predicate a full scan would use, so the resulting set is
-	// identical with the index on or off.
+	// exactly the one a scan over all n groups would build.
 	// Epoch 2 truncates the zero-count relevance radius from MaxZ to
 	// R + epoch2TailSigmas·σ; nonzero-count groups are kept either way.
 	cfg := model.Config()
@@ -524,14 +491,10 @@ func (ll *likelihood) mask(exclude []bool) bool {
 // active set. The hot path is branch-light and transcendental-free — per
 // group one squared distance, one log-table lookup (ln g and ln(1−g)
 // together), and two multiply-adds. Groups beyond MaxZ contribute
-// o·ln(eps) through the table's clamped tail, matching the reference
-// path's explicit penalty.
+// o·ln(eps) through the table's clamped tail.
 //
 //lad:noalloc
 func (ll *likelihood) at(p geom.Point) float64 {
-	if ll.reference {
-		return ll.referenceAt(p)
-	}
 	var sum float64
 	mm := float64(ll.m)
 	logs, invStep, maxZ2, lnEps := ll.logs.Logs, ll.logs.InvStep, ll.logs.MaxZ2, ll.logs.LnEps
@@ -558,56 +521,4 @@ func (ll *likelihood) at(p geom.Point) float64 {
 		sum += o*lg + (mm-o)*l1g
 	}
 	return sum
-}
-
-// referenceAt is the pre-PR3 objective, kept runnable for benchmarks and
-// deviation tests: g-table lookup in linear space, then clamp and
-// math.Log/math.Log1p per group per probe.
-func (ll *likelihood) referenceAt(p geom.Point) float64 {
-	const eps = deploy.LogClampEps
-	var sum float64
-	gt := ll.model.GTable()
-	for _, i := range ll.act {
-		z := p.Dist(ll.model.DeploymentPoint(int(i)))
-		g := gt.Eval(z)
-		o := ll.counts[i]
-		if g <= 0 {
-			if o > 0 {
-				// Seeing neighbors from an unreachable group is (nearly)
-				// impossible: strongly penalized but finite, so the search
-				// can still climb out.
-				sum += float64(o) * math.Log(eps)
-			}
-			continue
-		}
-		g = mathx.Clamp(g, eps, 1-eps)
-		sum += float64(o)*math.Log(g) + float64(ll.m-o)*math.Log1p(-g)
-	}
-	return sum
-}
-
-// patternSearch maximizes f by compass search from start: the scalar
-// reference search, one candidate evaluation at a time. Candidates are
-// probed in compassDirs order and every improvement moves the center
-// immediately, so later probes of the same round start from the updated
-// best. patternSearchBatch (probe.go) replays exactly this acceptance
-// sequence on batched evaluations.
-func patternSearch(f func(geom.Point) float64, start geom.Point, maxStep, minStep float64) geom.Point {
-	best := start
-	bestV := f(best)
-	step := maxStep
-	for step >= minStep {
-		improved := false
-		for _, d := range compassDirs {
-			cand := best.Add(d.Scale(step))
-			if v := f(cand); v > bestV {
-				best, bestV = cand, v
-				improved = true
-			}
-		}
-		if !improved {
-			step /= 2
-		}
-	}
-	return best
 }

@@ -22,38 +22,6 @@ func BenchmarkBeaconlessMLE(b *testing.B) {
 	}
 }
 
-// BenchmarkBeaconlessProbePaths times one steady-state localization
-// through the SoA probe engine against the scalar probe path it is
-// bit-identical to — the speedup the engine buys per pattern search.
-func BenchmarkBeaconlessProbePaths(b *testing.B) {
-	model := deploy.MustNew(deploy.PaperConfig())
-	r := rng.New(43)
-	group, la := model.SampleLocation(r)
-	for !model.Field().Contains(la) {
-		group, la = model.SampleLocation(r)
-	}
-	o := model.SampleObservation(la, group, r)
-	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{{"probe_batch", true}, {"probe_scalar", false}} {
-		mle := NewBeaconlessModel(model)
-		mle.SetProbeBatch(mode.batch)
-		s := mle.NewSession()
-		if _, err := s.BindLocalize(o); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.BindLocalize(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDVHopBuild(b *testing.B) {
 	net := testNetwork(1)
 	bs := SelectBeacons(net, 12, 60, rng.New(2))

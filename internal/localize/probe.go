@@ -33,11 +33,12 @@ import (
 // Every per-element operation is the scalar path's arithmetic verbatim
 // and each probe's terms accumulate in the same ascending-group order,
 // so atN is bit-identical to calling at per candidate — probe_test.go
-// and cmd/ladbench enforce this, and it is why thresholds trained
-// through the engine match the scalar path exactly.
+// enforces this against at and against a point-at-a-time search oracle,
+// and it is why the engine's epoch-1 thresholds match the scalar
+// arithmetic exactly.
 
 // compassDirs are the pattern-search probe directions, in the fixed
-// order both searches share: axes first, then diagonals. The order is
+// order every search shares: axes first, then diagonals. The order is
 // load-bearing — the search accepts the FIRST improving probe of a
 // round, so reordering would change fixpoints.
 var compassDirs = [8]geom.Vec{
@@ -58,20 +59,12 @@ const probeSkipSlack = 1e-6
 
 // atN evaluates the log-likelihood at every candidate in pts, writing
 // the results to the parallel out slice (len(out) must equal len(pts)).
-// Each candidate's result is bit-identical to at(candidate). In
-// Reference mode it degrades to per-point referenceAt calls so direct
-// callers need no mode check.
+// Each candidate's result is bit-identical to at(candidate).
 //
 //lad:noalloc
 func (ll *likelihood) atN(pts []geom.Point, out []float64) {
 	if len(out) != len(pts) {
 		panic("localize: atN length mismatch")
-	}
-	if ll.reference {
-		for j, p := range pts {
-			out[j] = ll.referenceAt(p)
-		}
-		return
 	}
 	for len(pts) > probeBatchMax {
 		ll.atN(pts[:probeBatchMax], out[:probeBatchMax])
@@ -389,16 +382,18 @@ func (ll *likelihood) ensureLive(center geom.Point, need float64) {
 // (below) to ~1.5 probes per accepted move.
 const axisChunk = 4
 
-// patternSearchBatch is patternSearch over the batched objective: probe
-// chunks are evaluated through one atN call each instead of one call
-// per candidate. It replays the scalar search's acceptance rule exactly
+// patternSearchBatch is the epoch-1 compass search over the batched
+// objective: probe chunks are evaluated through one atN call each
+// instead of one call per candidate. It replays the scalar
+// point-at-a-time search's acceptance rule exactly
 // — candidates are considered in compassDirs order and the FIRST
 // improvement moves the center — so when a probe improves, any probes
 // of the same chunk that were computed from the now-stale center are
 // discarded and the remaining directions re-batched from the new best:
 // exactly the candidates the scalar search would have evaluated, in the
 // same order. Since atN(p) ≡ at(p) bit-for-bit, the returned fixpoint
-// is bit-identical to patternSearch's.
+// is bit-identical to the scalar search's (probe_test.go holds that
+// search as the oracle).
 //
 // Two batching choices keep the discarded-probe overhead small without
 // touching the acceptance sequence: the start's own evaluation rides in
@@ -469,7 +464,7 @@ func (ll *likelihood) patternSearchBatch(pts []geom.Point, vals []float64, start
 // no probe is ever computed from a mid-round center, so there are no
 // discarded evaluations and no re-batching, and the whole round is one
 // kernel call over the live set. The accepted move sequence therefore
-// differs from patternSearch/patternSearchBatch — fixpoints agree only
+// differs from patternSearchBatch's — fixpoints agree only
 // at the distribution level (a few centimeters on the paper deployment,
 // far inside the localization error the detector thresholds absorb),
 // which is simulation epoch 2's contract. Epoch 1 keeps the replaying

@@ -52,26 +52,62 @@ func TestAtNBitIdenticalToAt(t *testing.T) {
 	}
 }
 
+// patternSearch is the scalar compass search, one candidate evaluation
+// at a time: candidates are probed in compassDirs order and every
+// improvement moves the center immediately, so later probes of the same
+// round start from the updated best. It is the oracle the epoch-1
+// production search (patternSearchBatch) replays on batched
+// evaluations.
+func patternSearch(f func(geom.Point) float64, start geom.Point, maxStep, minStep float64) geom.Point {
+	best := start
+	bestV := f(best)
+	step := maxStep
+	for step >= minStep {
+		improved := false
+		for _, d := range compassDirs {
+			cand := best.Add(d.Scale(step))
+			if v := f(cand); v > bestV {
+				best, bestV = cand, v
+				improved = true
+			}
+		}
+		if !improved {
+			step /= 2
+		}
+	}
+	return best
+}
+
+// scalarLocalizeFrom is the point-at-a-time oracle of an epoch-1
+// Session.LocalizeFrom: the same mask and search bounds, then
+// patternSearch over f (likelihood.at for the bit-identity oracle).
+func scalarLocalizeFrom(s *Session, f func(geom.Point) float64, start geom.Point, maxStep float64, exclude []bool) (geom.Point, error) {
+	if !s.ll.bound() || !s.ll.mask(exclude) {
+		return geom.Point{}, ErrNoObservation
+	}
+	start, maxStep, minStep := s.searchBounds(start, maxStep)
+	return patternSearch(f, start, maxStep, minStep), nil
+}
+
 // TestProbeBatchLocalizeBitIdenticalToScalar asserts the end-to-end
-// property the training pipeline depends on: with the probe engine on or
-// off (SetProbeBatch), localization — plain, masked, and warm-started —
-// returns bit-identical fixpoints, so thresholds and verdicts cannot
-// move.
+// property the training pipeline depends on: localization through the
+// probe engine — plain, masked, and warm-started — returns fixpoints
+// bit-identical to the scalar point-at-a-time search over likelihood.at,
+// so thresholds and verdicts cannot move.
 func TestProbeBatchLocalizeBitIdenticalToScalar(t *testing.T) {
 	for name, pair := range layoutModels(t) {
 		model := pair[0]
-		batch := NewBeaconlessModel(model)
-		scalar := NewBeaconlessModel(model)
-		scalar.SetProbeBatch(false)
-		if batch.ProbeBatchEnabled() == scalar.ProbeBatchEnabled() {
-			t.Fatal("SetProbeBatch did not change the engine selection")
-		}
+		sb := NewBeaconlessModel(model).NewSession()
+		ss := NewBeaconlessModel(pair[1]).NewSession()
 		r := rng.New(132)
-		sb, ss := batch.NewSession(), scalar.NewSession()
 		for i := 0; i < 24; i++ {
 			o := sampleObs(model, r, i)
 			pb, errB := sb.BindLocalize(o)
-			ps, errS := ss.BindLocalize(o)
+			errS := ss.Bind(o)
+			var ps geom.Point
+			if errS == nil {
+				ps, errS = scalarLocalizeFrom(ss, ss.ll.at, ss.ll.centroid, 0, nil)
+			}
 			if (errB == nil) != (errS == nil) {
 				t.Fatalf("%s trial %d: err %v vs %v", name, i, errB, errS)
 			}
@@ -84,7 +120,7 @@ func TestProbeBatchLocalizeBitIdenticalToScalar(t *testing.T) {
 				exclude[j] = j%6 == i%6
 			}
 			pb, errB = sb.LocalizeMasked(exclude)
-			ps, errS = ss.LocalizeMasked(exclude)
+			ps, errS = scalarLocalizeFrom(ss, ss.ll.at, ss.ll.centroid, 0, exclude)
 			if (errB == nil) != (errS == nil) || pb != ps {
 				t.Fatalf("%s trial %d masked: (%v,%v) != (%v,%v)", name, i, pb, errB, ps, errS)
 			}
@@ -92,7 +128,7 @@ func TestProbeBatchLocalizeBitIdenticalToScalar(t *testing.T) {
 			// Warm start from the masked estimate — the corrector's trim-
 			// round shape.
 			pb, errB = sb.LocalizeFrom(pb, 0, exclude)
-			ps, errS = ss.LocalizeFrom(ps, 0, exclude)
+			ps, errS = scalarLocalizeFrom(ss, ss.ll.at, ps, 0, exclude)
 			if (errB == nil) != (errS == nil) || pb != ps {
 				t.Fatalf("%s trial %d warm: (%v,%v) != (%v,%v)", name, i, pb, errB, ps, errS)
 			}
@@ -134,19 +170,21 @@ func TestProbeBatchZeroAllocs(t *testing.T) {
 
 // TestProbeBatchConcurrent hammers batched localization from many
 // goroutines under the race detector; every result must match the
-// sequentially computed scalar reference bit-for-bit.
+// sequentially computed scalar-search oracle bit-for-bit.
 func TestProbeBatchConcurrent(t *testing.T) {
 	model := deploy.MustNew(deploy.PaperConfig())
 	batch := NewBeaconlessModel(model)
-	scalar := NewBeaconlessModel(model)
-	scalar.SetProbeBatch(false)
+	scalar := batch.NewSession()
 	r := rng.New(134)
 	const n = 24
 	obs := make([][]int, n)
 	want := make([]geom.Point, n)
 	for i := range obs {
 		obs[i] = sampleObs(model, r, i)
-		p, err := scalar.LocalizeObservation(obs[i])
+		if err := scalar.Bind(obs[i]); err != nil {
+			t.Fatal(err)
+		}
+		p, err := scalarLocalizeFrom(scalar, scalar.ll.at, scalar.ll.centroid, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

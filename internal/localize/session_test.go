@@ -10,7 +10,10 @@ import (
 	"repro/internal/rng"
 )
 
-// layoutModels builds an indexed and an index-disabled model per layout.
+// layoutModels builds the paper deployment per layout, twice: the two
+// models of a pair are constructed independently from the same config,
+// so a test comparing across them also catches any state a localization
+// could pick up from one particular model instance.
 func layoutModels(t *testing.T) map[string][2]*deploy.Model {
 	t.Helper()
 	out := map[string][2]*deploy.Model{}
@@ -20,10 +23,7 @@ func layoutModels(t *testing.T) map[string][2]*deploy.Model {
 		cfg := deploy.PaperConfig()
 		cfg.Layout = layout
 		cfg.RandomSeed = 5
-		indexed := deploy.MustNew(cfg)
-		scan := deploy.MustNew(cfg)
-		scan.SetSpatialIndex(false)
-		out[name] = [2]*deploy.Model{indexed, scan}
+		out[name] = [2]*deploy.Model{deploy.MustNew(cfg), deploy.MustNew(cfg)}
 	}
 	return out
 }
@@ -48,43 +48,6 @@ func sampleObs(m *deploy.Model, r *rng.Rand, i int) []int {
 		loc = geom.Pt(f.Max.X-1, f.Max.Y-1)
 	}
 	return m.SampleObservation(loc, i%m.NumGroups(), r)
-}
-
-// TestLocalizeIndexedBitIdenticalToScan is the localization half of the
-// PR's equivalence guarantee: with the spatial index on or off the MLE
-// must return bit-identical estimates — for all three layouts, interior
-// and edge-of-field victims, with and without exclusion masks.
-func TestLocalizeIndexedBitIdenticalToScan(t *testing.T) {
-	for name, pair := range layoutModels(t) {
-		indexed, scan := NewBeaconlessModel(pair[0]), NewBeaconlessModel(pair[1])
-		r := rng.New(21)
-		for i := 0; i < 24; i++ {
-			o := sampleObs(pair[0], r, i)
-			p1, err1 := indexed.LocalizeObservation(o)
-			p2, err2 := scan.LocalizeObservation(o)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s trial %d: err %v vs %v", name, i, err1, err2)
-			}
-			if p1 != p2 {
-				t.Fatalf("%s trial %d: indexed %v != scan %v", name, i, p1, p2)
-			}
-
-			exclude := make([]bool, pair[0].NumGroups())
-			for j := range exclude {
-				exclude[j] = j%7 == i%7
-			}
-			p1, err1 = indexed.LocalizeMasked(o, exclude)
-			p2, err2 = scan.LocalizeMasked(o, exclude)
-			if (err1 == nil) != (err2 == nil) || p1 != p2 {
-				t.Fatalf("%s trial %d masked: (%v,%v) != (%v,%v)", name, i, p1, err1, p2, err2)
-			}
-
-			q := geom.Pt(r.Uniform(0, 1000), r.Uniform(0, 1000))
-			if v1, v2 := indexed.LogLikelihoodAt(o, q), scan.LogLikelihoodAt(o, q); v1 != v2 {
-				t.Fatalf("%s trial %d: LogLikelihoodAt %v != %v", name, i, v1, v2)
-			}
-		}
-	}
 }
 
 // TestActiveSetMatchesFullGroupSet checks the active-set pruning against
@@ -236,21 +199,45 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
+// referenceAt is the pre-log-table likelihood the engine replaced, kept
+// as a deviation oracle: g-table lookup in linear space, then clamp and
+// math.Log/math.Log1p per active group per probe.
+func referenceAt(ll *likelihood, p geom.Point) float64 {
+	const eps = deploy.LogClampEps
+	var sum float64
+	for _, i := range ll.act {
+		g := ll.gt.Eval(p.Dist(ll.model.DeploymentPoint(int(i))))
+		o := ll.counts[i]
+		if g <= 0 {
+			// Neighbors from an unreachable group: strongly penalized but
+			// finite, so the search can still climb out.
+			sum += float64(o) * math.Log(eps)
+			continue
+		}
+		g = math.Min(math.Max(g, eps), 1-eps)
+		sum += float64(o)*math.Log(g) + float64(ll.m-o)*math.Log1p(-g)
+	}
+	return sum
+}
+
 // TestReferencePathAgreesWithEngine bounds the deviation between the
-// log-space table engine and the pre-PR3 reference arithmetic: the two
+// log-space table engine and the reference arithmetic: the two
 // likelihood surfaces differ only by table interpolation error, so their
 // maximizers must land within a meter of each other.
 func TestReferencePathAgreesWithEngine(t *testing.T) {
 	model := deploy.MustNew(deploy.PaperConfig())
 	engine := NewBeaconlessModel(model)
-	reference := NewBeaconlessModel(model)
-	reference.Reference = true
+	s := engine.NewSession()
+	ref := func(p geom.Point) float64 { return referenceAt(&s.ll, p) }
 	r := rng.New(66)
 	var worst float64
 	for i := 0; i < 20; i++ {
 		o := sampleObs(model, r, i)
 		p1, err1 := engine.LocalizeObservation(o)
-		p2, err2 := reference.LocalizeObservation(o)
+		if err := s.Bind(o); err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		p2, err2 := scalarLocalizeFrom(s, ref, s.ll.centroid, 0, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", i, err1, err2)
 		}

@@ -610,6 +610,41 @@ func TestV2AuthGatesMutatingEndpoints(t *testing.T) {
 	}
 }
 
+// TestHostileDeploymentSpecsRejected: specs whose lengths would crash or
+// wedge the model build (a huge Sigma or Range, a field at ±1e308) are
+// answered 400 invalid_argument on both the v2 register path and the
+// v1 inline-spec path, and the daemon keeps serving afterwards.
+func TestHostileDeploymentSpecsRejected(t *testing.T) {
+	ts, _, _ := newLifecycleServer(t, ServerConfig{Default: tinySpec()})
+	hostile := map[string]func(*deploy.Config){
+		"sigma 1e300":      func(c *deploy.Config) { c.Sigma = 1e300 },
+		"range 1e160":      func(c *deploy.Config) { c.Range = 1e160 },
+		"field max 1e308":  func(c *deploy.Config) { c.Field.Max.X, c.Field.Max.Y = 1e308, 1e308 },
+		"field min -1e308": func(c *deploy.Config) { c.Field.Min.X = -1e308 },
+	}
+	obs := make([]int, tinySpec().Deployment.GroupsX*tinySpec().Deployment.GroupsY)
+	obs[0] = 1
+	for name, mut := range hostile {
+		spec := tinySpec()
+		mut(&spec.Deployment)
+		resp, body := doJSON(t, "POST", ts.URL+"/v2/detectors", RegisterRequest{Spec: spec}, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: register status %d, want 400: %s", name, resp.StatusCode, body)
+		} else if e := decodeAPIError(t, body); e.Code != CodeInvalidArgument {
+			t.Errorf("%s: register code %q, want %q", name, e.Code, CodeInvalidArgument)
+		}
+		resp, body = doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{Detector: &spec, Observation: obs}, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: v1 inline check status %d, want 400: %s", name, resp.StatusCode, body)
+		} else if e := decodeAPIError(t, body); e.Code != CodeInvalidArgument {
+			t.Errorf("%s: v1 inline check code %q, want %q", name, e.Code, CodeInvalidArgument)
+		}
+	}
+	if resp, body := doJSON(t, "GET", ts.URL+"/healthz", nil, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after hostile specs: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestV2ErrorModelMapping pins the code↔status table on the wire: spec
 // validation problems are 400 invalid_argument (not 500 strings),
 // admission pressure is 429 pool_full, unknown ids are 404.
