@@ -65,35 +65,89 @@ func FuzzCheckRequestJSON(f *testing.F) {
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
-
-		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("status %d with Content-Type %q, want application/json", rec.Code, ct)
-		}
-		if rec.Code == http.StatusOK {
-			var out CheckResponse
-			dec := json.NewDecoder(rec.Body)
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&out); err != nil {
-				t.Fatalf("200 body is not a CheckResponse: %v", err)
-			}
-			return
-		}
-		var env errorEnvelope
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-			t.Fatalf("status %d body is not an error envelope: %v (body %q)", rec.Code, err, rec.Body.String())
-		}
-		if env.Error == nil {
-			t.Fatalf("status %d envelope has no error object (body %q)", rec.Code, rec.Body.String())
-		}
-		status, known := codeStatus[env.Error.Code]
-		if !known {
-			t.Fatalf("status %d carries code %q not in the canonical table", rec.Code, env.Error.Code)
-		}
-		if status != rec.Code {
-			t.Fatalf("code %q maps to %d but response status is %d", env.Error.Code, status, rec.Code)
-		}
-		if env.Error.Message == "" {
-			t.Fatalf("status %d error %q has an empty message", rec.Code, env.Error.Code)
-		}
+		assertTaxonomy(t, rec, new(CheckResponse))
 	})
+}
+
+// v2Verbs are the v2 endpoints FuzzV2RequestJSON drives, each with the
+// type of its 200 body.
+var v2Verbs = []struct {
+	path string
+	ok   func() any
+}{
+	{"/check", func() any { return new(CheckResponse) }},
+	{"/check/batch", func() any { return new(BatchResponse) }},
+	{"/correct", func() any { return new(CorrectResponse) }},
+}
+
+// FuzzV2RequestJSON extends FuzzCheckRequestJSON's error-taxonomy
+// contract to the v2 check, check/batch and correct verbs, whose bodies
+// go through the request codec's scanner: verb selects the endpoint.
+func FuzzV2RequestJSON(f *testing.F) {
+	obs := `[0,0,0,0,0,0,0,0,0]`
+	for verb, body := range []string{
+		`{"observation":` + obs + `,"location":{"x":150,"y":150}}`,
+		`{"items":[{"observation":` + obs + `,"location":{"x":150,"y":150}}]}`,
+		`{"observation":[0,0,0,0,9,0,0,0,0],"trimmed":true,"trim_fraction":0.2,"rounds":2}`,
+	} {
+		for _, b := range []string{
+			body, body + "garbage", body + body, strings.ToUpper(body),
+			`{"observation":[1,2]}`, `{"items":[]}`, `{"observation":` + obs + `,"rounds":-1}`,
+			`{"observation":` + obs + `,"trim_fraction":1}`, `{"items":[{"observation":[-1,0,0,0,0,0,0,0,0]}]}`,
+			`{"location":{"x":1e400}}`, `null`, ``,
+		} {
+			f.Add(uint8(verb), []byte(b))
+		}
+	}
+
+	handler, err := fuzzServer()
+	if err != nil {
+		f.Fatal(err)
+	}
+	prefix := "/v2/detectors/" + tinySpec().ID()
+
+	f.Fuzz(func(t *testing.T, verb uint8, body []byte) {
+		v := v2Verbs[int(verb)%len(v2Verbs)]
+		req := httptest.NewRequest(http.MethodPost, prefix+v.path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		assertTaxonomy(t, rec, v.ok())
+	})
+}
+
+// assertTaxonomy checks one response against the error-taxonomy
+// contract: a 200 body strictly decodes into ok, and any other status
+// carries one structured APIError whose code is in the canonical table
+// and maps to exactly that status.
+func assertTaxonomy(t *testing.T, rec *httptest.ResponseRecorder, ok any) {
+	t.Helper()
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Fatalf("status %d with Content-Type %q, want application/json", rec.Code, ct)
+	}
+	if rec.Code == http.StatusOK {
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(ok); err != nil {
+			t.Fatalf("200 body is not a %T: %v", ok, err)
+		}
+		return
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("status %d body is not an error envelope: %v (body %q)", rec.Code, err, rec.Body.String())
+	}
+	if env.Error == nil {
+		t.Fatalf("status %d envelope has no error object (body %q)", rec.Code, rec.Body.String())
+	}
+	status, known := codeStatus[env.Error.Code]
+	if !known {
+		t.Fatalf("status %d carries code %q not in the canonical table", rec.Code, env.Error.Code)
+	}
+	if status != rec.Code {
+		t.Fatalf("code %q maps to %d but response status is %d", env.Error.Code, status, rec.Code)
+	}
+	if env.Error.Message == "" {
+		t.Fatalf("status %d error %q has an empty message", rec.Code, env.Error.Code)
+	}
 }

@@ -38,10 +38,6 @@ type CheckResponse struct {
 	Alarm     bool    `json:"alarm"`
 }
 
-func verdictJSON(v core.Verdict) CheckResponse {
-	return CheckResponse{Score: v.Score, Threshold: v.Threshold, Alarm: v.Alarm}
-}
-
 // BatchItemJSON is one observation/location pair of a batch request.
 type BatchItemJSON struct {
 	Observation []int     `json:"observation"`
@@ -276,26 +272,58 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON encodes body with encoding/json and sends it with status.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		writeAPIError(w, apiErrorf(CodeInternal, "encoding response: %v", err))
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody sends an encoded JSON body with status. The body is complete
+// before the status goes out, so an encoding failure can still answer
+// 500.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	//lint:ignore ladvet/errcodes this IS the envelope writer every handler and writeAPIError funnel through
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(body)
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// writeEncoded sends the response the codec encoded into c.out, or a 500
+// when encoding failed on a non-finite value.
+func writeEncoded(w http.ResponseWriter, c *scratch, ok bool) {
+	if !ok {
+		writeAPIError(w, apiErrorf(CodeInternal, "encoding response: non-finite value"))
+		return
+	}
+	writeBody(w, http.StatusOK, c.out)
+}
+
+// decode reads the request body, capped at MaxBodyBytes, into pooled
+// scratch and decodes it into dst; non-whitespace after the value is an
+// error. On failure it writes the error response and returns nil. The
+// caller releases the scratch once its response is written: decoded
+// values may alias it.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) *scratch {
+	c := getScratch()
+	err := c.readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err == nil {
+		err = c.decodeBody(dst)
+	}
+	if err != nil {
+		c.release()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeAPIError(w, apiErrorf(CodeTooLarge, "request body over %d bytes", s.cfg.MaxBodyBytes))
 		} else {
 			writeAPIError(w, apiErrorf(CodeInvalidArgument, "decoding request: %v", err))
 		}
-		return false
+		return nil
 	}
-	return true
+	return c
 }
 
 // capSpec enforces the server's resource ceilings on a request-supplied
@@ -376,44 +404,57 @@ func (s *Server) detectorFor(w http.ResponseWriter, r *http.Request, spec *Detec
 // deployment and every score would be garbage). idx < 0 means a
 // single-check request, whose errors should not mention batch items.
 func checkObservation(det *core.Detector, o []int, idx int) error {
-	prefix := ""
-	if idx >= 0 {
-		prefix = fmt.Sprintf("item %d: ", idx)
-	}
 	n := det.Model().NumGroups()
 	if len(o) != n {
-		return fmt.Errorf("%sobservation has %d groups, deployment has %d", prefix, len(o), n)
+		return itemError(idx, fmt.Errorf("observation has %d groups, deployment has %d", len(o), n))
 	}
 	for gi, c := range o {
 		if c < 0 {
-			return fmt.Errorf("%snegative neighbor count %d for group %d", prefix, c, gi)
+			return itemError(idx, fmt.Errorf("negative neighbor count %d for group %d", c, gi))
 		}
 	}
 	return nil
 }
 
+// itemError prefixes err with its batch item index (idx >= 0).
+func itemError(idx int, err error) error {
+	if idx < 0 {
+		return err
+	}
+	return fmt.Errorf("item %d: %w", idx, err)
+}
+
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req CheckRequest
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	det, ok := s.detectorFor(w, r, req.Detector)
 	if !ok {
 		return
 	}
-	if err := checkObservation(det, req.Observation, -1); err != nil {
+	s.checkOne(w, c, det, req.Observation, req.Location)
+}
+
+// checkOne validates and scores one observation, shared by the v1 and
+// v2 check handlers. It writes the response.
+func (s *Server) checkOne(w http.ResponseWriter, c *scratch, det *core.Detector, o []int, loc PointJSON) {
+	if err := checkObservation(det, o, -1); err != nil {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument, "%v", err))
 		return
 	}
-	v := det.CheckPooled(req.Observation, req.Location.Point())
+	v := det.CheckPooled(o, loc.Point())
 	s.metrics.AddScored(1)
-	writeJSON(w, http.StatusOK, verdictJSON(v))
+	writeEncoded(w, c, c.encodeVerdict(v))
 }
 
 // scoreBatch validates and scores one batch against det, shared by the
 // v1 and v2 batch handlers (identical verdict path; only resource
-// resolution differs). It writes the error response on failure.
-func (s *Server) scoreBatch(w http.ResponseWriter, det *core.Detector, reqItems []BatchItemJSON) {
+// resolution differs). Items and verdicts live in c's pooled scratch. It
+// writes the response.
+func (s *Server) scoreBatch(w http.ResponseWriter, c *scratch, det *core.Detector, reqItems []BatchItemJSON) {
 	if len(reqItems) == 0 {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument, "batch has no items"))
 		return
@@ -423,33 +464,35 @@ func (s *Server) scoreBatch(w http.ResponseWriter, det *core.Detector, reqItems 
 			"batch has %d items, max is %d", len(reqItems), s.cfg.MaxBatch))
 		return
 	}
-	items := make([]core.BatchItem, len(reqItems))
+	c.batch = c.batch[:0]
 	for i, it := range reqItems {
 		if err := checkObservation(det, it.Observation, i); err != nil {
 			writeAPIError(w, apiErrorf(CodeInvalidArgument, "%v", err))
 			return
 		}
-		items[i] = core.BatchItem{Observation: it.Observation, Location: it.Location.Point()}
+		c.batch = append(c.batch, core.BatchItem{Observation: it.Observation, Location: it.Location.Point()})
 	}
-	verdicts := det.CheckBatch(items)
-	s.metrics.AddScored(len(items))
-	resp := BatchResponse{Results: make([]CheckResponse, len(verdicts))}
-	for i, v := range verdicts {
-		resp.Results[i] = verdictJSON(v)
+	if cap(c.verdicts) < len(c.batch) {
+		c.verdicts = make([]core.Verdict, len(c.batch))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	c.verdicts = c.verdicts[:len(c.batch)]
+	det.CheckBatchInto(c.verdicts, c.batch)
+	s.metrics.AddScored(len(c.batch))
+	writeEncoded(w, c, c.encodeBatch(c.verdicts))
 }
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	det, ok := s.detectorFor(w, r, req.Detector)
 	if !ok {
 		return
 	}
-	s.scoreBatch(w, det, req.Items)
+	s.scoreBatch(w, c, det, req.Items)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

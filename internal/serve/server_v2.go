@@ -160,9 +160,11 @@ func (s *Server) v2Detector(w http.ResponseWriter, r *http.Request) (*core.Detec
 
 func (s *Server) handleV2Register(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	if !s.validateRequestSpec(w, req.Spec) {
 		return
 	}
@@ -208,27 +210,25 @@ func (s *Server) handleV2Delete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2Check(w http.ResponseWriter, r *http.Request) {
 	var req BatchItemJSON
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	det, ok := s.v2Detector(w, r)
 	if !ok {
 		return
 	}
-	if err := checkObservation(det, req.Observation, -1); err != nil {
-		writeAPIError(w, apiErrorf(CodeInvalidArgument, "%v", err))
-		return
-	}
-	v := det.CheckPooled(req.Observation, req.Location.Point())
-	s.metrics.AddScored(1)
-	writeJSON(w, http.StatusOK, verdictJSON(v))
+	s.checkOne(w, c, det, req.Observation, req.Location)
 }
 
 func (s *Server) handleV2CheckBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	if req.Detector != nil {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument,
 			"v2 batch checks name the detector in the path, not the body"))
@@ -238,14 +238,16 @@ func (s *Server) handleV2CheckBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.scoreBatch(w, det, req.Items)
+	s.scoreBatch(w, c, det, req.Items)
 }
 
 func (s *Server) handleV2Correct(w http.ResponseWriter, r *http.Request) {
 	var req CorrectRequest
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	det, ok := s.v2Detector(w, r)
 	if !ok {
 		return
@@ -303,14 +305,16 @@ func (s *Server) handleV2Correct(w http.ResponseWriter, r *http.Request) {
 		resp.Location = PointJSON{X: p.X, Y: p.Y}
 	}
 	s.metrics.AddCorrected(1)
-	writeJSON(w, http.StatusOK, resp)
+	writeEncoded(w, c, c.encodeCorrection(resp))
 }
 
 func (s *Server) handleV2Rethreshold(w http.ResponseWriter, r *http.Request) {
 	var req RethresholdRequest
-	if !s.decode(w, r, &req) {
+	c := s.decode(w, r, &req)
+	if c == nil {
 		return
 	}
+	defer c.release()
 	st, err := s.pool.Rethreshold(r.PathValue("id"), req.Percentile)
 	if err != nil {
 		writeAPIError(w, toAPIError(err, CodeInternal))
