@@ -230,8 +230,7 @@ func (c *Client) WaitReady(ctx context.Context, id string) (Detector, error) {
 }
 
 // RegisterAndWait registers spec and blocks until the resource is ready
-// (or the context expires) — the synchronous convenience the v1 API
-// baked into every request, made explicit.
+// (or the context expires).
 func (c *Client) RegisterAndWait(ctx context.Context, spec DetectorSpec) (Detector, error) {
 	d, err := c.Register(ctx, spec)
 	if err != nil {

@@ -272,9 +272,9 @@ func TestFullLifecycleAgainstRealServer(t *testing.T) {
 	if det.ID != sspec.ID() {
 		t.Errorf("client id %q != server id %q", det.ID, sspec.ID())
 	}
-	direct, err := srv.Pool().Get(sspec)
-	if err != nil {
-		t.Fatal(err)
+	direct, _, ok := srv.Pool().Detector(sspec.ID())
+	if !ok {
+		t.Fatal("pool has no ready detector under the client's id")
 	}
 	if direct.Threshold() != *det.Threshold {
 		t.Errorf("client threshold %v != pool %v", *det.Threshold, direct.Threshold())

@@ -233,6 +233,5 @@ const (
 	CodeDetectorTraining = "detector_training"
 	CodeDetectorFailed   = "detector_failed"
 	CodePoolFull         = "pool_full"
-	CodeTrainFailed      = "train_failed"
 	CodeInternal         = "internal"
 )

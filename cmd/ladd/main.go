@@ -12,8 +12,6 @@
 //	POST   /v2/detectors/{id}/check/batch score many pairs in one request
 //	POST   /v2/detectors/{id}/correct     re-estimate a location after an alarm
 //	POST   /v2/detectors/{id}/rethreshold re-cut the percentile without retraining
-//	POST   /v1/check                      v1 shim (synchronous, bit-identical verdicts)
-//	POST   /v1/check/batch                v1 shim
 //	GET    /healthz                       readiness (503 until the default detector is trained)
 //	GET    /metrics                       Prometheus text metrics
 //
@@ -25,12 +23,12 @@
 //	ladd -api-token-file token.txt        # gate register/delete/rethreshold
 //	ladd -store-dir /var/lib/ladd         # durable detectors: persist on ready, adopt on restart
 //
-// Checks against a still-training v2 resource answer 202 + Retry-After;
-// the v1 endpoints instead block until training completes. Both surfaces
-// resolve through one detector pool keyed by a canonical config hash, so
-// clients that agree on a deployment share one training run — and one
-// set of verdicts. The typed Go client in repro/client speaks the v2
-// lifecycle end to end.
+// The default detector is a resource like any other: its id is logged
+// at warmup and listed by GET /v2/detectors. Checks against a
+// still-training resource answer 202 + Retry-After. Resources are keyed
+// by a canonical config hash, so clients that agree on a deployment
+// share one training run — and one set of verdicts. The typed Go client
+// in repro/client speaks the v2 lifecycle end to end.
 package main
 
 import (
@@ -147,8 +145,8 @@ func main() {
 	}
 
 	warmup := func() (*time.Duration, error) {
-		log.Printf("ladd: training default detector (metric=%s trials=%d percentile=%g, key %.12s…)",
-			spec.Metric, spec.Train.Trials, spec.Train.Percentile, spec.Key())
+		log.Printf("ladd: training default detector %s (metric=%s trials=%d percentile=%g)",
+			spec.ID(), spec.Metric, spec.Train.Trials, spec.Train.Percentile)
 		start := time.Now()
 		if err := srv.Warmup(); err != nil {
 			return nil, err
@@ -160,10 +158,7 @@ func main() {
 		if _, err := warmup(); err != nil {
 			log.Fatalf("ladd: warmup failed: %v", err)
 		}
-		det, err := srv.Pool().Get(spec)
-		if err != nil {
-			log.Fatalf("ladd: %v", err)
-		}
+		det, _, _ := srv.Pool().Detector(spec.ID())
 		log.Printf("ladd: threshold %.4f", det.Threshold())
 		fmt.Printf("%g\n", det.Threshold())
 		return
@@ -196,12 +191,10 @@ func main() {
 			errCh <- fmt.Errorf("warmup: %w", err)
 			return
 		}
-		det, err := srv.Pool().Get(spec)
-		if err != nil {
-			errCh <- err
-			return
+		// The listener is up, so a DELETE may already have evicted it.
+		if det, _, ok := srv.Pool().Detector(spec.ID()); ok {
+			log.Printf("ladd: default detector %s trained in %s; threshold %.4f — ready", spec.ID(), *took, det.Threshold())
 		}
-		log.Printf("ladd: trained in %s; threshold %.4f — ready", *took, det.Threshold())
 	}()
 
 	select {

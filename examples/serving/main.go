@@ -5,7 +5,8 @@
 // exits nonzero if one no longer holds, so the demo cannot silently rot:
 //
 //  1. registration returns immediately (no blocking on the training run);
-//  2. the v2 verdict is bit-identical to the v1 shim's for the same spec;
+//  2. the single check verdict is bit-identical to the check/batch
+//     verdict for the same item;
 //  3. /correct recovers a location inside the field from the observation;
 //  4. /rethreshold moves the threshold WITHOUT a retrain (the daemon's
 //     training counter does not move);
@@ -20,13 +21,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -138,7 +136,7 @@ func main() {
 	log.Printf("ready: threshold %.4f (percentile %g, %d benign scores retained, trained in %.2fs)",
 		*det.Threshold, det.Percentile, det.Train.BenignScores, det.Train.Seconds)
 
-	// 3 — score benign observations; the v1 shim must agree bit for bit.
+	// 3 — score a benign observation; check/batch must agree bit for bit.
 	model, err := lad.NewModel(ddeploy)
 	if err != nil {
 		log.Fatalf("model: %v", err)
@@ -149,19 +147,20 @@ func main() {
 		group, loc = model.SampleLocation(r)
 	}
 	obs := model.SampleObservation(loc, group, r)
-	v2, err := c.Check(ctx, det.ID, obs, client.Point{X: loc.X, Y: loc.Y})
+	claim := client.Point{X: loc.X, Y: loc.Y}
+	v, err := c.Check(ctx, det.ID, obs, claim)
 	if err != nil {
 		log.Fatalf("check: %v", err)
 	}
-	v1, err := v1Check(ctx, base, cspec, obs, loc)
+	batch, err := c.CheckBatch(ctx, det.ID, []client.Item{{Observation: obs, Location: claim}})
 	if err != nil {
-		log.Fatalf("v1 check: %v", err)
+		log.Fatalf("check/batch: %v", err)
 	}
-	if v1 != v2 {
-		log.Fatalf("CLAIM FAILED: v1 verdict %+v != v2 verdict %+v for the same spec and observation", v1, v2)
+	if len(batch) != 1 || batch[0] != v {
+		log.Fatalf("CLAIM FAILED: check/batch verdicts %+v != single check verdict %+v for the same item", batch, v)
 	}
-	log.Printf("checked (%.1f, %.1f): score %.4f vs threshold %.4f, alarm=%v — v1 shim bit-identical",
-		loc.X, loc.Y, v2.Score, v2.Threshold, v2.Alarm)
+	log.Printf("checked (%.1f, %.1f): score %.4f vs threshold %.4f, alarm=%v — check/batch bit-identical",
+		loc.X, loc.Y, v.Score, v.Threshold, v.Alarm)
 
 	// 4 — correct: re-estimate the location from the observation itself,
 	// as one would after an alarm on a suspect localization.
@@ -221,41 +220,4 @@ func main() {
 	log.Printf("metrics moved: detectors ready, job counters, corrections, rethresholds all recorded")
 
 	fmt.Println("serving example OK")
-}
-
-// v1Check drives the v1 shim with the same spec the client registered,
-// proving the two surfaces share one detector. The client's spec types
-// marshal to the server's wire format, so the v1 body embeds them
-// directly.
-func v1Check(ctx context.Context, base string, spec client.DetectorSpec, obs []int, loc lad.Point) (client.Verdict, error) {
-	body, err := json.Marshal(map[string]any{
-		"detector":    spec,
-		"observation": obs,
-		"location":    map[string]float64{"x": loc.X, "y": loc.Y},
-	})
-	if err != nil {
-		return client.Verdict{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/check", bytes.NewReader(body))
-	if err != nil {
-		return client.Verdict{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return client.Verdict{}, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return client.Verdict{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return client.Verdict{}, fmt.Errorf("v1 check status %d: %s", resp.StatusCode, buf.String())
-	}
-	var v client.Verdict
-	if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
-		return client.Verdict{}, err
-	}
-	return v, nil
 }

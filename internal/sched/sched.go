@@ -265,10 +265,6 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Workers and BatchUnits report the effective configuration.
-func (s *Scheduler) Workers() int    { return s.workers }
-func (s *Scheduler) BatchUnits() int { return s.batch }
-
 // Submit enqueues a job of total units. The returned preclaimed flag is
 // true when idle worker capacity exists, i.e. the job's first batch
 // starts without queueing — callers use it to report "training" instead

@@ -55,7 +55,7 @@ func TestCheckpointResumeAcrossPools(t *testing.T) {
 	const preTrials = 32
 
 	// Reference: an uninterrupted training in a store-less pool.
-	ref, err := NewDetectorPool(0).Get(spec)
+	ref, err := NewDetectorPool(0).await(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCheckpointResumeAcrossPools(t *testing.T) {
 
 	p := NewDetectorPool(0)
 	p.SetStore(fs)
-	det, err := p.Get(spec)
+	det, err := p.await(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCheckpointSavedBetweenBatches(t *testing.T) {
 	p.SetSchedBatchTrials(16)
 	p.SetStore(fs)
 	spec := tinySpec() // 80 trials → 5 batches → 4 mid-run checkpoints
-	if _, err := p.Get(spec); err != nil {
+	if _, err := p.await(spec); err != nil {
 		t.Fatal(err)
 	}
 	saveOK, saveErr, _, _, _ := p.CheckpointStats()
@@ -123,7 +123,7 @@ func TestCheckpointWriteFaultDegrades(t *testing.T) {
 	faulty := store.NewFaulty(inner)
 	faulty.SetPutError(errors.New("disk on fire"))
 
-	ref, err := NewDetectorPool(0).Get(tinySpec())
+	ref, err := NewDetectorPool(0).await(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCheckpointWriteFaultDegrades(t *testing.T) {
 	p := NewDetectorPool(0)
 	p.SetSchedBatchTrials(16)
 	p.SetStore(faulty)
-	det, err := p.Get(tinySpec())
+	det, err := p.await(tinySpec())
 	if err != nil {
 		t.Fatalf("training must survive a dead checkpoint disk: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestCheckpointWriteFaultDegrades(t *testing.T) {
 	// still reaches the same operating point.
 	p2 := NewDetectorPool(0)
 	p2.SetStore(inner)
-	det2, err := p2.Get(tinySpec())
+	det2, err := p2.await(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCheckpointRejectedOnCorruptOrForeignBytes(t *testing.T) {
 			}
 			p := NewDetectorPool(0)
 			p.SetStore(fs)
-			if _, err := p.Get(spec); err != nil {
+			if _, err := p.await(spec); err != nil {
 				t.Fatalf("bad checkpoint must not fail training: %v", err)
 			}
 			_, _, resumes, _, rejected := p.CheckpointStats()

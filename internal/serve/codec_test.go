@@ -225,12 +225,9 @@ func TestTrailingDataRejected(t *testing.T) {
 		{"v2 correct", v2 + "/correct", correct + "0", 400},
 		{"v2 register", ts.URL + "/v2/detectors", register + "}", 400},
 		{"v2 rethreshold", v2 + "/rethreshold", rethreshold + "]", 400},
-		{"v1 check", ts.URL + "/v1/check", check + `"`, 400},
-		{"v1 batch", ts.URL + "/v1/check/batch", batch + batch, 400},
 		// Trailing whitespace is not data.
 		{"v2 batch whitespace", v2 + "/check/batch", batch + " \r\n\t", 200},
 		{"v2 check fallback whitespace", v2 + "/check", upper + "\n", 200},
-		{"v1 check whitespace", ts.URL + "/v1/check", check + "\n\n", 200},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(tc.url, "application/json", strings.NewReader(tc.body))

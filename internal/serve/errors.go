@@ -7,7 +7,7 @@ import (
 )
 
 // ErrorCode is the machine-readable error taxonomy of the serving API.
-// Every error response — v1 and v2 — carries exactly one code, and each
+// Every error response carries exactly one code, and each
 // code maps to exactly one HTTP status (the table in codeStatus), so
 // clients can branch on the code and treat the status as presentation.
 type ErrorCode string
@@ -39,9 +39,6 @@ const (
 	// CodePoolFull: admitting the spec would exceed the pool's resident
 	// detector limit. 429.
 	CodePoolFull ErrorCode = "pool_full"
-	// CodeTrainFailed: a synchronous (v1) training run failed for a
-	// reason that is not the client's spec. 500.
-	CodeTrainFailed ErrorCode = "train_failed"
 	// CodeInternal: everything else. 500.
 	CodeInternal ErrorCode = "internal"
 )
@@ -56,7 +53,6 @@ var codeStatus = map[ErrorCode]int{
 	CodeDetectorTraining: http.StatusAccepted,
 	CodeDetectorFailed:   http.StatusConflict,
 	CodePoolFull:         http.StatusTooManyRequests,
-	CodeTrainFailed:      http.StatusInternalServerError,
 	CodeInternal:         http.StatusInternalServerError,
 }
 
@@ -113,10 +109,8 @@ func writeAPIError(w http.ResponseWriter, e *APIError) {
 
 // toAPIError coerces any error into an APIError: typed errors pass
 // through, sentinel training errors map via the code table, everything
-// else becomes CodeInternal. fallback names the code used for untyped
-// errors (v1's training path uses CodeTrainFailed so a failed cold start
-// is distinguishable from a generic 500).
-func toAPIError(err error, fallback ErrorCode) *APIError {
+// else becomes CodeInternal.
+func toAPIError(err error) *APIError {
 	var api *APIError
 	switch {
 	case errors.As(err, &api):
@@ -126,6 +120,6 @@ func toAPIError(err error, fallback ErrorCode) *APIError {
 	case errors.Is(err, ErrInvalidSpec):
 		return &APIError{Code: CodeInvalidArgument, Message: err.Error()}
 	default:
-		return &APIError{Code: fallback, Message: err.Error()}
+		return &APIError{Code: CodeInternal, Message: err.Error()}
 	}
 }

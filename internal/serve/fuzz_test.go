@@ -11,7 +11,7 @@ import (
 )
 
 // fuzzServer builds one server shared across fuzz iterations: tight
-// resource caps so fuzzed inline specs either bounce off the validator
+// resource caps so fuzzed register specs either bounce off the validator
 // (400), hit the pool limit (429), or train in milliseconds, and a
 // pre-warmed default detector so the happy path answers without a cold
 // start per input.
@@ -34,55 +34,26 @@ var fuzzServer = sync.OnceValues(func() (http.Handler, error) {
 	return srv.Handler(), nil
 })
 
-// FuzzCheckRequestJSON throws arbitrary bytes at the strict request
-// decoder behind POST /v1/check and asserts the error-taxonomy contract
-// the errcodes analyzer enforces statically: every response is JSON,
-// and every non-200 carries exactly one structured APIError whose code
-// is in the canonical table and maps to exactly the HTTP status sent.
-func FuzzCheckRequestJSON(f *testing.F) {
-	// Well-formed request against the default (trained) detector.
-	f.Add([]byte(`{"observation":[0,0,0,0,0,0,0,0,0],"location":{"x":150,"y":150}}`))
-	// Malformed JSON, empty body, and a bare value.
-	f.Add([]byte(`{"observation":[1,2`))
-	f.Add([]byte(``))
-	f.Add([]byte(`42`))
-	// Unknown field (DisallowUnknownFields must 400, not ignore).
-	f.Add([]byte(`{"observation":[0],"location":{"x":0,"y":0},"extra":true}`))
-	// Wrong-length observation and non-finite-looking numbers.
-	f.Add([]byte(`{"observation":[1,2,3],"location":{"x":1e308,"y":-1e308}}`))
-	// Inline spec over the server's caps (must 400 before training).
-	f.Add([]byte(`{"detector":{"deployment":{"groups_x":100,"groups_y":100}},"observation":[0],"location":{"x":0,"y":0}}`))
-	// Inline spec with huge trials (cap check, not a long training run).
-	f.Add([]byte(`{"detector":{"train":{"trials":1000000}},"observation":[0],"location":{"x":0,"y":0}}`))
-
-	handler, err := fuzzServer()
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		assertTaxonomy(t, rec, new(CheckResponse))
-	})
-}
-
 // v2Verbs are the v2 endpoints FuzzV2RequestJSON drives, each with the
-// type of its 200 body.
+// type of its success body. Per-detector verbs address the default
+// detector.
 var v2Verbs = []struct {
 	path string
 	ok   func() any
 }{
-	{"/check", func() any { return new(CheckResponse) }},
-	{"/check/batch", func() any { return new(BatchResponse) }},
-	{"/correct", func() any { return new(CorrectResponse) }},
+	{"/v2/detectors/" + tinySpec().ID() + "/check", func() any { return new(CheckResponse) }},
+	{"/v2/detectors/" + tinySpec().ID() + "/check/batch", func() any { return new(BatchResponse) }},
+	{"/v2/detectors/" + tinySpec().ID() + "/correct", func() any { return new(CorrectResponse) }},
+	{"/v2/detectors", func() any { return new(DetectorJSON) }},
+	{"/v2/detectors/" + tinySpec().ID() + "/rethreshold", func() any { return new(DetectorJSON) }},
 }
 
-// FuzzV2RequestJSON extends FuzzCheckRequestJSON's error-taxonomy
-// contract to the v2 check, check/batch and correct verbs, whose bodies
-// go through the request codec's scanner: verb selects the endpoint.
+// FuzzV2RequestJSON throws arbitrary bytes at the v2 verbs that take a
+// body (verb selects the endpoint) and asserts the error-taxonomy
+// contract the errcodes analyzer enforces statically: every response is
+// JSON, and every non-success carries exactly one structured APIError
+// whose code is in the canonical table and maps to exactly the HTTP
+// status sent.
 func FuzzV2RequestJSON(f *testing.F) {
 	obs := `[0,0,0,0,0,0,0,0,0]`
 	for verb, body := range []string{
@@ -99,16 +70,52 @@ func FuzzV2RequestJSON(f *testing.F) {
 			f.Add(uint8(verb), []byte(b))
 		}
 	}
+	// Malformed JSON, a bare value, an unknown field, and coordinates at
+	// the edge of float64, on the check verb.
+	for _, b := range []string{
+		`{"observation":[1,2`, `42`,
+		`{"observation":[0],"location":{"x":0,"y":0},"extra":true}`,
+		`{"observation":[1,2,3],"location":{"x":1e308,"y":-1e308}}`,
+	} {
+		f.Add(uint8(0), []byte(b))
+	}
+	// Register: specs over the server's caps must 400 before training,
+	// both with snake-case keys (unknown fields) and with the real ones.
+	over := func(mut func(*DetectorSpec)) string {
+		spec := tinySpec()
+		mut(&spec)
+		b, err := json.Marshal(RegisterRequest{Spec: spec})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, b := range []string{
+		`{"spec":{"deployment":{"groups_x":100,"groups_y":100}}}`,
+		`{"spec":{"train":{"trials":1000000}}}`,
+		over(func(s *DetectorSpec) { s.Deployment.GroupsX, s.Deployment.GroupsY = 100, 100 }),
+		over(func(s *DetectorSpec) { s.Train.Trials = 1e6 }),
+		over(func(s *DetectorSpec) { s.Train.Seed = 3 }),
+		`{"spec":{}}`, `{}`, ``,
+	} {
+		f.Add(uint8(3), []byte(b))
+	}
+	// Rethreshold: in range, out of range, wrong type, unknown field.
+	for _, b := range []string{
+		`{"percentile":95}`, `{"percentile":100}`, `{"percentile":-1}`,
+		`{"percentile":"95"}`, `{"percentile":95,"extra":1}`, `{}`,
+	} {
+		f.Add(uint8(4), []byte(b))
+	}
 
 	handler, err := fuzzServer()
 	if err != nil {
 		f.Fatal(err)
 	}
-	prefix := "/v2/detectors/" + tinySpec().ID()
 
 	f.Fuzz(func(t *testing.T, verb uint8, body []byte) {
 		v := v2Verbs[int(verb)%len(v2Verbs)]
-		req := httptest.NewRequest(http.MethodPost, prefix+v.path, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, v.path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
@@ -117,15 +124,15 @@ func FuzzV2RequestJSON(f *testing.F) {
 }
 
 // assertTaxonomy checks one response against the error-taxonomy
-// contract: a 200 body strictly decodes into ok, and any other status
-// carries one structured APIError whose code is in the canonical table
-// and maps to exactly that status.
+// contract: a 200 (or a register's 201) body strictly decodes into ok,
+// and any other status carries one structured APIError whose code is in
+// the canonical table and maps to exactly that status.
 func assertTaxonomy(t *testing.T, rec *httptest.ResponseRecorder, ok any) {
 	t.Helper()
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("status %d with Content-Type %q, want application/json", rec.Code, ct)
 	}
-	if rec.Code == http.StatusOK {
+	if rec.Code == http.StatusOK || rec.Code == http.StatusCreated {
 		dec := json.NewDecoder(rec.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(ok); err != nil {

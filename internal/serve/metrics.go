@@ -157,7 +157,7 @@ func (m *Metrics) Render(pool *DetectorPool) string {
 		}
 
 		started, okJobs, failedJobs := pool.JobStats()
-		b.WriteString("# HELP ladd_train_jobs_started_total Async training flights spawned (register + first-sight v1 specs).\n")
+		b.WriteString("# HELP ladd_train_jobs_started_total Async training flights spawned (registrations, including warmup and failed-spec re-arms).\n")
 		b.WriteString("# TYPE ladd_train_jobs_started_total counter\n")
 		fmt.Fprintf(&b, "ladd_train_jobs_started_total %d\n", started)
 		b.WriteString("# HELP ladd_train_jobs_completed_total Training flights finished, by outcome.\n")

@@ -60,7 +60,7 @@ func TestPersistAndAdoptRoundTrip(t *testing.T) {
 
 	p1 := NewDetectorPool(0)
 	p1.SetStore(fs)
-	det1, err := p1.Get(spec)
+	det1, err := p1.await(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRethresholdSurvivesRestart(t *testing.T) {
 	spec := tinySpec()
 	p1 := NewDetectorPool(0)
 	p1.SetStore(fs)
-	if _, err := p1.Get(spec); err != nil {
+	if _, err := p1.await(spec); err != nil {
 		t.Fatal(err)
 	}
 	waitSaves(t, p1, 1)
@@ -159,7 +159,7 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 	spec := tinySpec()
 	p := NewDetectorPool(0)
 	p.SetStore(fs)
-	if _, err := p.Get(spec); err != nil {
+	if _, err := p.await(spec); err != nil {
 		t.Fatal(err)
 	}
 	waitSaves(t, p, 1)
@@ -183,7 +183,7 @@ func TestSaveFailureServesFromMemory(t *testing.T) {
 	spec := tinySpec()
 	p := NewDetectorPool(0)
 	p.SetStore(faulty)
-	det, err := p.Get(spec)
+	det, err := p.await(spec)
 	if err != nil {
 		t.Fatalf("training failed because the store did: %v", err)
 	}
@@ -258,7 +258,7 @@ func validSnapshot(t *testing.T) ([]byte, DetectorSpec) {
 	spec := tinySpec()
 	p := NewDetectorPool(0)
 	p.SetStore(fs)
-	if _, err := p.Get(spec); err != nil {
+	if _, err := p.await(spec); err != nil {
 		t.Fatal(err)
 	}
 	waitSaves(t, p, 1)
@@ -429,7 +429,7 @@ func TestAdoptFaultInjection(t *testing.T) {
 			}
 
 			// The spec falls through to normal retraining and serves.
-			det, err := p.Get(spec)
+			det, err := p.await(spec)
 			if err != nil {
 				t.Fatalf("retraining after fault: %v", err)
 			}
@@ -451,7 +451,7 @@ func TestAdoptSkipsResidentAndOverLimit(t *testing.T) {
 	spec := tinySpec()
 	p1 := NewDetectorPool(0)
 	p1.SetStore(fs)
-	if _, err := p1.Get(spec); err != nil {
+	if _, err := p1.await(spec); err != nil {
 		t.Fatal(err)
 	}
 	waitSaves(t, p1, 1)
@@ -476,7 +476,7 @@ func TestAdoptSkipsResidentAndOverLimit(t *testing.T) {
 	p2.SetStore(fs)
 	other := tinySpec()
 	other.Train.Seed++
-	if _, err := p2.Get(other); err != nil {
+	if _, err := p2.await(other); err != nil {
 		t.Fatal(err)
 	}
 	waitSaves(t, p2, 1)
@@ -500,7 +500,7 @@ func TestMetricsRenderSnapshotFamilies(t *testing.T) {
 	}
 	p := NewDetectorPool(0)
 	p.SetStore(fs)
-	if _, err := p.Get(tinySpec()); err != nil {
+	if _, err := p.await(tinySpec()); err != nil {
 		t.Fatal(err)
 	}
 	waitSaves(t, p, 1)

@@ -10,10 +10,8 @@
 //     ready resources retain their benign score sample so the operating
 //     point can be re-cut (/rethreshold) without retraining.
 //   - Server exposes the v2 resource API (/v2/detectors and per-detector
-//     check, check/batch, correct, rethreshold verbs) plus the v1 shims
-//     /v1/check and /v1/check/batch, which resolve through the same pool
-//     and produce bit-identical verdicts; /healthz and a Prometheus-style
-//     /metrics ride along.
+//     check, check/batch, correct, rethreshold verbs); /healthz and a
+//     Prometheus-style /metrics ride along.
 //
 // cmd/ladd wires this package into a daemon; the public client package
 // (repro/client) speaks the v2 API; cmd/ladsim -loadgen drives it to
@@ -314,11 +312,8 @@ const DefaultTrainConcurrency = 2
 // addressable by DetectorSpec.ID). Training is asynchronous and
 // single-flight: Register returns immediately with the resource's state
 // while one goroutine per resource trains behind the concurrency cap;
-// concurrent registrations of the same spec share the flight. The
-// synchronous Get (the v1 path) registers and then blocks on the flight,
-// so v1 and v2 traffic for the same spec share one detector instance —
-// verdicts are bit-identical across the two surfaces by construction.
-// Safe for concurrent use.
+// concurrent registrations of the same spec share the flight. Safe for
+// concurrent use.
 type DetectorPool struct {
 	mu sync.Mutex
 	//lad:guardedby mu
@@ -537,11 +532,6 @@ func (p *DetectorPool) rebuildSched() {
 // SchedStats snapshots the training scheduler's counters for /metrics.
 func (p *DetectorPool) SchedStats() sched.Stats {
 	return p.sched.Stats()
-}
-
-// SchedBatchTrials reports the effective per-turn trial budget.
-func (p *DetectorPool) SchedBatchTrials() int {
-	return p.sched.BatchUnits()
 }
 
 // CheckpointStats reports checkpoint persistence counters: saves split
@@ -958,14 +948,14 @@ func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores [
 	p.persistEntry(e)
 }
 
-// Get returns the trained detector for spec, registering it and blocking
-// until its flight finishes — the synchronous v1 path. Concurrent Gets
-// for a spec mid-training share the single flight (and its error, if it
-// fails); a Get after a failure re-arms the flight, so transient failures
-// are not remembered forever.
+// await returns the trained detector for spec, registering it and
+// blocking until its flight finishes — Server.Warmup's path. Concurrent
+// waits for a spec mid-training share the single flight (and its error,
+// if it fails); a wait after a failure re-arms the flight, so transient
+// failures are not remembered forever.
 //
 //lad:ctx
-func (p *DetectorPool) Get(spec DetectorSpec) (*core.Detector, error) {
+func (p *DetectorPool) await(spec DetectorSpec) (*core.Detector, error) {
 	e, created, err := p.admit(spec)
 	if err != nil {
 		return nil, err
@@ -1142,8 +1132,8 @@ func (p *DetectorPool) Rethreshold(id string, tau float64) (DetectorStatus, erro
 
 // Stats reports cache behavior: resident entries (all states) and the
 // cumulative hit/miss/failure counters since the pool was created. Hits
-// and misses count spec-keyed lookups (Register and the synchronous
-// Get); failures count failed training runs.
+// and misses count spec-keyed lookups (Register and Warmup's wait);
+// failures count failed training runs.
 func (p *DetectorPool) Stats() (entries int, hits, misses, failures uint64) {
 	p.mu.Lock()
 	entries = len(p.entries)

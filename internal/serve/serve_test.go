@@ -66,18 +66,18 @@ func TestDetectorPoolHitMiss(t *testing.T) {
 	specB := tinySpec()
 	specB.Metric = "add-all"
 
-	d1, err := pool.Get(specA)
+	d1, err := pool.await(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := pool.Get(specA)
+	d2, err := pool.await(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1 != d2 {
 		t.Error("same spec returned distinct detectors")
 	}
-	if _, err := pool.Get(specB); err != nil {
+	if _, err := pool.await(specB); err != nil {
 		t.Fatal(err)
 	}
 	if got := trained.Load(); got != 2 {
@@ -104,7 +104,7 @@ func TestDetectorPoolSingleFlightUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := pool.Get(spec)
+			d, err := pool.await(spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -135,7 +135,7 @@ func TestFailedTrainingStaysInspectableAndRetries(t *testing.T) {
 		return trainDetector(spec, workers, nil)
 	})
 	spec := tinySpec()
-	if _, err := pool.Get(spec); err == nil {
+	if _, err := pool.await(spec); err == nil {
 		t.Fatal("want error")
 	}
 	// The failed resource stays resident in state failed — inspectable by
@@ -152,7 +152,7 @@ func TestFailedTrainingStaysInspectableAndRetries(t *testing.T) {
 	// A retry re-arms the same resource with a fresh flight — and can
 	// succeed once the cause clears.
 	fail.Store(false)
-	if _, err := pool.Get(spec); err != nil {
+	if _, err := pool.await(spec); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
 	if got := trained.Load(); got != 2 {
@@ -177,12 +177,12 @@ func TestFailedTrainingDoesNotBrickPool(t *testing.T) {
 	bad := tinySpec()
 	for i := 0; i < 10; i++ {
 		bad.Train.Seed = 100 + uint64(i)
-		if _, err := pool.Get(bad); err == nil {
+		if _, err := pool.await(bad); err == nil {
 			t.Fatal("bad spec should fail")
 		}
 	}
 	good := tinySpec()
-	if _, err := pool.Get(good); err != nil {
+	if _, err := pool.await(good); err != nil {
 		t.Fatalf("good spec after bad burst: %v", err)
 	}
 	if _, _, _, failures := pool.Stats(); failures != 10 {
@@ -221,7 +221,7 @@ func TestTrainingConcurrencyCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool.Get(spec) //nolint:errcheck // synthetic failure expected
+			pool.await(spec) //nolint:errcheck // synthetic failure expected
 		}()
 	}
 	// Let the trainings queue up against the semaphore, then drain.
@@ -246,7 +246,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server, *core.Detector) {
 	if err := srv.Warmup(); err != nil {
 		t.Fatal(err)
 	}
-	det, err := srv.Pool().Get(tinySpec())
+	det, err := srv.Pool().await(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +292,15 @@ func sampleItems(det *core.Detector, n int, seed uint64) []BatchItemJSON {
 	return items
 }
 
+// defaultURL is the v2 resource URL of newTestServer's default detector.
+func defaultURL(ts *httptest.Server) string {
+	return ts.URL + "/v2/detectors/" + tinySpec().ID()
+}
+
 func TestCheckRoundTrip(t *testing.T) {
 	ts, _, det := newTestServer(t)
 	it := sampleItems(det, 1, 7)[0]
-	resp, body := postJSON(t, ts.URL+"/v1/check", CheckRequest{
-		Observation: it.Observation,
-		Location:    it.Location,
-	})
+	resp, body := postJSON(t, defaultURL(ts)+"/check", it)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -315,7 +317,7 @@ func TestCheckRoundTrip(t *testing.T) {
 func TestCheckBatchRoundTripMatchesSequential(t *testing.T) {
 	ts, _, det := newTestServer(t)
 	items := sampleItems(det, 40, 11)
-	resp, body := postJSON(t, ts.URL+"/v1/check/batch", BatchRequest{Items: items})
+	resp, body := postJSON(t, defaultURL(ts)+"/check/batch", BatchRequest{Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -344,27 +346,22 @@ func TestCheckRejectsMalformedRequests(t *testing.T) {
 		body   any
 		status int
 	}{
-		{"wrong group count", "/v1/check",
-			CheckRequest{Observation: []int{1, 2}, Location: it.Location},
+		{"wrong group count", "/check",
+			BatchItemJSON{Observation: []int{1, 2}, Location: it.Location},
 			http.StatusBadRequest},
-		{"negative count", "/v1/check",
-			CheckRequest{Observation: append([]int{-1}, it.Observation[1:]...), Location: it.Location},
+		{"negative count", "/check",
+			BatchItemJSON{Observation: append([]int{-1}, it.Observation[1:]...), Location: it.Location},
 			http.StatusBadRequest},
-		{"empty batch", "/v1/check/batch", BatchRequest{}, http.StatusBadRequest},
-		{"oversized batch", "/v1/check/batch",
+		{"empty batch", "/check/batch", BatchRequest{}, http.StatusBadRequest},
+		{"oversized batch", "/check/batch",
 			BatchRequest{Items: make([]BatchItemJSON, 129)},
 			http.StatusBadRequest},
-		{"bad metric", "/v1/check", CheckRequest{
-			Detector: &DetectorSpec{
-				Deployment: tinySpec().Deployment,
-				Metric:     "nope",
-				Train:      tinySpec().Train,
-			},
-			Observation: it.Observation, Location: it.Location,
+		{"detector in batch body", "/check/batch", map[string]any{
+			"detector": tinySpec(), "items": []BatchItemJSON{it},
 		}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, body := postJSON(t, ts.URL+c.url, c.body)
+		resp, body := postJSON(t, defaultURL(ts)+c.url, c.body)
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.status, body)
 		}
@@ -377,35 +374,55 @@ func TestCheckRejectsMalformedRequests(t *testing.T) {
 	}
 
 	// Unknown fields are rejected too (catches client schema drift).
-	resp, _ := postJSON(t, ts.URL+"/v1/check", map[string]any{"observe": []int{1}})
+	resp, _ := postJSON(t, defaultURL(ts)+"/check", map[string]any{"observe": []int{1}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+	// So is a spec the validator refuses, at registration.
+	bad := tinySpec()
+	bad.Metric = "nope"
+	resp, body := postJSON(t, ts.URL+"/v2/detectors", RegisterRequest{Spec: bad})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("bad metric: status %d, want 400 (%s)", resp.StatusCode, body)
+	} else if e := decodeAPIError(t, body); e.Code != CodeInvalidArgument {
+		t.Errorf("bad metric: code %q, want %q", e.Code, CodeInvalidArgument)
+	}
 }
 
+// TestPerRequestDetectorSpecIsCached: registering a spec again names
+// the same resource and trains nothing new.
 func TestPerRequestDetectorSpecIsCached(t *testing.T) {
 	ts, srv, det := newTestServer(t)
 	it := sampleItems(det, 1, 17)[0]
 	spec := tinySpec()
 	spec.Metric = "add-all"
-	for i := 0; i < 3; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/check", CheckRequest{
-			Detector:    &spec,
-			Observation: it.Observation,
-			Location:    it.Location,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
+	for i, want := range []int{http.StatusCreated, http.StatusOK, http.StatusOK} {
+		resp, body := postJSON(t, ts.URL+"/v2/detectors", RegisterRequest{Spec: spec})
+		if resp.StatusCode != want {
+			t.Fatalf("register %d: status %d, want %d: %s", i, resp.StatusCode, want, body)
+		}
+		if id := decodeDetector(t, body).ID; id != spec.ID() {
+			t.Fatalf("register %d: id %q, want %q", i, id, spec.ID())
 		}
 	}
 	entries, hits, misses, _ := srv.Pool().Stats()
 	if entries != 2 {
 		t.Errorf("pool entries = %d, want 2 (default + add-all)", entries)
 	}
-	// Warmup + newTestServer's Get + 3 requests = 5 lookups over 2
+	// Warmup + newTestServer's await + 3 registrations = 5 lookups over 2
 	// distinct specs: 2 misses (first sight of each), 3 hits.
 	if misses != 2 || hits != 3 {
 		t.Errorf("hits/misses = %d/%d, want 3/2", hits, misses)
+	}
+	if _, err := srv.Pool().await(spec); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v2/detectors/"+spec.ID()+"/check", it)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("check: status %d: %s", resp.StatusCode, body)
+	}
+	if started, _, _ := srv.Pool().JobStats(); started != 2 {
+		t.Errorf("training flights = %d, want 2 (one per distinct spec)", started)
 	}
 }
 
@@ -425,50 +442,57 @@ func TestResourceCapsOnRequestSpecs(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	det, _ := srv.Pool().Get(tinySpec())
+	det, _ := srv.Pool().await(tinySpec())
 	it := sampleItems(det, 1, 23)[0]
 
-	post := func(spec DetectorSpec) int {
-		resp, _ := postJSON(t, ts.URL+"/v1/check", CheckRequest{
-			Detector: &spec, Observation: it.Observation, Location: it.Location,
-		})
+	register := func(spec DetectorSpec) int {
+		resp, _ := postJSON(t, ts.URL+"/v2/detectors", RegisterRequest{Spec: spec})
+		return resp.StatusCode
+	}
+	check := func(spec DetectorSpec) int {
+		resp, _ := postJSON(t, ts.URL+"/v2/detectors/"+spec.ID()+"/check", it)
 		return resp.StatusCode
 	}
 
 	huge := tinySpec()
 	huge.Train.Trials = 501
-	if got := post(huge); got != http.StatusBadRequest {
+	if got := register(huge); got != http.StatusBadRequest {
 		t.Errorf("over-trials spec: status %d, want 400", got)
 	}
 	wide := tinySpec()
 	wide.Deployment.GroupsX, wide.Deployment.GroupsY = 5, 4
-	if got := post(wide); got != http.StatusBadRequest {
+	if got := register(wide); got != http.StatusBadRequest {
 		t.Errorf("over-groups spec: status %d, want 400", got)
 	}
 	dense := tinySpec()
 	dense.Deployment.GroupSize = 101
-	if got := post(dense); got != http.StatusBadRequest {
+	if got := register(dense); got != http.StatusBadRequest {
 		t.Errorf("over-group-size spec: status %d, want 400", got)
 	}
 	// The default spec occupies 1 of 2 pool slots; a second distinct
 	// spec fits, a third is rejected with 429 instead of training.
 	second := tinySpec()
 	second.Train.Seed++
-	if got := post(second); got != http.StatusOK {
-		t.Errorf("second spec: status %d, want 200", got)
+	if got := register(second); got != http.StatusCreated {
+		t.Errorf("second spec: status %d, want 201", got)
+	}
+	if _, err := srv.Pool().await(second); err != nil {
+		t.Fatal(err)
 	}
 	third := tinySpec()
 	third.Train.Seed += 2
-	if got := post(third); got != http.StatusTooManyRequests {
+	if got := register(third); got != http.StatusTooManyRequests {
 		t.Errorf("pool-full spec: status %d, want 429", got)
 	}
-	// The default and already-cached specs keep working at capacity.
-	resp, _ := postJSON(t, ts.URL+"/v1/check", CheckRequest{Observation: it.Observation, Location: it.Location})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("default spec at capacity: status %d, want 200", resp.StatusCode)
+	// The default and already-resident specs keep working at capacity.
+	if got := check(tinySpec()); got != http.StatusOK {
+		t.Errorf("default spec at capacity: status %d, want 200", got)
 	}
-	if got := post(second); got != http.StatusOK {
-		t.Errorf("cached spec at capacity: status %d, want 200", got)
+	if got := register(second); got != http.StatusOK {
+		t.Errorf("resident spec re-registered at capacity: status %d, want 200", got)
+	}
+	if got := check(second); got != http.StatusOK {
+		t.Errorf("resident spec at capacity: status %d, want 200", got)
 	}
 }
 
@@ -501,9 +525,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 
 	// Drive one scored request, then scrape.
-	det, _ := srv.Pool().Get(tinySpec())
+	det, _ := srv.Pool().await(tinySpec())
 	it := sampleItems(det, 1, 19)[0]
-	r2, body := postJSON(t, ts.URL+"/v1/check", CheckRequest{Observation: it.Observation, Location: it.Location})
+	r2, body := postJSON(t, defaultURL(ts)+"/check", it)
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("check failed: %s", body)
 	}
@@ -517,7 +541,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	text := out.String()
 	for _, want := range []string{
-		`ladd_requests_total{endpoint="check",code="2xx"} 1`,
+		`ladd_requests_total{endpoint="v2_check",code="2xx"} 1`,
 		"ladd_observations_scored_total 1",
 		"ladd_detector_cache_misses_total 1",
 		"ladd_detector_cache_failures_total 0",
@@ -533,7 +557,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 	// A second check at the same claimed location is an expectation-cache
 	// hit and must show up in the gauges.
-	r3, body := postJSON(t, ts.URL+"/v1/check", CheckRequest{Observation: it.Observation, Location: it.Location})
+	r3, body := postJSON(t, defaultURL(ts)+"/check", it)
 	if r3.StatusCode != http.StatusOK {
 		t.Fatalf("second check failed: %s", body)
 	}
@@ -563,15 +587,15 @@ func TestTrainDurationMetrics(t *testing.T) {
 	})
 
 	spec := tinySpec()
-	if _, err := pool.Get(spec); err != nil {
+	if _, err := pool.await(spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Get(spec); err != nil { // cache hit: no new training
+	if _, err := pool.await(spec); err != nil { // cache hit: no new training
 		t.Fatal(err)
 	}
 	bad := tinySpec()
 	bad.Train.Seed = 666
-	if _, err := pool.Get(bad); err == nil {
+	if _, err := pool.await(bad); err == nil {
 		t.Fatal("synthetic failure should surface")
 	}
 
@@ -617,7 +641,7 @@ func TestExpCacheByteBudgetThroughPool(t *testing.T) {
 	if err := srv.Warmup(); err != nil {
 		t.Fatal(err)
 	}
-	det, err := srv.Pool().Get(tinySpec())
+	det, err := srv.Pool().await(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,9 +663,9 @@ func TestExpCacheByteBudgetThroughPool(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g, p := model.SampleLocation(r)
 		o := model.SampleObservation(p, g, r)
-		body, _ := json.Marshal(CheckRequest{Observation: o, Location: PointJSON{X: p.X, Y: p.Y}})
+		body, _ := json.Marshal(BatchItemJSON{Observation: o, Location: PointJSON{X: p.X, Y: p.Y}})
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/check", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v2/detectors/"+tinySpec().ID()+"/check", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("check %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}

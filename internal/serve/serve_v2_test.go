@@ -332,34 +332,21 @@ func TestV2FailedStateMachine(t *testing.T) {
 	}
 }
 
-// TestV1V2GoldenVerdicts is the compatibility golden: the same spec and
-// observations produce bit-identical verdicts through the v1 shim and
-// the v2 resource API — both resolve to the same pooled detector.
-func TestV1V2GoldenVerdicts(t *testing.T) {
+// TestV2GoldenVerdicts is the serving golden: for a registered spec,
+// the v2 check and check/batch verbs return bit-identical verdicts to
+// the pooled detector's own Check on the same items.
+func TestV2GoldenVerdicts(t *testing.T) {
 	ts, srv, _ := newLifecycleServer(t, ServerConfig{Default: tinySpec(), MaxBatch: 128})
 
 	spec := tinySpec()
 	spec.Metric = "probability"
 
-	// v2: register and wait ready.
 	resp, body := doJSON(t, "POST", ts.URL+"/v2/detectors", RegisterRequest{Spec: spec}, "")
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
 	id := decodeDetector(t, body).ID
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, body = doJSON(t, "GET", ts.URL+"/v2/detectors/"+id, nil, "")
-		if decodeDetector(t, body).State == string(StateReady) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never ready")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	det, err := srv.Pool().Get(spec)
+	det, err := srv.Pool().await(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,36 +354,28 @@ func TestV1V2GoldenVerdicts(t *testing.T) {
 
 	// Single checks, one by one.
 	for i, it := range items[:6] {
-		_, b1 := doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{Detector: &spec, Observation: it.Observation, Location: it.Location}, "")
-		_, b2 := doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/check", it, "")
-		var v1, v2 CheckResponse
-		if err := json.Unmarshal(b1, &v1); err != nil {
-			t.Fatalf("item %d v1: %v (%s)", i, err, b1)
+		_, b := doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/check", it, "")
+		var got CheckResponse
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatalf("item %d: %v (%s)", i, err, b)
 		}
-		if err := json.Unmarshal(b2, &v2); err != nil {
-			t.Fatalf("item %d v2: %v (%s)", i, err, b2)
-		}
-		if v1 != v2 {
-			t.Errorf("item %d: v1 %+v != v2 %+v", i, v1, v2)
+		if want := verdictJSON(det.Check(it.Observation, it.Location.Point())); got != want {
+			t.Errorf("item %d: check %+v != direct %+v", i, got, want)
 		}
 	}
 
 	// Batch.
-	_, b1 := doJSON(t, "POST", ts.URL+"/v1/check/batch", BatchRequest{Detector: &spec, Items: items}, "")
-	_, b2 := doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/check/batch", BatchRequest{Items: items}, "")
-	var r1, r2 BatchResponse
-	if err := json.Unmarshal(b1, &r1); err != nil {
-		t.Fatalf("v1 batch: %v (%s)", err, b1)
+	_, b := doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/check/batch", BatchRequest{Items: items}, "")
+	var got BatchResponse
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("batch: %v (%s)", err, b)
 	}
-	if err := json.Unmarshal(b2, &r2); err != nil {
-		t.Fatalf("v2 batch: %v (%s)", err, b2)
+	if len(got.Results) != len(items) {
+		t.Fatalf("batch has %d results, want %d", len(got.Results), len(items))
 	}
-	if len(r1.Results) != len(items) || len(r2.Results) != len(items) {
-		t.Fatalf("batch sizes %d/%d, want %d", len(r1.Results), len(r2.Results), len(items))
-	}
-	for i := range r1.Results {
-		if r1.Results[i] != r2.Results[i] {
-			t.Errorf("batch item %d: v1 %+v != v2 %+v", i, r1.Results[i], r2.Results[i])
+	for i, it := range items {
+		if want := verdictJSON(det.Check(it.Observation, it.Location.Point())); got.Results[i] != want {
+			t.Errorf("batch item %d: %+v != direct %+v", i, got.Results[i], want)
 		}
 	}
 }
@@ -463,7 +442,7 @@ func TestV2CorrectRoundTrip(t *testing.T) {
 	ts, srv, _ := newLifecycleServer(t, ServerConfig{Default: tinySpec()})
 	spec := tinySpec()
 	id := spec.ID()
-	det, err := srv.Pool().Get(spec)
+	det, err := srv.Pool().await(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,35 +551,9 @@ func TestV2AuthGatesMutatingEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("unauthenticated check: status %d, want 200 (checks stay open)", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{Observation: make([]int, 9), Location: PointJSON{X: 150, Y: 150}}, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("unauthenticated v1 check: status %d, want 200", resp.StatusCode)
-	}
-	// An inline v1 spec that is already resident (the default) is a plain
-	// check — open. A first-sight inline spec would register (and train)
-	// a new detector, which is exactly what the token gates: 401 through
-	// the shim too, so v1 cannot launder unauthenticated registrations.
-	resident := tinySpec()
-	resp, _ = doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{
-		Detector: &resident, Observation: make([]int, 9), Location: PointJSON{X: 150, Y: 150}}, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("unauthenticated v1 check with resident spec: status %d, want 200", resp.StatusCode)
-	}
-	fresh := tinySpec()
-	fresh.Train.Seed = 4242
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{
-		Detector: &fresh, Observation: make([]int, 9), Location: PointJSON{X: 150, Y: 150}}, "")
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("unauthenticated v1 check with first-sight spec: status %d, want 401 (%s)", resp.StatusCode, body)
-	}
-	resp, _ = doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{
-		Detector: &fresh, Observation: make([]int, 9), Location: PointJSON{X: 150, Y: 150}}, token)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("authed v1 check with first-sight spec: status %d, want 200", resp.StatusCode)
-	}
 
 	// With the token, the full mutating flow works.
-	resp, body = doJSON(t, "POST", ts.URL+"/v2/detectors", RegisterRequest{Spec: other}, token)
+	resp, body := doJSON(t, "POST", ts.URL+"/v2/detectors", RegisterRequest{Spec: other}, token)
 	if resp.StatusCode != http.StatusCreated {
 		t.Errorf("authed register: status %d (%s)", resp.StatusCode, body)
 	}
@@ -612,8 +565,8 @@ func TestV2AuthGatesMutatingEndpoints(t *testing.T) {
 
 // TestHostileDeploymentSpecsRejected: specs whose lengths would crash or
 // wedge the model build (a huge Sigma or Range, a field at ±1e308) are
-// answered 400 invalid_argument on both the v2 register path and the
-// v1 inline-spec path, and the daemon keeps serving afterwards.
+// answered 400 invalid_argument at registration, and the daemon keeps
+// serving afterwards.
 func TestHostileDeploymentSpecsRejected(t *testing.T) {
 	ts, _, _ := newLifecycleServer(t, ServerConfig{Default: tinySpec()})
 	hostile := map[string]func(*deploy.Config){
@@ -622,8 +575,6 @@ func TestHostileDeploymentSpecsRejected(t *testing.T) {
 		"field max 1e308":  func(c *deploy.Config) { c.Field.Max.X, c.Field.Max.Y = 1e308, 1e308 },
 		"field min -1e308": func(c *deploy.Config) { c.Field.Min.X = -1e308 },
 	}
-	obs := make([]int, tinySpec().Deployment.GroupsX*tinySpec().Deployment.GroupsY)
-	obs[0] = 1
 	for name, mut := range hostile {
 		spec := tinySpec()
 		mut(&spec.Deployment)
@@ -632,12 +583,6 @@ func TestHostileDeploymentSpecsRejected(t *testing.T) {
 			t.Errorf("%s: register status %d, want 400: %s", name, resp.StatusCode, body)
 		} else if e := decodeAPIError(t, body); e.Code != CodeInvalidArgument {
 			t.Errorf("%s: register code %q, want %q", name, e.Code, CodeInvalidArgument)
-		}
-		resp, body = doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{Detector: &spec, Observation: obs}, "")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: v1 inline check status %d, want 400: %s", name, resp.StatusCode, body)
-		} else if e := decodeAPIError(t, body); e.Code != CodeInvalidArgument {
-			t.Errorf("%s: v1 inline check code %q, want %q", name, e.Code, CodeInvalidArgument)
 		}
 	}
 	if resp, body := doJSON(t, "GET", ts.URL+"/healthz", nil, ""); resp.StatusCode != http.StatusOK {
@@ -691,7 +636,7 @@ func TestV2ErrorModelMapping(t *testing.T) {
 	// must not be misfiled as training failures.
 	second := tinySpec()
 	second.Train.Seed = 2
-	if _, err := pool.Get(second); err != nil {
+	if _, err := pool.await(second); err != nil {
 		t.Fatal(err)
 	}
 	third := tinySpec()
@@ -704,17 +649,6 @@ func TestV2ErrorModelMapping(t *testing.T) {
 	}
 	if _, _, _, failures := pool.Stats(); failures != 0 {
 		t.Errorf("pool-full rejection counted as %d training failures", failures)
-	}
-
-	// v1 shares the table: a pool-full per-request spec is the same
-	// typed 429 through the shim.
-	resp, body = doJSON(t, "POST", ts.URL+"/v1/check", CheckRequest{
-		Detector: &third, Observation: make([]int, 9), Location: PointJSON{X: 1, Y: 1},
-	}, "")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("v1 pool full: status %d, want 429 (%s)", resp.StatusCode, body)
-	} else if e := decodeAPIError(t, body); e.Code != CodePoolFull {
-		t.Errorf("v1 pool full: code %q", e.Code)
 	}
 }
 
@@ -732,7 +666,7 @@ func TestDeleteReturnsExpCacheBudget(t *testing.T) {
 	}
 	spec := tinySpec()
 	spec.Train.Seed = 31
-	det, err := srv.Pool().Get(spec)
+	det, err := srv.Pool().await(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,7 +686,7 @@ func TestDeleteReturnsExpCacheBudget(t *testing.T) {
 	// Only the default detector's reservations may remain; the deleted
 	// detector's must all be credited back even though the *Detector is
 	// still referenced (in-flight semantics).
-	defaultDet, err := srv.Pool().Get(tinySpec())
+	defaultDet, err := srv.Pool().await(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -786,12 +720,12 @@ func TestFailedRearmRespectsLimit(t *testing.T) {
 	pool.limit = 1
 	bad := tinySpec()
 	bad.Train.Seed = 999
-	if _, err := pool.Get(bad); err == nil {
+	if _, err := pool.await(bad); err == nil {
 		t.Fatal("bad spec should fail")
 	}
 	// Fill the single live slot.
 	good := tinySpec()
-	if _, err := pool.Get(good); err != nil {
+	if _, err := pool.await(good); err != nil {
 		t.Fatal(err)
 	}
 	// Re-registering the failed spec would make a second live entry:

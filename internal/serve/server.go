@@ -23,14 +23,6 @@ type PointJSON struct {
 // Point converts to the geometry type.
 func (p PointJSON) Point() geom.Point { return geom.Pt(p.X, p.Y) }
 
-// CheckRequest is the /v1/check payload. Detector selects (and on first
-// use trains) a detector; omitted, the server's default spec is used.
-type CheckRequest struct {
-	Detector    *DetectorSpec `json:"detector,omitempty"`
-	Observation []int         `json:"observation"`
-	Location    PointJSON     `json:"location"`
-}
-
 // CheckResponse is one verdict on the wire.
 type CheckResponse struct {
 	Score     float64 `json:"score"`
@@ -44,11 +36,10 @@ type BatchItemJSON struct {
 	Location    PointJSON `json:"location"`
 }
 
-// BatchRequest is the /v1/check/batch payload: one detector spec (or the
-// default) applied to every item.
+// BatchRequest is the check/batch payload: items scored by the detector
+// the path names.
 type BatchRequest struct {
-	Detector *DetectorSpec   `json:"detector,omitempty"`
-	Items    []BatchItemJSON `json:"items"`
+	Items []BatchItemJSON `json:"items"`
 }
 
 // BatchResponse carries per-item verdicts in request order.
@@ -58,8 +49,9 @@ type BatchResponse struct {
 
 // ServerConfig tunes a Server.
 type ServerConfig struct {
-	// Default is the detector spec used when a request carries none. It
-	// is operator-chosen and exempt from the per-request caps below.
+	// Default is the detector spec Warmup trains; it serves under the
+	// resource id Default.ID(). It is operator-chosen and exempt from the
+	// per-request caps below.
 	Default DetectorSpec
 	// APIToken, when non-empty, gates the mutating v2 endpoints
 	// (register, delete, rethreshold) behind `Authorization: Bearer
@@ -190,21 +182,17 @@ func (s *Server) Pool() *DetectorPool { return s.pool }
 // /healthz reports 503 until warmup completes, so load balancers do not
 // route traffic into a multi-second cold training run.
 func (s *Server) Warmup() error {
-	if _, err := s.pool.Get(s.cfg.Default); err != nil {
+	if _, err := s.pool.await(s.cfg.Default); err != nil {
 		return err
 	}
 	s.ready.Store(true)
 	return nil
 }
 
-// Handler returns the route table: the v2 resource API, the v1 shims,
-// and the operational endpoints.
+// Handler returns the route table: the v2 resource API and the
+// operational endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// v1 shims: synchronous, resolve through the same pool as v2.
-	mux.HandleFunc("POST /v1/check", s.instrument("check", s.handleCheck))
-	mux.HandleFunc("POST /v1/check/batch", s.instrument("check_batch", s.handleCheckBatch))
-	// v2 resource API.
 	mux.HandleFunc("POST /v2/detectors", s.instrument("v2_register", s.requireAuth(s.handleV2Register)))
 	mux.HandleFunc("GET /v2/detectors", s.instrument("v2_list", s.handleV2List))
 	mux.HandleFunc("GET /v2/detectors/{id}", s.instrument("v2_get", s.handleV2Get))
@@ -361,44 +349,6 @@ func (s *Server) validateRequestSpec(w http.ResponseWriter, spec DetectorSpec) b
 	return true
 }
 
-// detectorFor resolves the request's spec (or the default) through the
-// pool, blocking on training — the v1 path. On failure it writes the
-// typed error response and returns ok=false: spec problems are 400,
-// a full pool 429, and only genuine trainer failures surface as 500.
-//
-// Registration is token-gated, and an inline v1 spec that is not yet
-// resident registers one — so when a token is configured, a first-sight
-// (or failed, i.e. retrain-triggering) inline spec requires the same
-// bearer token as POST /v2/detectors. Checks against the default
-// detector and already-trained specs stay open: they admit nothing.
-func (s *Server) detectorFor(w http.ResponseWriter, r *http.Request, spec *DetectorSpec) (*core.Detector, bool) {
-	chosen := s.cfg.Default
-	if spec != nil {
-		chosen = *spec
-		if !s.validateRequestSpec(w, chosen) {
-			return nil, false
-		}
-		// Only the token-gated configuration pays the extra residency
-		// lookup (one spec hash); open daemons keep the pre-v2 hot-path
-		// cost of exactly one hash per request (inside pool.Get).
-		if s.cfg.APIToken != "" {
-			if st, ok := s.pool.Lookup(chosen.ID()); !ok || st.State == StateFailed {
-				if err := s.authError(r); err != nil {
-					err.Message = "registering a new detector spec requires a token: " + err.Message
-					writeAPIError(w, err)
-					return nil, false
-				}
-			}
-		}
-	}
-	det, err := s.pool.Get(chosen)
-	if err != nil {
-		writeAPIError(w, toAPIError(err, CodeTrainFailed))
-		return nil, false
-	}
-	return det, true
-}
-
 // checkObservation validates one observation against the detector's
 // deployment (wrong group count means the client disagrees about the
 // deployment and every score would be garbage). idx < 0 means a
@@ -424,22 +374,8 @@ func itemError(idx int, err error) error {
 	return fmt.Errorf("item %d: %w", idx, err)
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req CheckRequest
-	c := s.decode(w, r, &req)
-	if c == nil {
-		return
-	}
-	defer c.release()
-	det, ok := s.detectorFor(w, r, req.Detector)
-	if !ok {
-		return
-	}
-	s.checkOne(w, c, det, req.Observation, req.Location)
-}
-
-// checkOne validates and scores one observation, shared by the v1 and
-// v2 check handlers. It writes the response.
+// checkOne validates and scores one observation and writes the
+// response.
 func (s *Server) checkOne(w http.ResponseWriter, c *scratch, det *core.Detector, o []int, loc PointJSON) {
 	if err := checkObservation(det, o, -1); err != nil {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument, "%v", err))
@@ -450,10 +386,8 @@ func (s *Server) checkOne(w http.ResponseWriter, c *scratch, det *core.Detector,
 	writeEncoded(w, c, c.encodeVerdict(v))
 }
 
-// scoreBatch validates and scores one batch against det, shared by the
-// v1 and v2 batch handlers (identical verdict path; only resource
-// resolution differs). Items and verdicts live in c's pooled scratch. It
-// writes the response.
+// scoreBatch validates and scores one batch against det. Items and
+// verdicts live in c's pooled scratch. It writes the response.
 func (s *Server) scoreBatch(w http.ResponseWriter, c *scratch, det *core.Detector, reqItems []BatchItemJSON) {
 	if len(reqItems) == 0 {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument, "batch has no items"))
@@ -479,20 +413,6 @@ func (s *Server) scoreBatch(w http.ResponseWriter, c *scratch, det *core.Detecto
 	det.CheckBatchInto(c.verdicts, c.batch)
 	s.metrics.AddScored(len(c.batch))
 	writeEncoded(w, c, c.encodeBatch(c.verdicts))
-}
-
-func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	c := s.decode(w, r, &req)
-	if c == nil {
-		return
-	}
-	defer c.release()
-	det, ok := s.detectorFor(w, r, req.Detector)
-	if !ok {
-		return
-	}
-	s.scoreBatch(w, c, det, req.Items)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -14,7 +14,7 @@ package serve
 //
 // Requests against a still-training resource answer 202 Accepted with a
 // Retry-After hint instead of blocking the connection for the whole
-// Monte-Carlo run (the v1 behavior, preserved on the v1 shims).
+// Monte-Carlo run.
 
 import (
 	"net/http"
@@ -170,7 +170,7 @@ func (s *Server) handleV2Register(w http.ResponseWriter, r *http.Request) {
 	}
 	st, created, err := s.pool.Register(req.Spec)
 	if err != nil {
-		writeAPIError(w, toAPIError(err, CodeInternal))
+		writeAPIError(w, toAPIError(err))
 		return
 	}
 	status := http.StatusOK
@@ -229,11 +229,6 @@ func (s *Server) handleV2CheckBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer c.release()
-	if req.Detector != nil {
-		writeAPIError(w, apiErrorf(CodeInvalidArgument,
-			"v2 batch checks name the detector in the path, not the body"))
-		return
-	}
 	det, ok := s.v2Detector(w, r)
 	if !ok {
 		return
@@ -317,7 +312,7 @@ func (s *Server) handleV2Rethreshold(w http.ResponseWriter, r *http.Request) {
 	defer c.release()
 	st, err := s.pool.Rethreshold(r.PathValue("id"), req.Percentile)
 	if err != nil {
-		writeAPIError(w, toAPIError(err, CodeInternal))
+		writeAPIError(w, toAPIError(err))
 		return
 	}
 	s.metrics.AddRethreshold(1)
