@@ -241,6 +241,20 @@ func tinyClientSpec() DetectorSpec {
 // real serve.Server: register → wait ready → check (bit-identical to
 // the server-side detector) → batch/chunk → correct → rethreshold →
 // delete.
+// trainCount scrapes the server's completed-training count.
+func trainCount(ctx context.Context, t *testing.T, c *Client) float64 {
+	t.Helper()
+	text, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := MetricValue(text, "ladd_train_seconds_count", "")
+	if !ok {
+		t.Fatal("no ladd_train_seconds_count in /metrics")
+	}
+	return v
+}
+
 func TestFullLifecycleAgainstRealServer(t *testing.T) {
 	srv, err := serve.NewServer(serve.ServerConfig{Default: tinyServeSpec()}, nil)
 	if err != nil {
@@ -331,7 +345,7 @@ func TestFullLifecycleAgainstRealServer(t *testing.T) {
 	}
 
 	// Rethreshold moves the operating point without retraining.
-	trainsBefore, _, _, _ := srv.Pool().TrainStats()
+	trainsBefore := trainCount(ctx, t, c)
 	re, err := c.Rethreshold(ctx, det.ID, 50)
 	if err != nil {
 		t.Fatalf("rethreshold: %v", err)
@@ -342,8 +356,8 @@ func TestFullLifecycleAgainstRealServer(t *testing.T) {
 	if re.Percentile != 50 {
 		t.Errorf("percentile = %g, want 50", re.Percentile)
 	}
-	if trainsAfter, _, _, _ := srv.Pool().TrainStats(); trainsAfter != trainsBefore {
-		t.Errorf("rethreshold retrained: %d → %d", trainsBefore, trainsAfter)
+	if trainsAfter := trainCount(ctx, t, c); trainsAfter != trainsBefore {
+		t.Errorf("rethreshold retrained: %g → %g", trainsBefore, trainsAfter)
 	}
 
 	// Delete, then 404.

@@ -12,16 +12,19 @@
 // The scheduler is deliberately storage- and domain-agnostic: tasks are
 // an interface, checkpoints are opaque bytes, and persistence is a pair
 // of callbacks. The serving pool owns the mapping onto detectors,
-// specs, and the snapshot store.
+// specs, and the snapshot store. The scheduler's counters, gauges and
+// wait/run histograms are ladd_sched_* families in the metrics registry
+// the pool passes in (Config.Metrics).
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Task is one schedulable job body. RunBatch executes up to n work
@@ -67,6 +70,10 @@ type Config struct {
 	// Drop, when non-nil, is called once when a job reaches a terminal
 	// state, so stale checkpoints do not outlive their jobs.
 	Drop func(id string)
+	// Metrics receives the scheduler's metric families; nil keeps them
+	// in a private registry. A scheduler rebuilt on the same registry
+	// continues its predecessor's counters.
+	Metrics *metrics.Registry
 }
 
 // JobState is the lifecycle of a submitted job.
@@ -123,16 +130,8 @@ type JobStatus struct {
 	ETA time.Duration
 }
 
-// HistSnapshot is a copied histogram: Counts[i] holds observations in
-// (Bounds[i-1], Bounds[i]]; the final entry is the overflow bucket.
-type HistSnapshot struct {
-	Bounds []float64
-	Counts []uint64
-	Count  uint64
-	Sum    float64
-}
-
-// Stats is a point-in-time snapshot of scheduler counters for /metrics.
+// Stats is a point-in-time snapshot of the scheduler's gauges and
+// counters, the values its ladd_sched_* families export.
 type Stats struct {
 	// QueueDepth is the number of jobs parked on the ring waiting for a
 	// worker turn; Executing the number currently running a batch;
@@ -145,35 +144,15 @@ type Stats struct {
 	Batches                            uint64
 	Units                              uint64
 	JobsDone, JobsFailed, JobsCanceled uint64
-	// Wait is the submit→first-batch latency distribution; Run the
-	// per-job cumulative execution-time distribution (observed at the
-	// terminal state).
-	Wait HistSnapshot
-	Run  HistSnapshot
+	// Wait totals the jobs' submit→first-batch latencies; Run their
+	// cumulative execution times (observed at the terminal state).
+	Wait metrics.Totals
+	Run  metrics.Totals
 }
 
 // durationBounds are the wait/run histogram bucket upper bounds in
 // seconds, spanning sub-millisecond test jobs to multi-minute trainings.
-var durationBounds = [...]float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
-
-type hist struct {
-	counts [len(durationBounds) + 1]uint64 // last entry is the overflow bucket
-	sum    float64
-	n      uint64
-}
-
-func (h *hist) observe(v float64) {
-	i := sort.SearchFloat64s(durationBounds[:], v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
-
-func (h *hist) snapshot() HistSnapshot {
-	counts := make([]uint64, len(h.counts))
-	copy(counts, h.counts[:])
-	return HistSnapshot{Bounds: durationBounds[:], Counts: counts, Count: h.n, Sum: h.sum}
-}
+var durationBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
 // job is the scheduler-internal record of one submission. The id,
 // total, task, and hooks fields are immutable after Submit; everything
@@ -224,21 +203,13 @@ type Scheduler struct {
 	//lad:guardedby mu
 	executing int
 	//lad:guardedby mu
-	batches uint64
-	//lad:guardedby mu
-	units uint64
-	//lad:guardedby mu
 	runNanosTotal int64
-	//lad:guardedby mu
-	jobsDone uint64
-	//lad:guardedby mu
-	jobsFailed uint64
-	//lad:guardedby mu
-	jobsCanceled uint64
-	//lad:guardedby mu
-	waitHist hist
-	//lad:guardedby mu
-	runHist hist
+
+	// Exported counters and histograms. units is also the ETA's
+	// denominator; it moves together with runNanosTotal under mu.
+	batches, units                     *metrics.Counter
+	jobsDone, jobsFailed, jobsCanceled *metrics.Counter
+	waitHist, runHist                  *metrics.Histogram
 }
 
 // New builds a Scheduler; no goroutines start until the first Submit.
@@ -251,17 +222,35 @@ func New(cfg Config) *Scheduler {
 	if cfg.BatchUnits < 1 {
 		cfg.BatchUnits = DefaultBatchUnits
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	ctx, stop := context.WithCancel(context.Background())
+	const completed = "Scheduler jobs finished, by outcome."
 	s := &Scheduler{
-		workers: cfg.Workers,
-		batch:   cfg.BatchUnits,
-		save:    cfg.Save,
-		drop:    cfg.Drop,
-		ctx:     ctx,
-		stop:    stop,
-		jobs:    make(map[string]*job),
+		workers:      cfg.Workers,
+		batch:        cfg.BatchUnits,
+		save:         cfg.Save,
+		drop:         cfg.Drop,
+		ctx:          ctx,
+		stop:         stop,
+		jobs:         make(map[string]*job),
+		batches:      reg.Counter("ladd_sched_batches_total", "Trial batches the scheduler has executed."),
+		units:        reg.Counter("ladd_sched_trials_total", "Monte-Carlo trials completed across all training jobs."),
+		jobsDone:     reg.Counter("ladd_sched_jobs_completed_total", completed, "outcome", "ok"),
+		jobsFailed:   reg.Counter("ladd_sched_jobs_completed_total", completed, "outcome", "failed"),
+		jobsCanceled: reg.Counter("ladd_sched_jobs_completed_total", completed, "outcome", "canceled"),
+		waitHist:     reg.Histogram("ladd_sched_job_wait_seconds", "Time training jobs spent queued before their first batch ran.", durationBounds),
+		runHist:      reg.Histogram("ladd_sched_job_run_seconds", "Cumulative batch execution time of finished training jobs.", durationBounds),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	reg.Gauge("ladd_sched_queue_depth", "Training jobs parked in the scheduler's round-robin ring (not currently executing a batch).",
+		func() float64 { return float64(s.Stats().QueueDepth) })
+	reg.Gauge("ladd_sched_jobs_executing", "Training jobs with a batch running right now.",
+		func() float64 { return float64(s.Stats().Executing) })
+	reg.Gauge("ladd_sched_jobs_active", "Live training jobs (queued + executing).",
+		func() float64 { return float64(s.Stats().ActiveJobs) })
 	return s
 }
 
@@ -351,8 +340,8 @@ func (s *Scheduler) Status(id string) (JobStatus, bool) {
 			}
 		}
 	}
-	if s.units > 0 {
-		nsPerUnit := float64(s.runNanosTotal) / float64(s.units)
+	if units := s.units.Load(); units > 0 {
+		nsPerUnit := float64(s.runNanosTotal) / float64(units)
 		remaining := float64(j.total - j.unitsDone)
 		contention := float64(len(s.jobs)) / float64(s.workers)
 		if contention < 1 {
@@ -371,13 +360,13 @@ func (s *Scheduler) Stats() Stats {
 		QueueDepth:   len(s.ring),
 		Executing:    s.executing,
 		ActiveJobs:   len(s.jobs),
-		Batches:      s.batches,
-		Units:        s.units,
-		JobsDone:     s.jobsDone,
-		JobsFailed:   s.jobsFailed,
-		JobsCanceled: s.jobsCanceled,
-		Wait:         s.waitHist.snapshot(),
-		Run:          s.runHist.snapshot(),
+		Batches:      s.batches.Load(),
+		Units:        s.units.Load(),
+		JobsDone:     s.jobsDone.Load(),
+		JobsFailed:   s.jobsFailed.Load(),
+		JobsCanceled: s.jobsCanceled.Load(),
+		Wait:         s.waitHist.Totals(),
+		Run:          s.runHist.Totals(),
 	}
 }
 
@@ -449,7 +438,7 @@ func (s *Scheduler) runOne(j *job) {
 	if firstBatch {
 		j.started = true
 		j.waitSecs = time.Since(j.enqueued).Seconds()
-		s.waitHist.observe(j.waitSecs)
+		s.waitHist.Observe(j.waitSecs)
 	}
 	s.mu.Unlock()
 
@@ -472,8 +461,8 @@ func (s *Scheduler) runOne(j *job) {
 	s.executing--
 	j.unitsDone += ran
 	j.runNanos += elapsed.Nanoseconds()
-	s.batches++
-	s.units += uint64(ran)
+	s.batches.Inc()
+	s.units.Add(uint64(ran))
 	s.runNanosTotal += elapsed.Nanoseconds()
 	var res JobResult
 	terminal := true
@@ -502,15 +491,15 @@ func (s *Scheduler) completeLocked(j *job, st JobState, err error) JobResult {
 	j.state = st
 	switch st {
 	case StateDone:
-		s.jobsDone++
+		s.jobsDone.Inc()
 	case StateFailed:
-		s.jobsFailed++
+		s.jobsFailed.Inc()
 	case StateCanceled:
-		s.jobsCanceled++
+		s.jobsCanceled.Inc()
 	}
 	runSecs := float64(j.runNanos) / 1e9
 	if j.started {
-		s.runHist.observe(runSecs)
+		s.runHist.Observe(runSecs)
 	}
 	delete(s.jobs, j.id)
 	return JobResult{Err: err, WaitSeconds: j.waitSecs, RunSeconds: runSecs, UnitsDone: j.unitsDone}

@@ -74,7 +74,7 @@ func TestCheckpointResumeAcrossPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, resumes, resumedTrials, rejected := p.CheckpointStats()
+	resumes, resumedTrials, rejected := p.ckptResumes.Load(), p.ckptResumedTrials.Load(), p.ckptRejected.Load()
 	if resumes != 1 || resumedTrials != preTrials || rejected != 0 {
 		t.Errorf("resumes/resumedTrials/rejected = %d/%d/%d, want 1/%d/0", resumes, resumedTrials, rejected, preTrials)
 	}
@@ -87,6 +87,7 @@ func TestCheckpointResumeAcrossPools(t *testing.T) {
 	}
 	// Success retires the checkpoint; only the ready snapshot remains.
 	waitCheckpointGone(t, fs, spec.ID())
+	waitSaves(t, p, 1)
 }
 
 // TestCheckpointSavedBetweenBatches: with a small batch budget, a
@@ -104,11 +105,12 @@ func TestCheckpointSavedBetweenBatches(t *testing.T) {
 	if _, err := p.await(spec); err != nil {
 		t.Fatal(err)
 	}
-	saveOK, saveErr, _, _, _ := p.CheckpointStats()
+	saveOK, saveErr := p.ckptSaveOK.Load(), p.ckptSaveErr.Load()
 	if saveOK < 1 || saveErr != 0 {
 		t.Errorf("checkpoint saves ok/err = %d/%d, want ≥1/0", saveOK, saveErr)
 	}
 	waitCheckpointGone(t, fs, spec.ID())
+	waitSaves(t, p, 1)
 }
 
 // TestCheckpointWriteFaultDegrades is the fault-injection leg: a dead
@@ -138,7 +140,7 @@ func TestCheckpointWriteFaultDegrades(t *testing.T) {
 	if det.Threshold() != ref.Threshold() {
 		t.Errorf("threshold moved under write faults: %v != %v", det.Threshold(), ref.Threshold())
 	}
-	saveOK, saveErr, _, _, _ := p.CheckpointStats()
+	saveOK, saveErr := p.ckptSaveOK.Load(), p.ckptSaveErr.Load()
 	if saveOK != 0 || saveErr < 1 {
 		t.Errorf("checkpoint saves ok/err = %d/%d, want 0/≥1", saveOK, saveErr)
 	}
@@ -152,12 +154,13 @@ func TestCheckpointWriteFaultDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, resumes, _, _ := p2.CheckpointStats(); resumes != 0 {
+	if resumes := p2.ckptResumes.Load(); resumes != 0 {
 		t.Errorf("resumes = %d, want 0 after failed saves", resumes)
 	}
 	if det2.Threshold() != ref.Threshold() {
 		t.Errorf("restart-from-zero threshold %v != reference %v", det2.Threshold(), ref.Threshold())
 	}
+	waitSaves(t, p2, 1)
 }
 
 // TestCheckpointRejectedOnCorruptOrForeignBytes: a mangled checkpoint
@@ -195,13 +198,14 @@ func TestCheckpointRejectedOnCorruptOrForeignBytes(t *testing.T) {
 			if _, err := p.await(spec); err != nil {
 				t.Fatalf("bad checkpoint must not fail training: %v", err)
 			}
-			_, _, resumes, _, rejected := p.CheckpointStats()
+			resumes, rejected := p.ckptResumes.Load(), p.ckptRejected.Load()
 			if resumes != 0 || rejected != 1 {
 				t.Errorf("resumes/rejected = %d/%d, want 0/1", resumes, rejected)
 			}
 			if _, err := fs.Get(checkpointStoreID(spec.ID())); !errors.Is(err, store.ErrNotFound) {
 				t.Errorf("rejected checkpoint still in store (err=%v)", err)
 			}
+			waitSaves(t, p, 1)
 		})
 	}
 }

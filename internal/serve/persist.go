@@ -43,33 +43,6 @@ func (p *DetectorPool) SetStore(s store.Store) {
 // disabled).
 func (p *DetectorPool) Store() store.Store { return p.snapStore }
 
-// SnapshotCounters is the pool's persistence accounting, exported via
-// /metrics.
-type SnapshotCounters struct {
-	SavesOK       uint64 // snapshots durably written
-	SavesErr      uint64 // saves abandoned after retries
-	LoadsOK       uint64 // boot-time loads that decoded and verified
-	LoadsCorrupt  uint64 // quarantined: damaged bytes or invalid structure
-	LoadsStale    uint64 // quarantined: another encoding epoch
-	LoadsMismatch uint64 // quarantined: identity/hash disagreement
-	Adopted       uint64 // loads installed as ready resources
-	StoreErrors   uint64 // individual store operations that failed
-}
-
-// SnapshotCounters reports the persistence counters.
-func (p *DetectorPool) SnapshotCounters() SnapshotCounters {
-	return SnapshotCounters{
-		SavesOK:       p.snapSaveOK.Load(),
-		SavesErr:      p.snapSaveErr.Load(),
-		LoadsOK:       p.snapLoadOK.Load(),
-		LoadsCorrupt:  p.snapLoadCorrupt.Load(),
-		LoadsStale:    p.snapLoadStale.Load(),
-		LoadsMismatch: p.snapLoadMismatch.Load(),
-		Adopted:       p.snapAdopted.Load(),
-		StoreErrors:   p.storeErrors.Load(),
-	}
-}
-
 // specFromSnapshot rebuilds the DetectorSpec a snapshot claims to have
 // been trained under; the pool re-derives Key/ID from it and refuses to
 // adopt when they disagree with the stored identity.

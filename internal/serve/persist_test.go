@@ -19,12 +19,12 @@ func waitSaves(t *testing.T, p *DetectorPool, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if p.SnapshotCounters().SavesOK >= want {
+		if p.snapSaveOK.Load() >= want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("snapshot saves stuck at %d, want %d", p.SnapshotCounters().SavesOK, want)
+	t.Fatalf("snapshot saves stuck at %d, want %d", p.snapSaveOK.Load(), want)
 }
 
 // waitSaveErrs blocks until want saves have been abandoned.
@@ -32,12 +32,12 @@ func waitSaveErrs(t *testing.T, p *DetectorPool, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if p.SnapshotCounters().SavesErr >= want {
+		if p.snapSaveErr.Load() >= want {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("abandoned saves stuck at %d, want %d", p.SnapshotCounters().SavesErr, want)
+	t.Fatalf("abandoned saves stuck at %d, want %d", p.snapSaveErr.Load(), want)
 }
 
 // fixedVerdict scores one deterministic observation so verdicts can be
@@ -93,10 +93,10 @@ func TestPersistAndAdoptRoundTrip(t *testing.T) {
 		t.Fatalf("verdict across restart = %+v, want bit-identical %+v", v2, v1)
 	}
 	// Zero retraining: the adopted pool never started a training flight.
-	if started, _, _ := p2.JobStats(); started != 0 {
+	if started := p2.jobsStarted.Load(); started != 0 {
 		t.Fatalf("adoption started %d training flights, want 0", started)
 	}
-	if count, _, _, _ := p2.TrainStats(); count != 0 {
+	if count := p2.trainSeconds.Totals().Count; count != 0 {
 		t.Fatalf("adoption moved the train counter to %d", count)
 	}
 
@@ -188,12 +188,11 @@ func TestSaveFailureServesFromMemory(t *testing.T) {
 		t.Fatalf("training failed because the store did: %v", err)
 	}
 	waitSaveErrs(t, p, 1)
-	c := p.SnapshotCounters()
-	if c.SavesOK != 0 {
-		t.Fatalf("SavesOK = %d with a dead store", c.SavesOK)
+	if saves := p.snapSaveOK.Load(); saves != 0 {
+		t.Fatalf("SavesOK = %d with a dead store", saves)
 	}
-	if c.StoreErrors < 2 {
-		t.Fatalf("StoreErrors = %d, want one per retry attempt", c.StoreErrors)
+	if errs := p.storeErrors.Load(); errs < 2 {
+		t.Fatalf("StoreErrors = %d, want one per retry attempt", errs)
 	}
 	if faulty.Puts() < 2 {
 		t.Fatalf("store saw %d puts, want capped-backoff retries", faulty.Puts())
@@ -242,7 +241,7 @@ func TestDeleteCancelsTrainingFlight(t *testing.T) {
 		t.Fatal("detached flight still running")
 	}
 	// The detached, canceled flight is invisible in the failure counters.
-	if _, _, failures := pool.JobStats(); failures != 0 {
+	if failures := pool.failures.Load(); failures != 0 {
 		t.Fatalf("canceled detached flight counted as %d failures", failures)
 	}
 }
@@ -504,7 +503,7 @@ func TestMetricsRenderSnapshotFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSaves(t, p, 1)
-	out := NewMetrics().Render(p)
+	out := scrapePool(t, p)
 	for _, want := range []string{
 		`ladd_snapshot_saves_total{outcome="ok"} 1`,
 		`ladd_snapshot_saves_total{outcome="error"} 0`,

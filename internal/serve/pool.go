@@ -12,6 +12,9 @@
 //   - Server exposes the v2 resource API (/v2/detectors and per-detector
 //     check, check/batch, correct, rethreshold verbs); /healthz and a
 //     Prometheus-style /metrics ride along.
+//   - Every metric lives in one internal/metrics registry that the pool
+//     creates (metrics.go): the pool, its training scheduler and the
+//     Server register their series there, and /metrics writes it.
 //
 // cmd/ladd wires this package into a daemon; the public client package
 // (repro/client) speaks the v2 API; cmd/ladsim -loadgen drives it to
@@ -124,30 +127,6 @@ func (s DetectorSpec) Validate() error {
 // to 400: the request was wrong, the server is fine.
 var ErrInvalidSpec = errors.New("serve: invalid detector spec")
 
-// trainDetector is the production trainer: build the deployment model
-// and run threshold training, returning the benign score sample
-// alongside the detector so the pool can retain it for /rethreshold.
-// workers caps the training worker pool; it is assigned by the pool so
-// concurrent cold starts share the machine instead of each claiming
-// GOMAXPROCS.
-func trainDetector(spec DetectorSpec, workers int, cancel <-chan struct{}) (*core.Detector, []float64, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
-	model, err := deploy.New(spec.Deployment)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
-	metric := core.MetricByName(spec.Metric)
-	if metric == nil {
-		return nil, nil, fmt.Errorf("%w: unknown metric %q", ErrInvalidSpec, spec.Metric)
-	}
-	cfg := spec.Train.TrainConfig()
-	cfg.Workers = workers
-	cfg.Cancel = cancel
-	return core.Train(model, metric, cfg)
-}
-
 // DetectorState is one phase of a detector resource's lifecycle.
 type DetectorState string
 
@@ -166,8 +145,8 @@ const (
 	StateFailed DetectorState = "failed"
 )
 
-// DetectorStates lists every lifecycle state, in order, for metrics
-// rendering (all states are always exported, including zero gauges).
+// DetectorStates lists every lifecycle state, in order; ladd_detectors
+// exports a gauge for each, including zeros.
 var DetectorStates = []DetectorState{StatePending, StateTraining, StateReady, StateFailed}
 
 // DetectorStatus is a point-in-time snapshot of one detector resource —
@@ -323,14 +302,7 @@ type DetectorPool struct {
 	//lad:guardedby mu
 	limit int
 
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	failures atomic.Uint64 // failed training runs (per run, not per waiter)
-
-	// Async-job accounting: started counts every training flight spawned
-	// (including ones later evicted mid-run); completions are trainCount
-	// (ok) and failures (failed).
-	jobsStarted atomic.Uint64
+	poolMetrics // counters and histograms, registered in metrics.go
 
 	// sched is the fair-share training scheduler: a fixed worker pool
 	// that interleaves queued jobs' trial batches round-robin, replacing
@@ -361,8 +333,10 @@ type DetectorPool struct {
 	// /metrics); SetExpCacheByteBudget arms the cap.
 	//lad:guardedby setup
 	expBudget *core.ExpCacheBudget
-	// trainer is swappable for tests; nil means trainDetector. The third
-	// parameter is the flight's cancel channel (may be nil).
+	// trainer is swappable for tests: non-nil runs each flight as one
+	// monoTask batch; nil (production) runs the scheduler-driven
+	// trialTask. The third parameter is the flight's cancel channel (may
+	// be nil).
 	//lad:guardedby setup
 	trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)
 	// snapStore, when set, persists ready detectors across restarts and
@@ -370,117 +344,39 @@ type DetectorPool struct {
 	// in-memory. See persist.go.
 	//lad:guardedby setup
 	snapStore store.Store
-
-	// Training-duration accounting: cold starts are the pool's dominant
-	// latency (seconds of Monte-Carlo per new spec vs microseconds per
-	// check), so their cost is first-class observable — /metrics exports
-	// it as the ladd_train_seconds histogram. Successful runs only;
-	// failures are visible through the failures counter.
-	trainCount atomic.Uint64
-	trainNanos atomic.Int64
-	trainLast  atomic.Int64
-	trainHist  [numTrainBuckets]atomic.Uint64
-
-	// Snapshot persistence accounting (persist.go): saves by outcome,
-	// boot-time loads by outcome, adoptions, and store-operation errors.
-	snapSaveOK       atomic.Uint64
-	snapSaveErr      atomic.Uint64
-	snapLoadOK       atomic.Uint64
-	snapLoadCorrupt  atomic.Uint64
-	snapLoadStale    atomic.Uint64
-	snapLoadMismatch atomic.Uint64
-	snapAdopted      atomic.Uint64
-	storeErrors      atomic.Uint64
-
-	// Checkpoint accounting: saves by outcome, resumes (jobs that picked
-	// up from a persisted checkpoint, plus the trials they skipped), and
-	// checkpoints rejected at resume time (corrupt, stale, or taken
-	// under a different configuration — all degrade to a fresh run).
-	ckptSaveOK        atomic.Uint64
-	ckptSaveErr       atomic.Uint64
-	ckptResumes       atomic.Uint64
-	ckptResumedTrials atomic.Uint64
-	ckptRejected      atomic.Uint64
 }
 
-// trainBuckets are the ladd_train_seconds histogram upper bounds,
-// spanning trivial test-sized trainings through multi-minute cold starts
-// of request-supplied maximum-size specs.
-var trainBuckets = [numTrainBuckets]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
-
-const numTrainBuckets = 12
-
-// observeTraining records one successful training run's duration.
-func (p *DetectorPool) observeTraining(d time.Duration) {
-	p.trainCount.Add(1)
-	p.trainNanos.Add(d.Nanoseconds())
-	p.trainLast.Store(d.Nanoseconds())
-	sec := d.Seconds()
-	for i, ub := range trainBuckets {
-		if sec <= ub {
-			p.trainHist[i].Add(1)
-		}
-	}
-}
-
-// TrainStats reports the pool's training-duration accounting: runs
-// completed, cumulative and most-recent wall time, and the cumulative
-// histogram counts matching TrainBuckets. Failed runs are not included.
-func (p *DetectorPool) TrainStats() (count uint64, totalSeconds, lastSeconds float64, buckets []uint64) {
-	buckets = make([]uint64, len(trainBuckets))
-	for i := range buckets {
-		buckets[i] = p.trainHist[i].Load()
-	}
-	return p.trainCount.Load(),
-		float64(p.trainNanos.Load()) / 1e9,
-		float64(p.trainLast.Load()) / 1e9,
-		buckets
-}
-
-// TrainBuckets returns the histogram upper bounds (seconds) TrainStats
-// buckets correspond to.
-func (p *DetectorPool) TrainBuckets() []float64 {
-	return append([]float64(nil), trainBuckets[:]...)
-}
-
-// MeanTrainSeconds is the average successful training duration, NaN
+// meanTrainSeconds is the average successful training duration, NaN
 // before the first completed run.
-func (p *DetectorPool) MeanTrainSeconds() float64 {
-	n := p.trainCount.Load()
-	if n == 0 {
+func (p *DetectorPool) meanTrainSeconds() float64 {
+	t := p.trainSeconds.Totals()
+	if t.Count == 0 {
 		return math.NaN()
 	}
-	return float64(p.trainNanos.Load()) / 1e9 / float64(n)
-}
-
-// JobStats reports async training-job counters: flights started, and
-// completions split by outcome (ok = trainCount, failed = failures).
-func (p *DetectorPool) JobStats() (started, ok, failed uint64) {
-	return p.jobsStarted.Load(), p.trainCount.Load(), p.failures.Load()
+	return t.Sum / float64(t.Count)
 }
 
 // NewDetectorPool returns an empty pool using the production trainer.
 // limit caps resident live (pending/training/ready) entries (0 =
 // unbounded).
 func NewDetectorPool(limit int) *DetectorPool {
-	p := &DetectorPool{
-		entries:   make(map[string]*poolEntry),
-		byID:      make(map[string]*poolEntry),
-		limit:     limit,
-		expBudget: core.NewExpCacheBudget(0),
-	}
-	p.SetTrainConcurrency(DefaultTrainConcurrency)
-	return p
+	return newPool(limit, nil)
 }
 
 // newDetectorPoolWithTrainer is the test seam.
 func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
+	return newPool(0, trainer)
+}
+
+func newPool(limit int, trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
 	p := &DetectorPool{
 		entries:   make(map[string]*poolEntry),
 		byID:      make(map[string]*poolEntry),
+		limit:     limit,
 		trainer:   trainer,
 		expBudget: core.NewExpCacheBudget(0),
 	}
+	p.registerMetrics()
 	p.SetTrainConcurrency(DefaultTrainConcurrency)
 	return p
 }
@@ -526,20 +422,13 @@ func (p *DetectorPool) rebuildSched() {
 		Workers:    p.schedWorkers,
 		BatchUnits: p.schedBatch,
 		Save:       p.saveCheckpoint,
+		Metrics:    p.reg,
 	})
 }
 
-// SchedStats snapshots the training scheduler's counters for /metrics.
+// SchedStats snapshots the training scheduler's counters.
 func (p *DetectorPool) SchedStats() sched.Stats {
 	return p.sched.Stats()
-}
-
-// CheckpointStats reports checkpoint persistence counters: saves split
-// by outcome, jobs resumed from a checkpoint (with the trials they
-// skipped re-simulating), and checkpoints rejected at resume time.
-func (p *DetectorPool) CheckpointStats() (saveOK, saveErr, resumes, resumedTrials, rejected uint64) {
-	return p.ckptSaveOK.Load(), p.ckptSaveErr.Load(),
-		p.ckptResumes.Load(), p.ckptResumedTrials.Load(), p.ckptRejected.Load()
 }
 
 // SetExpCacheCapacity sets the expectation-cache capacity applied to
@@ -564,13 +453,6 @@ func (p *DetectorPool) SetExpCacheByteBudget(bytes int64) {
 	p.expBudget.SetCapacity(bytes)
 }
 
-// ExpCacheBudgetStats reports the pool-wide expectation-cache byte
-// budget: the configured capacity (0 = unlimited) and the bytes
-// currently reserved across every detector the pool trained.
-func (p *DetectorPool) ExpCacheBudgetStats() (capacityBytes, inUseBytes int64) {
-	return p.expBudget.Capacity(), p.expBudget.InUse()
-}
-
 // Register admits spec as a detector resource and starts (or joins) its
 // training flight, returning the resource's current status immediately —
 // it never blocks on training. created reports whether this call started
@@ -589,9 +471,9 @@ func (p *DetectorPool) Register(spec DetectorSpec) (DetectorStatus, bool, error)
 		return DetectorStatus{}, false, err
 	}
 	if created {
-		p.misses.Add(1)
+		p.misses.Inc()
 	} else {
-		p.hits.Add(1)
+		p.hits.Inc()
 	}
 	return p.statusOf(e), created, nil
 }
@@ -829,7 +711,7 @@ func (t *trialTask) Checkpoint() ([]byte, bool) {
 // StateTraining immediately; otherwise the resource stays StatePending
 // until its first batch turn.
 func (p *DetectorPool) startTraining(e *poolEntry) {
-	p.jobsStarted.Add(1)
+	p.jobsStarted.Inc()
 	e.mu.Lock()
 	cancel := e.cancel
 	e.mu.Unlock()
@@ -862,7 +744,7 @@ func (p *DetectorPool) startTraining(e *poolEntry) {
 		e.err = err
 		close(e.done)
 		e.mu.Unlock()
-		p.failures.Add(1)
+		p.failures.Inc()
 		return
 	}
 	if preclaimed {
@@ -902,7 +784,7 @@ func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores [
 		close(e.done)
 		e.mu.Unlock()
 		if !evicted {
-			p.failures.Add(1)
+			p.failures.Inc()
 			// A failed spec restarts from scratch on re-arm; its
 			// checkpoint must not outlive the sample it came from.
 			p.deleteCheckpoint(e.id)
@@ -913,7 +795,8 @@ func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores [
 	evicted := e.evicted
 	e.mu.Unlock()
 	if !evicted {
-		p.observeTraining(took)
+		p.trainSeconds.Observe(took.Seconds())
+		p.trainLast.Store(took.Nanoseconds())
 		// Cache configuration is applied pre-publish: the entry is not
 		// visible as ready yet, so the resize cannot race in-flight
 		// checks. Capacity first, then the shared byte budget (budget
@@ -985,9 +868,9 @@ func (p *DetectorPool) await(spec DetectorSpec) (*core.Detector, error) {
 		return nil, trainErr
 	}
 	if created {
-		p.misses.Add(1)
+		p.misses.Inc()
 	} else {
-		p.hits.Add(1)
+		p.hits.Inc()
 	}
 	return det, nil
 }
@@ -1141,25 +1024,19 @@ func (p *DetectorPool) Stats() (entries int, hits, misses, failures uint64) {
 	return entries, p.hits.Load(), p.misses.Load(), p.failures.Load()
 }
 
-// StateCounts tallies resident resources per lifecycle state. Every
-// state is present in the result, including zeros.
-func (p *DetectorPool) StateCounts() map[DetectorState]int {
-	counts := make(map[DetectorState]int, len(DetectorStates))
-	for _, s := range DetectorStates {
-		counts[s] = 0
-	}
+// countState counts resident resources in lifecycle state st.
+func (p *DetectorPool) countState(st DetectorState) int {
 	p.mu.Lock()
-	es := make([]*poolEntry, 0, len(p.entries))
+	defer p.mu.Unlock()
+	n := 0
 	for _, e := range p.entries {
-		es = append(es, e)
-	}
-	p.mu.Unlock()
-	for _, e := range es {
 		e.mu.Lock()
-		counts[e.state]++
+		if e.state == st {
+			n++
+		}
 		e.mu.Unlock()
 	}
-	return counts
+	return n
 }
 
 // RetryAfter estimates how long a client should wait before re-polling a
@@ -1202,7 +1079,7 @@ func (p *DetectorPool) RetryAfterFor(id string) time.Duration {
 
 // retryBase is the unclamped single-job wait estimate.
 func (p *DetectorPool) retryBase() time.Duration {
-	mean := p.MeanTrainSeconds()
+	mean := p.meanTrainSeconds()
 	if math.IsNaN(mean) {
 		return time.Second
 	}

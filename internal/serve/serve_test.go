@@ -33,6 +33,38 @@ func tinySpec() DetectorSpec {
 	}
 }
 
+// trainDetector trains spec in one call, the way a test trainer seam
+// (newDetectorPoolWithTrainer) expects: it builds the deployment model
+// and runs threshold training, returning the benign score sample
+// alongside the detector so the pool can retain it for /rethreshold.
+func trainDetector(spec DetectorSpec, workers int, cancel <-chan struct{}) (*core.Detector, []float64, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+	}
+	model, err := deploy.New(spec.Deployment)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+	}
+	metric := core.MetricByName(spec.Metric)
+	if metric == nil {
+		return nil, nil, fmt.Errorf("%w: unknown metric %q", ErrInvalidSpec, spec.Metric)
+	}
+	cfg := spec.Train.TrainConfig()
+	cfg.Workers = workers
+	cfg.Cancel = cancel
+	return core.Train(model, metric, cfg)
+}
+
+// scrapePool renders the pool's metrics registry, as /metrics would.
+func scrapePool(t *testing.T, p *DetectorPool) string {
+	t.Helper()
+	var b strings.Builder
+	if _, err := p.reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestDetectorSpecKey(t *testing.T) {
 	a := tinySpec()
 	if a.Key() != tinySpec().Key() {
@@ -421,7 +453,7 @@ func TestPerRequestDetectorSpecIsCached(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("check: status %d: %s", resp.StatusCode, body)
 	}
-	if started, _, _ := srv.Pool().JobStats(); started != 2 {
+	if started := srv.Pool().jobsStarted.Load(); started != 2 {
 		t.Errorf("training flights = %d, want 2 (one per distinct spec)", started)
 	}
 }
@@ -599,27 +631,22 @@ func TestTrainDurationMetrics(t *testing.T) {
 		t.Fatal("synthetic failure should surface")
 	}
 
-	count, total, last, buckets := pool.TrainStats()
-	if count != 1 {
-		t.Errorf("train count = %d, want 1 (hits and failures must not count)", count)
+	tot := pool.trainSeconds.Totals()
+	if tot.Count != 1 {
+		t.Errorf("train count = %d, want 1 (hits and failures must not count)", tot.Count)
 	}
-	if total <= 0 || last <= 0 {
-		t.Errorf("train seconds total=%v last=%v, want > 0", total, last)
+	if last := pool.trainLast.Load(); tot.Sum <= 0 || last <= 0 {
+		t.Errorf("train seconds total=%v last=%vns, want > 0", tot.Sum, last)
 	}
-	if len(buckets) != len(pool.TrainBuckets()) {
-		t.Fatalf("bucket count %d != bound count %d", len(buckets), len(pool.TrainBuckets()))
-	}
-	if top := buckets[len(buckets)-1]; top != 1 {
-		t.Errorf("widest bucket holds %d runs, want 1", top)
-	}
-	if mean := pool.MeanTrainSeconds(); mean <= 0 {
+	if mean := pool.meanTrainSeconds(); mean <= 0 {
 		t.Errorf("mean train seconds = %v, want > 0", mean)
 	}
 
-	text := NewMetrics().Render(pool)
+	text := scrapePool(t, pool)
 	for _, want := range []string{
 		"ladd_train_seconds_count 1",
 		"ladd_train_seconds_sum ",
+		"ladd_train_seconds_bucket{le=\"120\"} 1",
 		"ladd_train_seconds_bucket{le=\"+Inf\"} 1",
 		"ladd_train_last_seconds ",
 	} {
@@ -648,7 +675,7 @@ func TestExpCacheByteBudgetThroughPool(t *testing.T) {
 	if det.ExpCacheBudget() == nil {
 		t.Fatal("pool did not install its byte budget on the trained detector")
 	}
-	capBytes, _ := srv.Pool().ExpCacheBudgetStats()
+	capBytes := srv.Pool().expBudget.Capacity()
 	if capBytes != 2048 {
 		t.Fatalf("budget capacity = %d, want 2048", capBytes)
 	}
@@ -678,7 +705,7 @@ func TestExpCacheByteBudgetThroughPool(t *testing.T) {
 			t.Fatalf("check %d: budgeted %+v != fresh %+v", i, resp, want)
 		}
 	}
-	_, inUse := srv.Pool().ExpCacheBudgetStats()
+	inUse := srv.Pool().expBudget.InUse()
 	if inUse > 2048 {
 		t.Fatalf("in-use bytes %d exceed the 2048 budget", inUse)
 	}

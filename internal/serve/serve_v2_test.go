@@ -397,8 +397,8 @@ func TestV2RethresholdWithoutRetrain(t *testing.T) {
 	}
 
 	id := spec.ID()
-	trainsBefore, _, _, _ := srv.Pool().TrainStats()
-	jobsBefore, _, _ := srv.Pool().JobStats()
+	trainsBefore := srv.Pool().trainSeconds.Totals().Count
+	jobsBefore := srv.Pool().jobsStarted.Load()
 
 	for _, tau := range []float64{50, 90, 99} {
 		resp, body := doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/rethreshold", RethresholdRequest{Percentile: tau}, "")
@@ -421,8 +421,8 @@ func TestV2RethresholdWithoutRetrain(t *testing.T) {
 	}
 
 	// No retraining happened: train and job counters are unmoved.
-	trainsAfter, _, _, _ := srv.Pool().TrainStats()
-	jobsAfter, _, _ := srv.Pool().JobStats()
+	trainsAfter := srv.Pool().trainSeconds.Totals().Count
+	jobsAfter := srv.Pool().jobsStarted.Load()
 	if trainsAfter != trainsBefore || jobsAfter != jobsBefore {
 		t.Errorf("rethreshold retrained: trains %d→%d, jobs %d→%d",
 			trainsBefore, trainsAfter, jobsBefore, jobsAfter)
@@ -676,7 +676,7 @@ func TestDeleteReturnsExpCacheBudget(t *testing.T) {
 		det.CheckPooled(it.Observation, it.Location.Point())
 		det.CheckPooled(it.Observation, it.Location.Point())
 	}
-	_, inUseBefore := srv.Pool().ExpCacheBudgetStats()
+	inUseBefore := srv.Pool().expBudget.InUse()
 	if inUseBefore == 0 {
 		t.Fatal("cache traffic reserved no budget bytes; test is vacuous")
 	}
@@ -691,7 +691,7 @@ func TestDeleteReturnsExpCacheBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defaultSize, _, _ := defaultDet.ExpCacheStats()
-	_, inUseAfter := srv.Pool().ExpCacheBudgetStats()
+	inUseAfter := srv.Pool().expBudget.InUse()
 	if inUseAfter >= inUseBefore {
 		t.Errorf("delete returned no budget: in-use %d -> %d", inUseBefore, inUseAfter)
 	}
@@ -703,7 +703,7 @@ func TestDeleteReturnsExpCacheBudget(t *testing.T) {
 	for _, it := range sampleItems(det, 8, 99) {
 		det.CheckPooled(it.Observation, it.Location.Point())
 	}
-	if _, inUseFinal := srv.Pool().ExpCacheBudgetStats(); inUseFinal > inUseAfter {
+	if inUseFinal := srv.Pool().expBudget.InUse(); inUseFinal > inUseAfter {
 		t.Errorf("retired cache charged the budget again: %d -> %d", inUseAfter, inUseFinal)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/metrics"
 )
 
 // PointJSON is the wire form of a claimed location.
@@ -128,12 +129,18 @@ const DefaultMaxGroupSize = 100_000
 const DefaultMaxCachedDetectors = 64
 
 // Server is the HTTP serving layer. Create with NewServer, mount
-// Handler() on an http.Server. Safe for concurrent use.
+// Handler() on an http.Server. Safe for concurrent use. Its request and
+// served-work series live in the pool's metrics registry, which
+// GET /metrics writes; mounting a route registers its endpoint's series,
+// so they exist at zero from boot.
 type Server struct {
-	cfg     ServerConfig
-	pool    *DetectorPool
-	metrics *Metrics
-	ready   atomic.Bool
+	cfg   ServerConfig
+	pool  *DetectorPool
+	ready atomic.Bool
+
+	// Served-work counters, in the pool's registry: observations scored
+	// (batch items counted individually), corrections, rethresholds.
+	scored, corrected, rethresholds *metrics.Counter
 }
 
 // NewServer validates the default spec and wires a server around the
@@ -168,12 +175,15 @@ func NewServer(cfg ServerConfig, pool *DetectorPool) (*Server, error) {
 		pool.SetExpCacheCapacity(cfg.ExpCacheCapacity)
 		pool.SetExpCacheByteBudget(cfg.ExpCacheBudgetBytes)
 	}
-	return &Server{cfg: cfg, pool: pool, metrics: NewMetrics()}, nil
+	r := pool.reg
+	return &Server{
+		cfg:          cfg,
+		pool:         pool,
+		scored:       r.Counter("ladd_observations_scored_total", "Observations scored (batch items counted individually)."),
+		corrected:    r.Counter("ladd_corrections_total", "Location corrections served (/v2 correct verb)."),
+		rethresholds: r.Counter("ladd_rethresholds_total", "Operating-point re-cuts served (/v2 rethreshold verb)."),
+	}, nil
 }
-
-// Metrics exposes the server's metrics registry (for tests and the
-// daemon's shutdown report).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Pool exposes the detector pool.
 func (s *Server) Pool() *DetectorPool { return s.pool }
@@ -251,12 +261,15 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// instrument counts and times the endpoint's requests. Its series are
+// registered here, at mount time, so they exist (at zero) from boot.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	m := newEndpointMetrics(s.pool.reg, name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
-		s.metrics.Observe(name, rec.status, time.Since(start))
+		m.observe(rec.status, time.Since(start))
 	}
 }
 
@@ -382,7 +395,7 @@ func (s *Server) checkOne(w http.ResponseWriter, c *scratch, det *core.Detector,
 		return
 	}
 	v := det.CheckPooled(o, loc.Point())
-	s.metrics.AddScored(1)
+	s.scored.Inc()
 	writeEncoded(w, c, c.encodeVerdict(v))
 }
 
@@ -411,7 +424,7 @@ func (s *Server) scoreBatch(w http.ResponseWriter, c *scratch, det *core.Detecto
 	}
 	c.verdicts = c.verdicts[:len(c.batch)]
 	det.CheckBatchInto(c.verdicts, c.batch)
-	s.metrics.AddScored(len(c.batch))
+	s.scored.Add(uint64(len(c.batch)))
 	writeEncoded(w, c, c.encodeBatch(c.verdicts))
 }
 
@@ -425,5 +438,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(s.metrics.Render(s.pool)))
+	_, _ = s.pool.reg.WriteTo(w)
 }

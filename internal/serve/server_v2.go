@@ -299,7 +299,7 @@ func (s *Server) handleV2Correct(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Location = PointJSON{X: p.X, Y: p.Y}
 	}
-	s.metrics.AddCorrected(1)
+	s.corrected.Inc()
 	writeEncoded(w, c, c.encodeCorrection(resp))
 }
 
@@ -315,6 +315,6 @@ func (s *Server) handleV2Rethreshold(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, toAPIError(err))
 		return
 	}
-	s.metrics.AddRethreshold(1)
+	s.rethresholds.Inc()
 	writeJSON(w, http.StatusOK, s.detectorJSON(st))
 }
