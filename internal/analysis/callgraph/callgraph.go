@@ -11,8 +11,8 @@
 //     method expressions produce an edge with a nil Callee — the
 //     conservative fallback. Analyzers must treat such sites as "could
 //     call anything" (noalloc documents that its transitive check does
-//     not chase them; the ladbench 0 allocs/op gate covers dynamic
-//     dispatch at runtime);
+//     not chase them; the 0 allocs/op tests cover dynamic dispatch at
+//     runtime);
 //   - conversions and builtins are not calls and produce no edge.
 //
 // Call sites inside function literals are attributed to the enclosing

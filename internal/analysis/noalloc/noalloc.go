@@ -1,5 +1,5 @@
-// Package noalloc is the compile-time companion to ladbench's 0 allocs/op
-// gate. Functions annotated
+// Package noalloc is the compile-time companion to the 0 allocs/op
+// tests (AllocsPerRun bars in core and localize). Functions annotated
 //
 //	//lad:noalloc
 //
@@ -40,8 +40,8 @@
 //     allocation for fact purposes too: the helper is summarized clean,
 //     so no caller up the chain re-reports the accepted allocation
 //   - dynamically dispatched sites (interface methods, func values) are
-//     NOT chased — the ladbench 0 allocs/op gate covers dynamic
-//     dispatch at runtime — and neither are standard-library callees
+//     NOT chased — the 0 allocs/op tests cover dynamic dispatch at
+//     runtime — and neither are standard-library callees
 //     (fmt.*, the realistic offender, is flagged directly)
 //
 // The analyzer is deliberately a lint, not an escape analysis: the few

@@ -151,8 +151,8 @@ func odd(n int) bool {
 	return even(n - 1)
 }
 
-// Dynamically dispatched sites are not chased (the ladbench 0 allocs/op
-// gate covers them at runtime), even when the value could allocate.
+// Dynamically dispatched sites are not chased (the 0 allocs/op tests
+// cover them at runtime), even when the value could allocate.
 //
 //lad:noalloc
 func viaFuncValue(f func() []int) int { return len(f()) }

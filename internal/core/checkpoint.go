@@ -111,8 +111,8 @@ func (c *TrainCheckpoint) Encode() []byte {
 
 // AppendBinary is Encode appending to dst. The scheduler saves a
 // checkpoint per batch, so the serving layer reuses one buffer across
-// saves; with sufficient capacity this performs no allocations (the
-// ladbench scheduler section gates it at 0 allocs/op).
+// saves; with sufficient capacity this performs no allocations
+// (TestCheckpointEncodeDecodeZeroAllocs).
 func (c *TrainCheckpoint) AppendBinary(dst []byte) []byte {
 	start := len(dst)
 	dst = append(dst, checkpointMagic...)
@@ -152,7 +152,8 @@ func DecodeTrainCheckpoint(data []byte) (*TrainCheckpoint, error) {
 // UnmarshalBinary is DecodeTrainCheckpoint into a reusable receiver:
 // the score buffer is grown at most once and string fields reallocate
 // only when their bytes changed, so re-decoding equivalent checkpoints
-// settles at zero allocations per op (the resume and ladbench path).
+// settles at zero allocations per op (the resume path;
+// TestCheckpointEncodeDecodeZeroAllocs).
 func (c *TrainCheckpoint) UnmarshalBinary(data []byte) error {
 	const headerLen = len(checkpointMagic) + 1
 	if len(data) < headerLen+4 {

@@ -156,3 +156,28 @@ func TestCheckpointEncodeDecodeZeroAllocs(t *testing.T) {
 		t.Errorf("UnmarshalBinary with warm receiver: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestSnapshotCodecZeroAllocs holds the snapshot codec to the same bar:
+// the pool's persist goroutine encodes into a reused buffer and every
+// adoption decodes into a reused receiver without feeding the GC.
+func TestSnapshotCodecZeroAllocs(t *testing.T) {
+	s, _ := trainedSnapshot(t)
+	buf := s.AppendBinary(nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = s.AppendBinary(buf[:0])
+	}); allocs != 0 {
+		t.Errorf("Snapshot.AppendBinary with warm buffer: %v allocs/op, want 0", allocs)
+	}
+
+	var dec Snapshot
+	if err := dec.UnmarshalBinary(buf); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := dec.UnmarshalBinary(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Snapshot.UnmarshalBinary with warm receiver: %v allocs/op, want 0", allocs)
+	}
+}

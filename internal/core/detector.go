@@ -56,10 +56,6 @@ type Detector struct {
 	// the cache; nil leaves admissions ungated.
 	//lad:guardedby setup
 	expBudget *ExpCacheBudget
-	// batchWorkers caps the goroutines CheckBatchInto fans a large batch
-	// out over; 0 means GOMAXPROCS.
-	//lad:guardedby setup
-	batchWorkers int
 }
 
 // NewDetector wires a detector with an explicit threshold (normally
@@ -127,18 +123,6 @@ func (d *Detector) installExpCache() {
 	c := newExpCache(d.expCacheCapacity)
 	c.budget = d.expBudget
 	d.expCache = c
-}
-
-// SetBatchWorkers caps the worker goroutines a single CheckBatchInto may
-// fan out over; n <= 0 restores the default (GOMAXPROCS). Not safe to
-// call concurrently with checks.
-//
-//lad:setup
-func (d *Detector) SetBatchWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.batchWorkers = n
 }
 
 // RetireExpCache credits the detector's expectation-cache reservations
@@ -252,9 +236,9 @@ const minBatchChunk = 256
 // CheckBatchInto is CheckBatch writing into dst (length len(items)),
 // avoiding the result allocation in serving loops. Batches of
 // minParallelBatch items or more are sharded into contiguous chunks
-// scored in parallel; each chunk writes a disjoint range of dst, so the
-// output order is deterministic and every verdict is bit-identical to
-// sequential Check.
+// scored in parallel over GOMAXPROCS workers; each chunk writes a
+// disjoint range of dst, so the output order is deterministic and every
+// verdict is bit-identical to sequential Check.
 //
 //lad:noalloc
 func (d *Detector) CheckBatchInto(dst []Verdict, items []BatchItem) {
@@ -264,10 +248,7 @@ func (d *Detector) CheckBatchInto(dst []Verdict, items []BatchItem) {
 	if len(items) == 0 {
 		return
 	}
-	workers := d.batchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if len(items) < minParallelBatch || workers == 1 {
 		d.checkRange(dst, items)
 		return

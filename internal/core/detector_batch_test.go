@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -121,38 +122,43 @@ func BenchmarkCheckBatch64(b *testing.B) {
 	}
 }
 
-// The acceptance target for the table-driven scoring tentpole (PR 2):
-// batched probability-metric scoring at batch 256 over 8 distinct
-// claimed locations must beat the PR 1 baseline by >= 3x, with verdicts
-// bit-identical to sequential Check. Run as
-//
-//	go test ./internal/core -bench 'CheckBatchProb256' -benchtime 2s
-func BenchmarkCheckSequentialProb256(b *testing.B) {
-	det, items := batchFixtureMetric(b, ProbMetric{}, 256, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, it := range items {
-			_ = det.Check(it.Observation, it.Location)
+// BenchmarkCheck256 times the three scoring paths per metric over the
+// same 256 items (8 claimed locations): one fresh Check per item, the
+// batch with the expectation cache off (ladd -exp-cache -1), and the
+// batch as served, with the cache and its log-PMF tables.
+func BenchmarkCheck256(b *testing.B) {
+	for _, metric := range AllMetrics() {
+		det, items := batchFixtureMetric(b, metric, 256, 8)
+		nocache := NewDetector(det.Model(), metric, det.Threshold())
+		nocache.SetExpCacheCapacity(0)
+		dst := make([]Verdict, len(items))
+		b.Run(metric.Name()+"/sequential", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, it := range items {
+					_ = det.Check(it.Observation, it.Location)
+				}
+			}
+		})
+		for _, p := range []struct {
+			name string
+			d    *Detector
+		}{{"batch_nocache", nocache}, {"batch", det}} {
+			b.Run(metric.Name()+"/"+p.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					p.d.CheckBatchInto(dst, items)
+				}
+			})
 		}
 	}
 }
 
-func BenchmarkCheckBatchProb256(b *testing.B) {
-	det, items := batchFixtureMetric(b, ProbMetric{}, 256, 8)
-	dst := make([]Verdict, len(items))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.CheckBatchInto(dst, items)
-	}
-}
-
 // Single-worker variant: isolates the table/cache win from the sharding
-// win (compare against BenchmarkCheckBatchProb256).
+// win (compare against BenchmarkCheck256/probability/batch).
 func BenchmarkCheckBatchProb256Serial(b *testing.B) {
 	det, items := batchFixtureMetric(b, ProbMetric{}, 256, 8)
-	det.SetBatchWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dst := make([]Verdict, len(items))
 	b.ReportAllocs()
 	b.ResetTimer()

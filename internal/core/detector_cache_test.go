@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -60,41 +61,45 @@ func TestCachedAndTableScoringBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledScoringBitIdentical covers the pool-only fallback.
+// TestCacheDisabledScoringBitIdentical covers the pool-only fallback
+// (ladd -exp-cache -1) for all three metrics.
 func TestCacheDisabledScoringBitIdentical(t *testing.T) {
-	det, items := batchFixtureMetric(t, ProbMetric{}, 200, 5)
-	want := make([]Verdict, len(items))
-	for i, it := range items {
-		want[i] = det.Check(it.Observation, it.Location)
-	}
-	det.SetExpCacheCapacity(0)
-	for round := 0; round < 2; round++ {
-		got := det.CheckBatch(items)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d item %d: uncached batch %+v != fresh Check %+v",
-					round, i, got[i], want[i])
+	for _, metric := range AllMetrics() {
+		det, items := batchFixtureMetric(t, metric, 200, 5)
+		want := make([]Verdict, len(items))
+		for i, it := range items {
+			want[i] = det.Check(it.Observation, it.Location)
+		}
+		det.SetExpCacheCapacity(0)
+		for round := 0; round < 2; round++ {
+			got := det.CheckBatch(items)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s round %d item %d: uncached batch %+v != fresh Check %+v",
+						metric.Name(), round, i, got[i], want[i])
+				}
+			}
+			if v := det.CheckPooled(items[0].Observation, items[0].Location); v != want[0] {
+				t.Fatalf("%s: uncached CheckPooled %+v != fresh Check %+v", metric.Name(), v, want[0])
 			}
 		}
-		if v := det.CheckPooled(items[0].Observation, items[0].Location); v != want[0] {
-			t.Fatalf("uncached CheckPooled %+v != fresh Check %+v", v, want[0])
+		if size, hits, misses := det.ExpCacheStats(); size != 0 || hits != 0 || misses != 0 {
+			t.Errorf("%s: disabled cache reports stats: %d/%d/%d", metric.Name(), size, hits, misses)
 		}
-	}
-	if size, hits, misses := det.ExpCacheStats(); size != 0 || hits != 0 || misses != 0 {
-		t.Errorf("disabled cache reports stats: %d/%d/%d", size, hits, misses)
 	}
 }
 
 // TestCheckBatchDeterministicUnderSharding re-runs the parallel batch
-// path with different worker counts: dst ranges are disjoint per chunk,
-// so the output must not depend on scheduling or on the worker count.
+// path with different worker counts (GOMAXPROCS): dst ranges are
+// disjoint per chunk, so the output must not depend on scheduling or on
+// the worker count.
 func TestCheckBatchDeterministicUnderSharding(t *testing.T) {
 	det, items := batchFixtureMetric(t, ProbMetric{}, 2*minParallelBatch, 8)
 	ref := make([]Verdict, len(items))
-	det.SetBatchWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	det.CheckBatchInto(ref, items)
-	for _, workers := range []int{0, 2, 3, 8} {
-		det.SetBatchWorkers(workers)
+	for _, workers := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(workers)
 		for round := 0; round < 3; round++ {
 			got := make([]Verdict, len(items))
 			det.CheckBatchInto(got, items)

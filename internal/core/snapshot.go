@@ -276,7 +276,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // benign-sample buffer is grown at most once and string fields are only
 // reallocated when their bytes actually changed, so re-decoding
 // equivalent snapshots settles at zero allocations per op (the adoption
-// and ladbench hot path).
+// hot path; TestSnapshotCodecZeroAllocs).
 func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	const headerLen = len(snapshotMagic) + 1
 	if len(data) < headerLen+4 {

@@ -31,11 +31,15 @@ func snapTestConfig() deploy.Config {
 
 // trainedSnapshot trains a tiny detector for real and assembles the
 // full snapshot the serving pool would persist.
-func trainedSnapshot(t *testing.T) (*Snapshot, *Detector) {
+func trainedSnapshot(t testing.TB) (*Snapshot, *Detector) {
 	t.Helper()
-	cfg := snapTestConfig()
-	model := deploy.MustNew(cfg)
 	tc := TrainConfig{Trials: 60, Percentile: 95, Seed: 11, KeepInField: true}
+	return snapshotOf(t, deploy.MustNew(snapTestConfig()), tc)
+}
+
+// snapshotOf is trainedSnapshot for any model and training config.
+func snapshotOf(t testing.TB, model *deploy.Model, tc TrainConfig) (*Snapshot, *Detector) {
+	t.Helper()
 	det, scores, err := Train(model, ProbMetric{}, tc)
 	if err != nil {
 		t.Fatal(err)

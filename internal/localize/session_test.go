@@ -272,17 +272,32 @@ func TestLocalizeObservationZeroAllocs(t *testing.T) {
 		}
 	}
 
-	s := b.NewSession()
-	if _, err := s.BindLocalize(o); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	// The explicit Session must hold 0 allocs/op under both simulation
+	// epochs and on the 400-group grid.
+	for _, tc := range []struct {
+		name  string
+		model *deploy.Model
+		epoch int
+	}{
+		{"paper/epoch1", model, 1},
+		{"paper/epoch2", model, 2},
+		{"grid400/epoch1", deploy.MustNew(grid400Config()), 1},
+	} {
+		mle := NewBeaconlessModel(tc.model)
+		mle.SetSimEpoch(tc.epoch)
+		s := mle.NewSession()
+		o := sampleObs(tc.model, r, 0)
 		if _, err := s.BindLocalize(o); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Session.BindLocalize allocs/op = %v, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.BindLocalize(o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Session.BindLocalize allocs/op = %v, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/rng"
 	"repro/internal/store"
 )
 
 // waitSaves blocks until the pool has durably saved want snapshots
 // (saves are asynchronous so trainings never block on the disk).
-func waitSaves(t *testing.T, p *DetectorPool, want uint64) {
+func waitSaves(t testing.TB, p *DetectorPool, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -266,6 +267,40 @@ func validSnapshot(t *testing.T) ([]byte, DetectorSpec) {
 		t.Fatal(err)
 	}
 	return data, spec
+}
+
+// BenchmarkAdoptSnapshot times adopting one paper-deployment detector
+// from a real FS store: checksummed read, strict decode and detector
+// rebuild, the per-detector restart cost a daemon with -store-dir pays
+// instead of retraining.
+func BenchmarkAdoptSnapshot(b *testing.B) {
+	fs, err := store.OpenFS(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.Deployment = deploy.PaperConfig()
+	spec.Train.Trials = 300
+	p := NewDetectorPool(0)
+	p.SetStore(fs)
+	if _, err := p.await(spec); err != nil {
+		b.Fatal(err)
+	}
+	waitSaves(b, p, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		data, err := fs.Get(spec.ID())
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap, err := core.DecodeSnapshot(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.RestoreDetector(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestAdoptFaultInjection is the degradation matrix: for every injected

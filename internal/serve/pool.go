@@ -333,12 +333,11 @@ type DetectorPool struct {
 	// /metrics); SetExpCacheByteBudget arms the cap.
 	//lad:guardedby setup
 	expBudget *core.ExpCacheBudget
-	// trainer is swappable for tests: non-nil runs each flight as one
-	// monoTask batch; nil (production) runs the scheduler-driven
-	// trialTask. The third parameter is the flight's cancel channel (may
-	// be nil).
+	// newTask builds a flight's scheduler task and its unit budget. Every
+	// pool trains through newTrialTask; the field exists so this
+	// package's tests can swap in a fake whole-run trainer.
 	//lad:guardedby setup
-	trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)
+	newTask func(e *poolEntry, cancel <-chan struct{}) (poolTask, int)
 	// snapStore, when set, persists ready detectors across restarts and
 	// feeds boot-time adoption; nil (the default) keeps the pool purely
 	// in-memory. See persist.go.
@@ -356,26 +355,16 @@ func (p *DetectorPool) meanTrainSeconds() float64 {
 	return t.Sum / float64(t.Count)
 }
 
-// NewDetectorPool returns an empty pool using the production trainer.
-// limit caps resident live (pending/training/ready) entries (0 =
-// unbounded).
+// NewDetectorPool returns an empty pool. limit caps resident live
+// (pending/training/ready) entries (0 = unbounded).
 func NewDetectorPool(limit int) *DetectorPool {
-	return newPool(limit, nil)
-}
-
-// newDetectorPoolWithTrainer is the test seam.
-func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
-	return newPool(0, trainer)
-}
-
-func newPool(limit int, trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
 	p := &DetectorPool{
 		entries:   make(map[string]*poolEntry),
 		byID:      make(map[string]*poolEntry),
 		limit:     limit,
-		trainer:   trainer,
 		expBudget: core.NewExpCacheBudget(0),
 	}
+	p.newTask = p.newTrialTask
 	p.registerMetrics()
 	p.SetTrainConcurrency(DefaultTrainConcurrency)
 	return p
@@ -595,29 +584,6 @@ type poolTask interface {
 	result() (*core.Detector, []float64)
 }
 
-// monoTask adapts the swappable test trainer to the scheduler: the
-// whole training run is one batch, so a pool with a custom trainer
-// behaves exactly like the pre-scheduler semaphore model (concurrency
-// capped at the worker count, no interleaving within a run).
-type monoTask struct {
-	p      *DetectorPool
-	e      *poolEntry
-	cancel <-chan struct{}
-	det    *core.Detector
-	scores []float64
-}
-
-func (t *monoTask) RunBatch(int) (int, bool, error) {
-	det, scores, err := t.p.trainer(t.e.spec, t.p.trainWorkers, t.cancel)
-	if err != nil {
-		return 0, false, err
-	}
-	t.det, t.scores = det, scores
-	return 1, true, nil
-}
-
-func (t *monoTask) result() (*core.Detector, []float64) { return t.det, t.scores }
-
 // trialTask is the production job body: a core.TrainRun advanced one
 // trial batch per scheduler turn. Model construction and checkpoint
 // resume happen lazily in the first batch, so spec failures surface as
@@ -637,6 +603,12 @@ type trialTask struct {
 	scores  []float64
 	ck      core.TrainCheckpoint // reused checkpoint receiver
 	buf     []byte               // reused encode buffer
+}
+
+// newTrialTask is the pool's newTask: a trialTask budgeted at the
+// spec's trial count.
+func (p *DetectorPool) newTrialTask(e *poolEntry, cancel <-chan struct{}) (poolTask, int) {
+	return &trialTask{p: p, e: e, cancel: cancel}, e.spec.Train.Trials
 }
 
 func (t *trialTask) RunBatch(n int) (int, bool, error) {
@@ -693,7 +665,8 @@ func (t *trialTask) init() error {
 }
 
 // Checkpoint renders the run's durable progress, reusing the task's
-// receiver and buffer (0 allocs/op at steady state — the ladbench gate).
+// receiver and buffer (0 allocs/op at steady state, held by
+// core.TestCheckpointEncodeDecodeZeroAllocs).
 func (t *trialTask) Checkpoint() ([]byte, bool) {
 	if t.run == nil || t.run.TrialsDone() == 0 {
 		return nil, false
@@ -715,14 +688,7 @@ func (p *DetectorPool) startTraining(e *poolEntry) {
 	e.mu.Lock()
 	cancel := e.cancel
 	e.mu.Unlock()
-	var task poolTask
-	units := 1
-	if p.trainer != nil {
-		task = &monoTask{p: p, e: e, cancel: cancel}
-	} else {
-		task = &trialTask{p: p, e: e, cancel: cancel}
-		units = e.spec.Train.Trials
-	}
+	task, units := p.newTask(e, cancel)
 	jobID := fmt.Sprintf("%s#%d", e.id, p.jobSeq.Add(1))
 	e.mu.Lock()
 	e.jobID = jobID

@@ -33,6 +33,39 @@ func tinySpec() DetectorSpec {
 	}
 }
 
+// newDetectorPoolWithTrainer returns a pool that trains every flight
+// with one call to trainer (given the spec, the pool's per-run worker
+// count and the flight's cancel channel), run as a single scheduler
+// batch: concurrency is capped at the scheduler's worker count and runs
+// never interleave.
+func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
+	p := NewDetectorPool(0)
+	p.newTask = func(e *poolEntry, cancel <-chan struct{}) (poolTask, int) {
+		return &monoTask{train: func() (*core.Detector, []float64, error) {
+			return trainer(e.spec, p.trainWorkers, cancel)
+		}}, 1
+	}
+	return p
+}
+
+// monoTask is a whole training run as one scheduler batch.
+type monoTask struct {
+	train  func() (*core.Detector, []float64, error)
+	det    *core.Detector
+	scores []float64
+}
+
+func (t *monoTask) RunBatch(int) (int, bool, error) {
+	det, scores, err := t.train()
+	if err != nil {
+		return 0, false, err
+	}
+	t.det, t.scores = det, scores
+	return 1, true, nil
+}
+
+func (t *monoTask) result() (*core.Detector, []float64) { return t.det, t.scores }
+
 // trainDetector trains spec in one call, the way a test trainer seam
 // (newDetectorPoolWithTrainer) expects: it builds the deployment model
 // and runs threshold training, returning the benign score sample
