@@ -11,11 +11,9 @@ package lad
 import (
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/experiment"
-	"repro/internal/localize"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -203,39 +201,6 @@ func BenchmarkGTableOmega(b *testing.B) {
 
 // --- micro-benchmarks of the hot primitives ---
 
-// BenchmarkGExact measures the exact Theorem 1 quadrature.
-func BenchmarkGExact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		deploy.GExact(float64(i%300), 50, 50)
-	}
-}
-
-// BenchmarkGTableLookup measures the table-interpolation fast path the
-// paper prescribes for sensors.
-func BenchmarkGTableLookup(b *testing.B) {
-	gt := deploy.NewGTable(50, 50, deploy.DefaultOmega)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gt.Eval(float64(i % 350))
-	}
-}
-
-// BenchmarkBeaconlessLocalize measures one MLE localization (the
-// dominant cost of training).
-func BenchmarkBeaconlessLocalize(b *testing.B) {
-	model := benchModel(b)
-	mle := localize.NewBeaconlessModel(model)
-	r := rng.New(1)
-	group, la := model.SampleLocation(r)
-	o := model.SampleObservation(la, group, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mle.LocalizeObservation(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMetricScores measures one scoring pass of each metric.
 func BenchmarkMetricScores(b *testing.B) {
 	model := benchModel(b)
@@ -249,21 +214,6 @@ func BenchmarkMetricScores(b *testing.B) {
 				m.Score(o, e)
 			}
 		})
-	}
-}
-
-// BenchmarkGreedyTaint measures one Dec-Bounded greedy taint against the
-// Diff metric.
-func BenchmarkGreedyTaint(b *testing.B) {
-	model := benchModel(b)
-	r := rng.New(3)
-	_, la := model.SampleLocation(r)
-	a := model.SampleObservation(la, -1, r)
-	le := attack.ForgeLocation(la, 120, r)
-	e := core.NewExpectation(model, le)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		attack.NewDiffMinimizer(e.Mu, attack.DecBounded).Taint(a, 24)
 	}
 }
 

@@ -51,23 +51,22 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		specFile     = flag.String("spec", "", "JSON file with the default DetectorSpec (its fields overlay the flags below; unknown keys are rejected)")
-		metric       = flag.String("metric", "diff", "default metric: diff, add-all, probability")
-		trials       = flag.Int("trials", 4000, "default training trials")
-		percentile   = flag.Float64("percentile", 99, "default training percentile τ")
-		seed         = flag.Uint64("seed", 1, "default training seed")
-		keepInField  = flag.Bool("keep-in-field", true, "train on in-field victims only")
-		simEpoch     = flag.Int("sim-epoch", 0, "default training simulation epoch: 0/1 = bit-identical reference, 2 = fast table-sampler path (distribution-level equivalent)")
-		maxBatch     = flag.Int("max-batch", serve.DefaultMaxBatch, "max items per batch request")
-		trainConc    = flag.Int("train-concurrency", serve.DefaultTrainConcurrency, "max detector trainings in flight (each gets GOMAXPROCS/n workers)")
-		schedWorkers = flag.Int("sched-workers", 0, "training scheduler worker count; overrides -train-concurrency when positive (0 = same as -train-concurrency)")
-		schedBatch   = flag.Int("sched-batch-trials", 0, "trials a training job runs per scheduler turn — the fairness and checkpoint granularity (0 = scheduler default)")
-		expCache     = flag.Int("exp-cache", 0, "per-detector expectation-cache capacity in claimed locations (0 = core default, negative disables)")
-		expBudget    = flag.Int64("exp-cache-budget", 0, "pool-wide expectation-cache admission budget in bytes, shared across all detectors (0 = unlimited)")
-		tokenFile    = flag.String("api-token-file", "", "file holding the bearer token that gates mutating v2 endpoints (register/delete/rethreshold); empty leaves them open")
-		storeDir     = flag.String("store-dir", "", "directory for durable detector snapshots; ready detectors are persisted there and adopted on restart instead of retrained (empty disables persistence)")
-		warmupOnly   = flag.Bool("warmup-only", false, "train the default detector, print its threshold, and exit")
+		addr        = flag.String("addr", ":8080", "listen address")
+		specFile    = flag.String("spec", "", "JSON file with the default DetectorSpec (its fields overlay the flags below; unknown keys are rejected)")
+		metric      = flag.String("metric", "diff", "default metric: diff, add-all, probability")
+		trials      = flag.Int("trials", 4000, "default training trials")
+		percentile  = flag.Float64("percentile", 99, "default training percentile τ")
+		seed        = flag.Uint64("seed", 1, "default training seed")
+		keepInField = flag.Bool("keep-in-field", true, "train on in-field victims only")
+		simEpoch    = flag.Int("sim-epoch", 0, "default training simulation epoch: 0/1 = bit-identical reference, 2 = fast table-sampler path (distribution-level equivalent)")
+		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max items per batch request")
+		trainConc   = flag.Int("train-concurrency", serve.DefaultTrainConcurrency, "training scheduler worker count: max detector trainings in flight (each gets GOMAXPROCS/n workers)")
+		schedBatch  = flag.Int("sched-batch-trials", 0, "trials a training job runs per scheduler turn — the fairness and checkpoint granularity (0 = scheduler default)")
+		expCache    = flag.Int("exp-cache", 0, "per-detector expectation-cache capacity in claimed locations (0 = core default, negative disables)")
+		expBudget   = flag.Int64("exp-cache-budget", 0, "pool-wide expectation-cache admission budget in bytes, shared across all detectors (0 = unlimited)")
+		tokenFile   = flag.String("api-token-file", "", "file holding the bearer token that gates mutating v2 endpoints (register/delete/rethreshold); empty leaves them open")
+		storeDir    = flag.String("store-dir", "", "directory for durable detector snapshots; ready detectors are persisted there and adopted on restart instead of retrained (empty disables persistence)")
+		warmupOnly  = flag.Bool("warmup-only", false, "train the default detector, print its threshold, and exit")
 	)
 	flag.Parse()
 
@@ -109,15 +108,11 @@ func main() {
 		f.Close()
 	}
 
-	workers := *trainConc
-	if *schedWorkers > 0 {
-		workers = *schedWorkers
-	}
 	srv, err := serve.NewServer(serve.ServerConfig{
 		Default:                spec,
 		APIToken:               apiToken,
 		MaxBatch:               *maxBatch,
-		MaxConcurrentTrainings: workers,
+		MaxConcurrentTrainings: *trainConc,
 		SchedBatchTrials:       *schedBatch,
 		ExpCacheCapacity:       *expCache,
 		ExpCacheBudgetBytes:    *expBudget,

@@ -233,7 +233,7 @@ func TestAnalyticAndSpatialScoreDistributionsAgree(t *testing.T) {
 	}
 
 	// Analytic sample.
-	analytic, _, err := core.BenignScores(model, []core.Metric{metric}, core.TrainConfig{
+	analytic, err := core.BenignScores(model, []core.Metric{metric}, core.TrainConfig{
 		Trials: 1000, Percentile: 99, Seed: master.Uint64(), KeepInField: true,
 	})
 	if err != nil {

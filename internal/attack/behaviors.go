@@ -44,13 +44,6 @@ func RandomFlood(k, numGroups int, r *rng.Rand) wsn.Behavior {
 	return MultiImpersonate(groups)
 }
 
-// BoostRange applies the power-increase variant of the range-change
-// attack (Figure 3d) directly to the network state.
-func BoostRange(net *wsn.Network, id wsn.NodeID, newRange float64) {
-	net.MarkCompromised(id)
-	net.SetTxRange(id, newRange)
-}
-
 // NewWormhole builds the tunnel variant of the range-change attack
 // (ref [15]): packets overheard within radius of in are replayed at out.
 // The returned value plugs into wsn.ProtocolConfig.Tunnels.

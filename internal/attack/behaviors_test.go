@@ -63,15 +63,6 @@ func TestRandomFlood(t *testing.T) {
 	}
 }
 
-func TestBoostRange(t *testing.T) {
-	net := testNet(2)
-	BoostRange(net, 3, 444)
-	n := net.Node(3)
-	if !n.Compromised || n.TxRange != 444 {
-		t.Errorf("node = %+v", n)
-	}
-}
-
 func TestWormholeReplaysAndLeashBlocks(t *testing.T) {
 	net := testNet(3)
 	// Tunnel from one corner region to the opposite corner.

@@ -325,6 +325,30 @@ func TestProbMetricPanicsOnEmptyObservation(t *testing.T) {
 	_ = (ProbMetric{}).Score(nil, e)
 }
 
+// TestProbMetricCountAboveGroupSize: a count above m (a flooded node)
+// scores finite and above every in-support observation, on both the
+// direct and the table path, so it alarms under any trained threshold.
+func TestProbMetricCountAboveGroupSize(t *testing.T) {
+	model := paperModel()
+	e := NewExpectation(model, geom.Pt(500, 500))
+	m := model.GroupSize()
+	full := make([]int, model.NumGroups())
+	for i := range full {
+		full[i] = m
+	}
+	over := append([]int(nil), full...)
+	over[3] = m + 1
+	for _, table := range []bool{false, true} {
+		if table {
+			e.EnablePMFTable()
+		}
+		worstIn, got := (ProbMetric{}).Score(full, e), (ProbMetric{}).Score(over, e)
+		if math.IsInf(got, 0) || math.IsNaN(got) || got <= worstIn {
+			t.Errorf("table=%v: score %v for a count above m, want finite and above %v", table, got, worstIn)
+		}
+	}
+}
+
 // TestExpCacheByteBudgetAdmission pins the shared byte budget: with a
 // budget too small for every location, some entries are refused
 // admission (cache stays under the byte cap) while every verdict stays

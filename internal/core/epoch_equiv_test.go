@@ -36,7 +36,7 @@ const (
 
 func epochScores(t *testing.T, model *deploy.Model, epoch int) []float64 {
 	t.Helper()
-	scores, _, err := BenignScores(model, []Metric{DiffMetric{}}, TrainConfig{
+	scores, err := BenignScores(model, []Metric{DiffMetric{}}, TrainConfig{
 		Trials: equivTrials, Percentile: equivTau, Seed: 23,
 		KeepInField: true, SimEpoch: epoch,
 	})

@@ -160,7 +160,10 @@ type ProbMetric struct{}
 func (ProbMetric) Name() string { return "probability" }
 
 // Score implements Metric: −ln min_i Binom(m, g_i(L_e))(o_i). Clamped
-// probabilities keep the score finite for impossible observations.
+// probabilities keep the score finite for impossible observations: a
+// count outside [0, m], which no binomial draw yields but a flooding
+// attacker does, scores above every count in [0, m], so it alarms under
+// any trained threshold.
 // It panics on a zero-group observation: the min over nothing would be
 // −Inf (never alarms), silently disabling detection for a caller bug.
 func (ProbMetric) Score(o []int, e *Expectation) float64 {
@@ -170,30 +173,40 @@ func (ProbMetric) Score(o []int, e *Expectation) float64 {
 	worst := math.Inf(-1)
 	if t := e.pmf.Load(); t != nil {
 		// Table-driven fast path: one bounds check and two slice reads
-		// per group. Out-of-support counts (k > m: the client disagrees
-		// with the deployment about group size) fall back to the direct
-		// call, which is where the −Inf-before-clamp convention lives.
+		// per group.
 		rows := t.get(e.M, e.G)
 		for i, c := range o {
-			var lp float64
+			var nl float64
 			if uint(c) <= uint(e.M) {
-				lp = rows[i][c]
+				nl = -rows[i][c]
 			} else {
-				lp = mathx.BinomLogPMF(c, e.M, e.G[i])
+				nl = outOfSupportScore(e.M)
 			}
-			if nl := -lp; nl > worst {
+			if nl > worst {
 				worst = nl
 			}
 		}
 		return worst
 	}
 	for i, c := range o {
-		lp := mathx.BinomLogPMF(c, e.M, e.G[i])
-		if nl := -lp; nl > worst {
+		var nl float64
+		if uint(c) <= uint(e.M) {
+			nl = -mathx.BinomLogPMF(c, e.M, e.G[i])
+		} else {
+			nl = outOfSupportScore(e.M)
+		}
+		if nl > worst {
 			worst = nl
 		}
 	}
 	return worst
+}
+
+// outOfSupportScore is ProbMetric's score for a count outside [0, m]:
+// (m+1)·ln(1/BinomClampEps), above the m·ln(1/BinomClampEps) bound on
+// every count in [0, m].
+func outOfSupportScore(m int) float64 {
+	return -float64(m+1) * math.Log(mathx.BinomClampEps)
 }
 
 // AllMetrics returns the three paper metrics in presentation order.

@@ -217,7 +217,7 @@ func TestTrainCancel(t *testing.T) {
 	if _, _, err := Train(model, ProbMetric{}, cfg); !errors.Is(err, ErrTrainingCanceled) {
 		t.Fatalf("Train with pre-closed cancel = %v, want ErrTrainingCanceled", err)
 	}
-	if _, _, err := BenignScores(model, []Metric{ProbMetric{}}, cfg); !errors.Is(err, ErrTrainingCanceled) {
+	if _, err := BenignScores(model, []Metric{ProbMetric{}}, cfg); !errors.Is(err, ErrTrainingCanceled) {
 		t.Fatalf("BenignScores with pre-closed cancel = %v, want ErrTrainingCanceled", err)
 	}
 	// A nil Cancel trains normally.

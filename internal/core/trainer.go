@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"runtime"
 
 	"repro/internal/deploy"
@@ -75,9 +74,8 @@ func (c *TrainConfig) normalize() error {
 
 // BenignScores simulates benign deployments and returns, per metric, the
 // score distribution observed on Trials victim sensors. It is the shared
-// engine behind the experiment harness's ROC curves and ensemble
-// calibration: training data and false-positive measurements come from
-// the same process as Train's.
+// engine behind the experiment harness's ROC curves: training data and
+// false-positive measurements come from the same process as Train's.
 //
 // Each trial: draw a victim (group, actual location La), draw its
 // observation o_i ~ Binomial(m, g_i(La)) with self-exclusion, estimate
@@ -89,19 +87,15 @@ func (c *TrainConfig) normalize() error {
 // worker pool and the pre-derived per-trial seeds), so column i of the
 // result is bit-identical to a single-metric run of metrics[i], and
 // results are identical for any worker count.
-//
-// Trials whose localization fails (isolated sensors) carry a NaN entry in
-// the returned localization errors; use SummarizeLocErrs to aggregate
-// without the failures biasing the mean toward zero.
-func BenignScores(model *deploy.Model, metrics []Metric, cfg TrainConfig) ([][]float64, []float64, error) {
-	tr, err := newTrainRun(model, metrics, cfg, true)
+func BenignScores(model *deploy.Model, metrics []Metric, cfg TrainConfig) ([][]float64, error) {
+	tr, err := newTrainRun(model, metrics, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := tr.RunBatch(0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return tr.scores, tr.locErrs, nil
+	return tr.scores, nil
 }
 
 // Train derives a detector for one metric: the threshold is the
@@ -123,27 +117,4 @@ func Train(model *deploy.Model, metric Metric, cfg TrainConfig) (*Detector, []fl
 // existing benign score sample.
 func ThresholdFromScores(scores []float64, tau float64) float64 {
 	return mathx.Percentile(scores, tau)
-}
-
-// SummarizeLocErrs aggregates the localization errors returned by
-// BenignScores: the mean over successful trials and the count of failed
-// ones (NaN entries, i.e. isolated sensors that could not localize).
-// Failures are excluded from the mean rather than counted as 0 m, which
-// would silently bias accuracy summaries downward. The mean is NaN when
-// every trial failed.
-func SummarizeLocErrs(locErrs []float64) (mean float64, failures int) {
-	var sum float64
-	n := 0
-	for _, e := range locErrs {
-		if math.IsNaN(e) {
-			failures++
-			continue
-		}
-		sum += e
-		n++
-	}
-	if n == 0 {
-		return math.NaN(), failures
-	}
-	return sum / float64(n), failures
 }

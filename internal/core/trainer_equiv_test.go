@@ -19,12 +19,9 @@ func TestBenignScoresMatchesSingleMetricRuns(t *testing.T) {
 		model := deploy.MustNew(cfgD)
 		for _, epoch := range []int{1, 2} {
 			cfg := TrainConfig{Trials: 150, Percentile: 99, Seed: 23, KeepInField: true, SimEpoch: epoch}
-			cols, locErrs, err := BenignScores(model, AllMetrics(), cfg)
+			cols, err := BenignScores(model, AllMetrics(), cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if len(locErrs) != cfg.Trials {
-				t.Fatalf("%v/epoch %d: %d localization errors, want %d", layout, epoch, len(locErrs), cfg.Trials)
 			}
 			for mi, metric := range AllMetrics() {
 				for _, workers := range []int{1, 3} {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -42,13 +41,13 @@ func newTrialRunner(model *deploy.Model, loc *localize.Beaconless, nmetrics int)
 // trial runs the full body of one benign trial from its pre-derived
 // seed: draw a victim (redrawn into the field under KeepInField), draw
 // its observation through the epoch-selected sampler, localize, and
-// score every metric into w.out. Returns the localization error, NaN
-// for isolated sensors (whose scores are forced to 0: localization is
-// impossible and LAD has nothing to verify, so the trial never alarms).
+// score every metric into w.out. Isolated sensors score 0 under every
+// metric: localization is impossible and LAD has nothing to verify, so
+// the trial never alarms.
 // Steady state the body performs no heap allocations, and since the
 // stream depends only on seed, the result is independent of which
 // worker runs the trial and in which order.
-func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, metrics []Metric) float64 {
+func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, metrics []Metric) {
 	w.r.Reseed(seed)
 	group, la := model.SampleLocation(w.r)
 	if cfg.KeepInField {
@@ -66,14 +65,12 @@ func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, 
 		for mi := range metrics {
 			w.out[mi] = 0
 		}
-		return math.NaN()
+		return
 	}
-	locErr := le.Dist(la)
 	w.e.Fill(model, le)
 	for mi, m := range metrics {
 		w.out[mi] = m.Score(w.o, w.e)
 	}
-	return locErr
 }
 
 // TrainRun is the Monte-Carlo trial driver of Section 5.5, sliced into
@@ -96,10 +93,6 @@ type TrainRun struct {
 	loc     *localize.Beaconless
 	seeds   []uint64
 	scores  [][]float64 // per metric, in trial order
-	// locErrs holds per-trial localization errors (NaN for isolated
-	// sensors) for BenignScores; nil in single-metric runs, which never
-	// report them.
-	locErrs []float64
 	done    int
 	workers []*trialRunner
 }
@@ -107,12 +100,11 @@ type TrainRun struct {
 // NewTrainRun prepares a batched training run of one metric, starting
 // from trial zero.
 func NewTrainRun(model *deploy.Model, metric Metric, cfg TrainConfig) (*TrainRun, error) {
-	return newTrainRun(model, []Metric{metric}, cfg, false)
+	return newTrainRun(model, []Metric{metric}, cfg)
 }
 
-// newTrainRun prepares a run scoring every metric per trial, recording
-// per-trial localization errors when withLocErrs is set.
-func newTrainRun(model *deploy.Model, metrics []Metric, cfg TrainConfig, withLocErrs bool) (*TrainRun, error) {
+// newTrainRun prepares a run scoring every metric per trial.
+func newTrainRun(model *deploy.Model, metrics []Metric, cfg TrainConfig) (*TrainRun, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -140,9 +132,6 @@ func newTrainRun(model *deploy.Model, metrics []Metric, cfg TrainConfig, withLoc
 	}
 	for mi := range tr.scores {
 		tr.scores[mi] = make([]float64, cfg.Trials)
-	}
-	if withLocErrs {
-		tr.locErrs = make([]float64, cfg.Trials)
 	}
 	return tr, nil
 }
@@ -248,12 +237,9 @@ func (tr *TrainRun) RunBatch(n int) (int, error) {
 
 // trialInto runs trial t on worker w and records its scores.
 func (tr *TrainRun) trialInto(w *trialRunner, t int) {
-	locErr := w.trial(tr.model, &tr.cfg, tr.seeds[t], tr.metrics)
+	w.trial(tr.model, &tr.cfg, tr.seeds[t], tr.metrics)
 	for mi := range tr.metrics {
 		tr.scores[mi][t] = w.out[mi]
-	}
-	if tr.locErrs != nil {
-		tr.locErrs[t] = locErr
 	}
 }
 

@@ -158,7 +158,7 @@ func Benign(model *deploy.Model, metrics []core.Metric, opts Options) ([][]float
 	if err != nil {
 		return nil, err
 	}
-	scores, _, err := core.BenignScores(model, metrics, core.TrainConfig{
+	return core.BenignScores(model, metrics, core.TrainConfig{
 		Trials:      opts.BenignTrials,
 		Percentile:  99, // percentile irrelevant here; scores are returned raw
 		Seed:        opts.Seed ^ 0xbe419,
@@ -166,7 +166,6 @@ func Benign(model *deploy.Model, metrics []core.Metric, opts Options) ([][]float
 		KeepInField: true,
 		SimEpoch:    opts.SimEpoch,
 	})
-	return scores, err
 }
 
 // DetectionRate measures the share of attacked scores above the

@@ -1,7 +1,7 @@
 // Package geom provides the small amount of planar geometry the LAD
-// reproduction needs: points and vectors, circles and their overlap
-// relations, point-in-triangle tests (for the APIT baseline), and
-// axis-aligned rectangles (for deployment fields and spatial hashing).
+// reproduction needs: points and vectors, the chord half-angle of
+// Theorem 1, and axis-aligned rectangles (for deployment fields and
+// spatial hashing).
 //
 // All coordinates are in meters; the package is unit-agnostic otherwise.
 package geom
@@ -147,63 +147,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Circle is a disk defined by its center and radius.
-type Circle struct {
-	Center Point
-	R      float64
-}
-
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Point) bool {
-	return c.Center.Dist2(p) <= c.R*c.R
-}
-
-// Area returns the disk area.
-func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
-
-// Intersects reports whether two disks overlap (or touch).
-func (c Circle) Intersects(d Circle) bool {
-	sum := c.R + d.R
-	return c.Center.Dist2(d.Center) <= sum*sum
-}
-
-// IntersectionArea returns the area of the overlap of the two disks.
-// It is 0 when they are disjoint and the area of the smaller disk when one
-// is contained in the other.
-func (c Circle) IntersectionArea(d Circle) float64 {
-	z := c.Center.Dist(d.Center)
-	r1, r2 := c.R, d.R
-	// Canonical ordering makes the evaluation symmetric by construction:
-	// a.IntersectionArea(b) and b.IntersectionArea(a) run bit-identical
-	// arithmetic (the unordered form could differ by ~1e-6 near
-	// tangency, where the segment terms cancel).
-	if r2 < r1 {
-		r1, r2 = r2, r1
-	}
-	if z >= r1+r2 {
-		return 0
-	}
-	if z <= math.Abs(r1-r2) {
-		r := math.Min(r1, r2)
-		return math.Pi * r * r
-	}
-	// Standard lens area via the two circular segments.
-	d1 := (z*z + r1*r1 - r2*r2) / (2 * z)
-	d2 := z - d1
-	seg := func(r, dd float64) float64 {
-		// Area of the circular segment of disk radius r cut by a chord at
-		// signed distance dd from the center.
-		x := clamp(dd/r, -1, 1)
-		return r*r*math.Acos(x) - dd*math.Sqrt(math.Max(0, r*r-dd*dd))
-	}
-	// Near internal tangency (z barely above |r1−r2|) the segment terms
-	// cancel badly and can overshoot the smaller disk's area by ~1e-6;
-	// the true intersection can never exceed it, so clamp to the exact
-	// geometric bound.
-	r := math.Min(r1, r2)
-	return clamp(seg(r1, d1)+seg(r2, d2), 0, math.Pi*r*r)
-}
-
 // ChordHalfAngle returns, for a disk of radius R centered at distance z
 // from the origin, the half-angle subtended at the origin by the portion
 // of the circle of radius ell (centered at the origin) that lies inside
@@ -224,67 +167,6 @@ func ChordHalfAngle(ell, z, r float64) float64 {
 	}
 	u := (ell*ell + z*z - r*r) / (2 * ell * z)
 	return math.Acos(clamp(u, -1, 1))
-}
-
-// Triangle is an ordered triple of vertices.
-type Triangle struct {
-	A, B, C Point
-}
-
-// Area returns the (positive) area of the triangle.
-func (t Triangle) Area() float64 {
-	return math.Abs(t.B.Sub(t.A).Cross(t.C.Sub(t.A))) / 2
-}
-
-// Contains reports whether p lies inside the triangle (edges inclusive),
-// using consistent orientation of the three sub-cross-products. This is
-// the point-in-triangle primitive of the APIT localization baseline.
-func (t Triangle) Contains(p Point) bool {
-	d1 := p.Sub(t.A).Cross(t.B.Sub(t.A))
-	d2 := p.Sub(t.B).Cross(t.C.Sub(t.B))
-	d3 := p.Sub(t.C).Cross(t.A.Sub(t.C))
-	hasNeg := d1 < 0 || d2 < 0 || d3 < 0
-	hasPos := d1 > 0 || d2 > 0 || d3 > 0
-	return !(hasNeg && hasPos)
-}
-
-// Centroid returns the barycenter of the triangle.
-func (t Triangle) Centroid() Point {
-	return Point{(t.A.X + t.B.X + t.C.X) / 3, (t.A.Y + t.B.Y + t.C.Y) / 3}
-}
-
-// Centroid returns the centroid of a set of points. It returns the origin
-// for an empty set.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var sx, sy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-	}
-	n := float64(len(pts))
-	return Point{sx / n, sy / n}
-}
-
-// WeightedCentroid returns the weighted centroid of points with the given
-// non-negative weights. Points and weights must have equal length; zero
-// total weight yields the unweighted centroid.
-func WeightedCentroid(pts []Point, w []float64) Point {
-	if len(pts) != len(w) {
-		panic("geom: WeightedCentroid length mismatch")
-	}
-	var sx, sy, sw float64
-	for i, p := range pts {
-		sx += p.X * w[i]
-		sy += p.Y * w[i]
-		sw += w[i]
-	}
-	if sw == 0 {
-		return Centroid(pts)
-	}
-	return Point{sx / sw, sy / sw}
 }
 
 func clamp(x, lo, hi float64) float64 {

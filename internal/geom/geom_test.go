@@ -147,60 +147,6 @@ func TestRectClampProperty(t *testing.T) {
 	}
 }
 
-func TestCircleContains(t *testing.T) {
-	c := Circle{Pt(0, 0), 5}
-	if !c.Contains(Pt(3, 4)) {
-		t.Error("boundary point should be contained")
-	}
-	if c.Contains(Pt(3.001, 4.001)) {
-		t.Error("exterior point should not be contained")
-	}
-	if !almostEq(c.Area(), math.Pi*25, 1e-9) {
-		t.Errorf("Area = %v", c.Area())
-	}
-}
-
-func TestCircleIntersectionArea(t *testing.T) {
-	c := Circle{Pt(0, 0), 1}
-	// Disjoint.
-	if got := c.IntersectionArea(Circle{Pt(3, 0), 1}); got != 0 {
-		t.Errorf("disjoint overlap = %v", got)
-	}
-	// Identical: full area.
-	if got := c.IntersectionArea(c); !almostEq(got, math.Pi, 1e-9) {
-		t.Errorf("self overlap = %v, want pi", got)
-	}
-	// Contained: area of the smaller.
-	big := Circle{Pt(0.1, 0), 10}
-	if got := c.IntersectionArea(big); !almostEq(got, math.Pi, 1e-9) {
-		t.Errorf("contained overlap = %v, want pi", got)
-	}
-	// Symmetric half-offset known value: two unit circles at distance 1.
-	// Lens area = 2r²·acos(d/2r) − d/2·sqrt(4r²−d²) = 2·acos(0.5) − 0.5·sqrt(3).
-	want := 2*math.Acos(0.5) - 0.5*math.Sqrt(3)
-	if got := c.IntersectionArea(Circle{Pt(1, 0), 1}); !almostEq(got, want, 1e-9) {
-		t.Errorf("lens area = %v, want %v", got, want)
-	}
-}
-
-func TestCircleIntersectionAreaProperties(t *testing.T) {
-	f := func(x, y, r1, r2 float64) bool {
-		x = math.Mod(x, 100)
-		y = math.Mod(y, 100)
-		r1 = math.Abs(math.Mod(r1, 50)) + 0.01
-		r2 = math.Abs(math.Mod(r2, 50)) + 0.01
-		a := Circle{Pt(0, 0), r1}
-		b := Circle{Pt(x, y), r2}
-		ab := a.IntersectionArea(b)
-		ba := b.IntersectionArea(a)
-		minArea := math.Min(a.Area(), b.Area())
-		return ab >= -1e-9 && ab <= minArea+1e-6 && almostEq(ab, ba, 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestChordHalfAngle(t *testing.T) {
 	// Circle of radius ell entirely inside disk: angle = pi.
 	if got := ChordHalfAngle(1, 1, 5); !almostEq(got, math.Pi, 1e-12) {
@@ -240,72 +186,6 @@ func TestChordHalfAngleMonotoneInRadius(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestTriangle(t *testing.T) {
-	tr := Triangle{Pt(0, 0), Pt(4, 0), Pt(0, 3)}
-	if got := tr.Area(); !almostEq(got, 6, 1e-12) {
-		t.Errorf("Area = %v, want 6", got)
-	}
-	if !tr.Contains(Pt(1, 1)) {
-		t.Error("interior point should be inside")
-	}
-	if !tr.Contains(Pt(0, 0)) || !tr.Contains(Pt(2, 0)) {
-		t.Error("vertices and edges should be inside")
-	}
-	if tr.Contains(Pt(3, 3)) || tr.Contains(Pt(-0.1, 0)) {
-		t.Error("exterior point should be outside")
-	}
-	c := tr.Centroid()
-	if !almostEq(c.X, 4.0/3, 1e-12) || !almostEq(c.Y, 1, 1e-12) {
-		t.Errorf("Centroid = %v", c)
-	}
-	// Orientation independence.
-	rev := Triangle{Pt(0, 3), Pt(4, 0), Pt(0, 0)}
-	if !rev.Contains(Pt(1, 1)) {
-		t.Error("reversed orientation should still contain interior point")
-	}
-}
-
-func TestTriangleCentroidInsideProperty(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy float64) bool {
-		m := func(v float64) float64 { return math.Mod(v, 1000) }
-		tr := Triangle{Pt(m(ax), m(ay)), Pt(m(bx), m(by)), Pt(m(cx), m(cy))}
-		if tr.Area() < 1e-6 {
-			return true // degenerate; skip
-		}
-		return tr.Contains(tr.Centroid())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("empty centroid = %v", got)
-	}
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if got := Centroid(pts); got != Pt(1, 1) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
-func TestWeightedCentroid(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(10, 0)}
-	if got := WeightedCentroid(pts, []float64{1, 3}); got != Pt(7.5, 0) {
-		t.Errorf("WeightedCentroid = %v, want (7.5,0)", got)
-	}
-	// Zero weights fall back to the unweighted centroid.
-	if got := WeightedCentroid(pts, []float64{0, 0}); got != Pt(5, 0) {
-		t.Errorf("zero-weight WeightedCentroid = %v, want (5,0)", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	WeightedCentroid(pts, []float64{1})
 }
 
 func TestIsFinite(t *testing.T) {

@@ -56,8 +56,6 @@ func BenchmarkSchemeLocalize(b *testing.B) {
 	r := rng.New(4)
 	bs := SelectBeacons(net, 30, 250, r)
 	schemes := []Scheme{
-		NewCentroid(bs),
-		NewWeightedCentroid(bs, PerfectRanger()),
 		NewMMSE(bs, PerfectRanger()),
 		NewMinMax(bs, PerfectRanger()),
 	}

@@ -7,10 +7,11 @@
 // neighbor counts and the deployment knowledge. That scheme is the
 // centerpiece here (Beaconless).
 //
-// The related-work baselines — Centroid, Weighted Centroid, DV-Hop,
-// Amorphous, APIT and plain MMSE multilateration — are implemented so
-// that LAD's claim of being localization-scheme independent can actually
-// be exercised (see examples/dvhop_attack).
+// The related-work baselines — MMSE multilateration, Min-Max, DV-Hop and
+// Amorphous — are implemented so that LAD's claim of being
+// localization-scheme independent can actually be exercised: the
+// `schemes` figure (experiment.SchemeSensitivity) runs LAD over each of
+// them, and examples/dvhop_attack attacks DV-Hop.
 package localize
 
 import (

@@ -50,44 +50,6 @@ func meanSchemeError(t *testing.T, net *wsn.Network, s Scheme, trials int, seed 
 	return sum / float64(n)
 }
 
-func TestCentroidSchemes(t *testing.T) {
-	net := testNetwork(1)
-	r := rng.New(2)
-	bs := SelectBeacons(net, 60, 180, r)
-	if bs.Len() != 60 {
-		t.Fatalf("beacons = %d", bs.Len())
-	}
-
-	c := NewCentroid(bs)
-	if c.Name() != "centroid" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	ce := meanSchemeError(t, net, c, 60, 3)
-	// Centroid is coarse: with beacon range 180 the bias is O(dozens of m).
-	if ce > 120 {
-		t.Errorf("centroid mean error = %.1f m, unreasonably large", ce)
-	}
-
-	wc := NewWeightedCentroid(bs, PerfectRanger())
-	if wc.Name() != "weighted-centroid" {
-		t.Errorf("Name = %q", wc.Name())
-	}
-	we := meanSchemeError(t, net, wc, 60, 3)
-	if we >= ce {
-		t.Errorf("weighted centroid (%.1f) should beat plain centroid (%.1f)", we, ce)
-	}
-}
-
-func TestCentroidNoBeaconsHeard(t *testing.T) {
-	net := testNetwork(4)
-	bs := &BeaconSet{}
-	*bs = *SelectBeacons(net, 0, 100, rng.New(5))
-	c := NewCentroid(bs)
-	if _, err := c.Localize(0); err != ErrNoObservation {
-		t.Errorf("err = %v, want ErrNoObservation", err)
-	}
-}
-
 func TestMMSEPerfectRanging(t *testing.T) {
 	net := testNetwork(6)
 	r := rng.New(7)
@@ -254,31 +216,6 @@ func TestKleinrockSilvesterHopSize(t *testing.T) {
 	}
 	if prev < 45 {
 		t.Errorf("dense-network hop size = %v, want near R", prev)
-	}
-}
-
-func TestAPIT(t *testing.T) {
-	net := testNetwork(24)
-	r := rng.New(25)
-	bs := SelectBeacons(net, 40, 200, r)
-	ap := NewAPIT(net, bs, rng.New(26))
-	if ap.Name() != "apit" {
-		t.Errorf("Name = %q", ap.Name())
-	}
-	e := meanSchemeError(t, net, ap, 40, 27)
-	// APIT is coarse (grid aggregation); should still beat random guessing
-	// (~300 m on a 600 m field).
-	if e > 130 {
-		t.Errorf("APIT mean error = %.1f m", e)
-	}
-}
-
-func TestAPITUnderdetermined(t *testing.T) {
-	net := testNetwork(28)
-	bs := SelectBeacons(net, 2, 200, rng.New(29))
-	ap := NewAPIT(net, bs, rng.New(30))
-	if _, err := ap.Localize(0); err != ErrUnderdetermined {
-		t.Errorf("err = %v, want ErrUnderdetermined", err)
 	}
 }
 

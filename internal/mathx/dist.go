@@ -2,9 +2,6 @@ package mathx
 
 import "math"
 
-// Ln2Pi is ln(2π), used by the Gaussian log-density.
-const Ln2Pi = 1.8378770664093454835606594728112
-
 // NormalPDF returns the density of N(mu, sigma²) at x.
 func NormalPDF(x, mu, sigma float64) float64 {
 	z := (x - mu) / sigma
@@ -52,16 +49,19 @@ func LogChoose(n, k int) float64 {
 	return ln - lk - lnk
 }
 
+// BinomClampEps is how far BinomLogPMF keeps p from 0 and 1, so for
+// k in [0, n] its result is at least n·ln(BinomClampEps).
+const BinomClampEps = 1e-12
+
 // BinomLogPMF returns ln P(X = k) for X ~ Binomial(n, p). Probabilities
 // are clamped away from {0, 1} so that impossible observations yield a
 // very small but finite log-likelihood instead of −Inf, which keeps the
-// MLE localization search well behaved.
+// MLE localization search well behaved. A k outside [0, n] is −Inf.
 func BinomLogPMF(k, n int, p float64) float64 {
 	if k < 0 || k > n {
 		return math.Inf(-1)
 	}
-	const eps = 1e-12
-	p = Clamp(p, eps, 1-eps)
+	p = Clamp(p, BinomClampEps, 1-BinomClampEps)
 	return LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
 }
 

@@ -2,18 +2,11 @@
 // and that the Go standard library does not provide: one-dimensional
 // quadrature (adaptive Simpson and fixed-order Gauss–Legendre), stable
 // binomial probabilities via log-gamma, normal distribution helpers,
-// piecewise-linear interpolation tables, root finding, and small dense
-// linear solvers for the multilateration baselines.
+// piecewise-linear interpolation tables, and the least-squares step of
+// the multilateration baselines.
 package mathx
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoConvergence is returned by iterative routines that exhaust their
-// iteration budget before reaching the requested tolerance.
-var ErrNoConvergence = errors.New("mathx: no convergence")
+import "math"
 
 // Func1 is a scalar function of one variable.
 type Func1 func(x float64) float64
@@ -102,34 +95,6 @@ func GaussLegendreComposite(f Func1, a, b float64, n int) float64 {
 		sum += GaussLegendre16(f, lo, lo+h)
 	}
 	return sum
-}
-
-// Bisect finds a root of f in [a, b] (f(a) and f(b) must have opposite
-// signs) to within xtol, using at most maxIter halvings.
-func Bisect(f Func1, a, b, xtol float64, maxIter int) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, errors.New("mathx: Bisect requires a sign change")
-	}
-	for i := 0; i < maxIter; i++ {
-		m := (a + b) / 2
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < xtol {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return (a + b) / 2, ErrNoConvergence
 }
 
 // Clamp limits x to [lo, hi].

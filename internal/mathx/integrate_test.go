@@ -98,24 +98,6 @@ func TestIntegratorsAgreeProperty(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Errorf("root = %v, want sqrt2", root)
-	}
-	// Exact endpoints.
-	if r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-12, 10); err != nil || r != 0 {
-		t.Errorf("endpoint root = %v, %v", r, err)
-	}
-	// No sign change.
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12, 10); err == nil {
-		t.Error("expected sign-change error")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")

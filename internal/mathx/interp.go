@@ -35,24 +35,6 @@ func NewLinearTable(f Func1, x0, x1 float64, omega int) (*LinearTable, error) {
 	return &LinearTable{x0: x0, x1: x1, step: step, ys: ys}, nil
 }
 
-// TableFromSamples builds a table directly from precomputed samples,
-// which must be the values of the function at omega+1 uniform points.
-func TableFromSamples(x0, x1 float64, ys []float64) (*LinearTable, error) {
-	if len(ys) < 2 {
-		return nil, errors.New("mathx: TableFromSamples needs >= 2 samples")
-	}
-	if !(x1 > x0) {
-		return nil, errors.New("mathx: TableFromSamples needs x1 > x0")
-	}
-	cp := make([]float64, len(ys))
-	copy(cp, ys)
-	return &LinearTable{
-		x0: x0, x1: x1,
-		step: (x1 - x0) / float64(len(ys)-1),
-		ys:   cp,
-	}, nil
-}
-
 // Eval returns the interpolated value at x. Outside the domain the table
 // clamps to the boundary values (g(z) tables set the right edge to 0, so
 // clamping matches the physics).
@@ -74,16 +56,6 @@ func (t *LinearTable) Eval(x float64) float64 {
 
 // Omega returns the number of sub-ranges in the table.
 func (t *LinearTable) Omega() int { return len(t.ys) - 1 }
-
-// Domain returns the interval the table covers.
-func (t *LinearTable) Domain() (x0, x1 float64) { return t.x0, t.x1 }
-
-// Samples returns a copy of the stored ordinates.
-func (t *LinearTable) Samples() []float64 {
-	cp := make([]float64, len(t.ys))
-	copy(cp, t.ys)
-	return cp
-}
 
 // MaxAbsError measures the worst interpolation error of the table against
 // f, probing k points per sub-range.

@@ -5,56 +5,6 @@ import "errors"
 // ErrSingular is returned when a linear system has no unique solution.
 var ErrSingular = errors.New("mathx: singular matrix")
 
-// SolveLinear solves the dense system A·x = b by Gaussian elimination with
-// partial pivoting. A is given in row-major order and is not modified.
-// The systems in this repository are tiny (2×2 for multilateration normal
-// equations), so no blocking or pivot scaling is attempted.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, errors.New("mathx: SolveLinear dimension mismatch")
-	}
-	// Work on copies.
-	m := make([][]float64, n)
-	for i := range a {
-		if len(a[i]) != n {
-			return nil, errors.New("mathx: SolveLinear needs a square matrix")
-		}
-		m[i] = append([]float64(nil), a[i]...)
-		m[i] = append(m[i], b[i])
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if abs(m[r][col]) > abs(m[p][col]) {
-				p = r
-			}
-		}
-		if abs(m[p][col]) < 1e-14 {
-			return nil, ErrSingular
-		}
-		m[col], m[p] = m[p], m[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	// Back substitution.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := m[i][n]
-		for j := i + 1; j < n; j++ {
-			sum -= m[i][j] * x[j]
-		}
-		x[i] = sum / m[i][i]
-	}
-	return x, nil
-}
-
 // LeastSquares2 solves the overdetermined system A·x = b for x ∈ R² in
 // the least-squares sense via the normal equations AᵀA·x = Aᵀb. Each row
 // of a must have exactly two entries. This is the MMSE step shared by the

@@ -3,89 +3,7 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSolveLinear2x2(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := SolveLinear(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-1) > 1e-10 || math.Abs(x[1]-3) > 1e-10 {
-		t.Errorf("x = %v, want [1 3]", x)
-	}
-	// Input untouched.
-	if a[0][0] != 2 || b[0] != 5 {
-		t.Error("SolveLinear mutated its input")
-	}
-}
-
-func TestSolveLinearNeedsPivot(t *testing.T) {
-	// Leading zero forces a row swap.
-	a := [][]float64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}}
-	b := []float64{5, 2, 1}
-	x, err := SolveLinear(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify residual.
-	for i := range a {
-		var s float64
-		for j := range x {
-			s += a[i][j] * x[j]
-		}
-		if math.Abs(s-b[i]) > 1e-9 {
-			t.Errorf("row %d residual: %v vs %v", i, s, b[i])
-		}
-	}
-}
-
-func TestSolveLinearErrors(t *testing.T) {
-	if _, err := SolveLinear(nil, nil); err == nil {
-		t.Error("empty system should fail")
-	}
-	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("non-square should fail")
-	}
-	if _, err := SolveLinear([][]float64{{1, 2}, {2, 4}}, []float64{1, 2}); err != ErrSingular {
-		t.Error("singular matrix should return ErrSingular")
-	}
-	if _, err := SolveLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-}
-
-func TestSolveLinearRandomProperty(t *testing.T) {
-	// Construct well-conditioned diagonally dominant systems; verify residual.
-	f := func(a01, a02, a10, a12, a20, a21, b0, b1, b2 float64) bool {
-		m := func(v float64) float64 { return math.Mod(v, 10) }
-		a := [][]float64{
-			{30, m(a01), m(a02)},
-			{m(a10), 30, m(a12)},
-			{m(a20), m(a21), 30},
-		}
-		b := []float64{m(b0), m(b1), m(b2)}
-		x, err := SolveLinear(a, b)
-		if err != nil {
-			return false
-		}
-		for i := range a {
-			var s float64
-			for j := range x {
-				s += a[i][j] * x[j]
-			}
-			if math.Abs(s-b[i]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestLeastSquares2ExactFit(t *testing.T) {
 	// Points generated by x=2, y=-1 exactly.

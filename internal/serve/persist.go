@@ -39,10 +39,6 @@ func (p *DetectorPool) SetStore(s store.Store) {
 	p.snapStore = s
 }
 
-// Store returns the configured snapshot store (nil when persistence is
-// disabled).
-func (p *DetectorPool) Store() store.Store { return p.snapStore }
-
 // specFromSnapshot rebuilds the DetectorSpec a snapshot claims to have
 // been trained under; the pool re-derives Key/ID from it and refuses to
 // adopt when they disagree with the stored identity.

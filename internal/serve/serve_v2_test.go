@@ -505,6 +505,59 @@ func TestV2CorrectRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCountAboveGroupSizeAlarms: a neighbor count above the group size is
+// what a flooding (multi-impersonation) attacker produces, so every
+// metric scores it and alarms on check and check/batch, and correct still
+// answers a location. The probability metric used to score it +Inf and
+// fail encoding with a 500.
+func TestCountAboveGroupSizeAlarms(t *testing.T) {
+	ts, srv, _ := newLifecycleServer(t, ServerConfig{Default: tinySpec(), MaxBatch: 128})
+	for _, metric := range []string{"diff", "add-all", "probability"} {
+		spec := tinySpec()
+		spec.Metric = metric
+		if resp, body := doJSON(t, "POST", ts.URL+"/v2/detectors", RegisterRequest{Spec: spec}, ""); resp.StatusCode >= 300 {
+			t.Fatalf("%s: register: %d %s", metric, resp.StatusCode, body)
+		}
+		det, err := srv.Pool().await(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := sampleItems(det, 2, 41)
+		items[1].Observation[2] = det.Model().GroupSize() + 1
+		url := ts.URL + "/v2/detectors/" + spec.ID()
+		for _, c := range []struct {
+			verb string
+			body any
+			out  any
+		}{
+			{"check", items[1], &CheckResponse{}},
+			{"check/batch", BatchRequest{Items: items}, &BatchResponse{}},
+			{"correct", CorrectRequest{Observation: items[1].Observation}, &CorrectResponse{}},
+		} {
+			resp, body := doJSON(t, "POST", url+"/"+c.verb, c.body, "")
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s/%s: status %d, want 200 (%s)", metric, c.verb, resp.StatusCode, body)
+				continue
+			}
+			if err := json.Unmarshal(body, c.out); err != nil {
+				t.Fatalf("%s/%s: %v", metric, c.verb, err)
+			}
+			var v CheckResponse
+			switch out := c.out.(type) {
+			case *CheckResponse:
+				v = *out
+			case *BatchResponse:
+				v = out.Results[1]
+			case *CorrectResponse:
+				continue
+			}
+			if !v.Alarm {
+				t.Errorf("%s/%s: %+v, want an alarm", metric, c.verb, v)
+			}
+		}
+	}
+}
+
 func TestV2AuthGatesMutatingEndpoints(t *testing.T) {
 	const token = "sekrit-operator-token"
 	ts, _, _ := newLifecycleServer(t, ServerConfig{Default: tinySpec(), APIToken: token})

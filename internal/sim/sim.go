@@ -17,26 +17,9 @@ import (
 type Event func(now float64)
 
 type item struct {
-	at    float64
-	seq   uint64
-	fn    Event
-	index int // heap index; -1 when canceled or popped
-}
-
-// Handle identifies a scheduled event and allows cancellation.
-type Handle struct{ it *item }
-
-// Cancel removes the event from the queue. Canceling an already-fired or
-// already-canceled event is a no-op. It reports whether the event was
-// actually removed.
-func (h Handle) Cancel(k *Kernel) bool {
-	if h.it == nil || h.it.index < 0 {
-		return false
-	}
-	heap.Remove(&k.pq, h.it.index)
-	h.it.index = -1
-	h.it.fn = nil
-	return true
+	at  float64
+	seq uint64
+	fn  Event
 }
 
 type eventQueue []*item
@@ -48,22 +31,13 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	it := x.(*item)
-	it.index = len(*q)
-	*q = append(*q, it)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*item)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	it := old[n-1]
 	old[n-1] = nil
-	it.index = -1
 	*q = old[:n-1]
 	return it
 }
@@ -86,12 +60,6 @@ func NewKernel() *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() float64 { return k.now }
 
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.pq) }
-
-// Fired returns the number of events executed so far.
-func (k *Kernel) Fired() uint64 { return k.fired }
-
 // SetEventBudget caps the total number of events the kernel will execute;
 // Run returns ErrBudget when it is exceeded. 0 removes the cap.
 func (k *Kernel) SetEventBudget(n uint64) { k.budget = n }
@@ -102,40 +70,33 @@ var ErrBudget = errors.New("sim: event budget exceeded")
 
 // At schedules fn at absolute virtual time at. Scheduling in the past
 // (before Now) clamps to Now, i.e. the event fires next.
-func (k *Kernel) At(at float64, fn Event) Handle {
+func (k *Kernel) At(at float64, fn Event) {
 	if at < k.now {
 		at = k.now
 	}
-	it := &item{at: at, seq: k.seq, fn: fn}
+	heap.Push(&k.pq, &item{at: at, seq: k.seq, fn: fn})
 	k.seq++
-	heap.Push(&k.pq, it)
-	return Handle{it: it}
 }
 
 // After schedules fn delay time units from now.
-func (k *Kernel) After(delay float64, fn Event) Handle {
+func (k *Kernel) After(delay float64, fn Event) {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.At(k.now+delay, fn)
+	k.At(k.now+delay, fn)
 }
 
 // Step executes the earliest pending event, advancing the clock. It
 // reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	for len(k.pq) > 0 {
-		it := heap.Pop(&k.pq).(*item)
-		if it.fn == nil {
-			continue // canceled
-		}
-		k.now = it.at
-		fn := it.fn
-		it.fn = nil
-		k.fired++
-		fn(k.now)
-		return true
+	if len(k.pq) == 0 {
+		return false
 	}
-	return false
+	it := heap.Pop(&k.pq).(*item)
+	k.now = it.at
+	k.fired++
+	it.fn(k.now)
+	return true
 }
 
 // Run executes events until the queue drains (or the budget trips).

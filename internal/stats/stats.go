@@ -1,5 +1,5 @@
-// Package stats provides descriptive statistics, empirical distributions,
-// and the ROC machinery used to evaluate the LAD detector: the paper's
+// Package stats provides descriptive statistics, hypothesis tests, and
+// the ROC machinery used to evaluate the LAD detector: the paper's
 // figures are ROC curves (detection rate vs false-positive rate, Figures
 // 4–6) and fixed-false-positive detection-rate sweeps (Figures 7–9).
 package stats
@@ -7,8 +7,6 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"repro/internal/mathx"
 )
 
 // Summary holds the usual descriptive statistics of a sample.
@@ -44,80 +42,6 @@ func Summarize(xs []float64) Summary {
 		s.Std = math.Sqrt(s.Variance)
 	}
 	return s
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from a sample (copied and sorted).
-func NewECDF(xs []float64) *ECDF {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return &ECDF{sorted: cp}
-}
-
-// P returns the empirical P(X <= x).
-func (e *ECDF) P(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of the sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return mathx.PercentileSorted(e.sorted, q*100)
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Histogram is a fixed-width bin histogram over [Min, Max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Under    int // samples below Min
-	Over     int // samples at or above Max
-}
-
-// NewHistogram creates a histogram with n bins over [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n < 1 || !(max > min) {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x >= h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded observations including outliers.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // ROCPoint is one operating point of a detector.
@@ -173,65 +97,4 @@ func AUC(pts []ROCPoint) float64 {
 		area += dx * (pts[i].DR + pts[i-1].DR) / 2
 	}
 	return area
-}
-
-// DRAtFP interpolates the detection rate of the curve at the given
-// false-positive rate. Points must be ordered by increasing FP with
-// non-decreasing DR (as returned by ROC). Among points sharing the same
-// FP the best (largest) DR is used — that operating point dominates.
-func DRAtFP(pts []ROCPoint, fp float64) float64 {
-	if len(pts) == 0 {
-		return math.NaN()
-	}
-	if fp < pts[0].FP {
-		return pts[0].DR
-	}
-	// Last achievable point at or below the target FP.
-	idx := 0
-	for i := range pts {
-		if pts[i].FP <= fp {
-			idx = i
-		} else {
-			break
-		}
-	}
-	if idx == len(pts)-1 {
-		return pts[idx].DR
-	}
-	lo, hi := pts[idx], pts[idx+1] // hi.FP > fp >= lo.FP by construction
-	w := (fp - lo.FP) / (hi.FP - lo.FP)
-	return lo.DR*(1-w) + hi.DR*w
-}
-
-// Rate returns hits/total as a float, or 0 for an empty denominator.
-func Rate(hits, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// WilsonInterval returns the Wilson score confidence interval for a
-// binomial proportion with hits successes out of total trials at the
-// given z (1.96 for 95%). It behaves sensibly at the 0 and 1 endpoints,
-// where the detection rates of Figures 7–9 usually live.
-func WilsonInterval(hits, total int, z float64) (lo, hi float64) {
-	if total == 0 {
-		return 0, 1
-	}
-	n := float64(total)
-	p := float64(hits) / n
-	z2 := z * z
-	denom := 1 + z2/n
-	center := (p + z2/(2*n)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
-	lo = center - half
-	hi = center + half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }
