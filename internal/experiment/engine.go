@@ -130,15 +130,7 @@ func AttackScores(model *deploy.Model, metric core.Metric, pt AttackPoint, opts 
 				model.SampleObservationInto(a, la, group, r)
 				le := attack.ForgeLocationInField(la, pt.D, model.Field(), r, 64)
 				e := core.NewExpectation(model, le)
-				var total int
-				for _, c := range a {
-					total += c
-				}
-				// ⌈x%·|a|⌉ per §7.1. The 1e-9 slack keeps binary-float
-				// noise (0.07*100 = 7.000000000000001) from rounding an
-				// exact product up and granting a phantom extra node.
-				x := int(math.Ceil(pt.XFrac*float64(total) - 1e-9))
-				o := StrategyFor(metric, e, pt.Class).Taint(a, x)
+				o := StrategyFor(metric, e, pt.Class).Taint(a, compromised(a, pt.XFrac))
 				scores[t] = metric.Score(o, e)
 			}
 		}()
@@ -149,6 +141,18 @@ func AttackScores(model *deploy.Model, metric core.Metric, pt AttackPoint, opts 
 	close(next)
 	wg.Wait()
 	return scores, nil
+}
+
+// compromised is the attacker's node budget against observation a:
+// ⌈x%·|a|⌉ per §7.1. The 1e-9 slack keeps binary-float noise
+// (0.07*100 = 7.000000000000001) from rounding an exact product up and
+// granting a phantom extra node.
+func compromised(a []int, xFrac float64) int {
+	total := 0
+	for _, c := range a {
+		total += c
+	}
+	return int(math.Ceil(xFrac*float64(total) - 1e-9))
 }
 
 // Benign wraps core.BenignScores with the harness options; the same

@@ -114,11 +114,7 @@ func mismatchDRRate(assumed, actual *deploy.Model, metric core.Metric, threshold
 		a := actual.SampleObservation(la, group, r)
 		le := attack.ForgeLocationInField(la, 100, actual.Field(), r, 64)
 		e := core.NewExpectation(assumed, le)
-		var total int
-		for _, c := range a {
-			total += c
-		}
-		o := StrategyFor(metric, e, attack.DecBounded).Taint(a, int(0.10*float64(total)))
+		o := StrategyFor(metric, e, attack.DecBounded).Taint(a, compromised(a, 0.10))
 		if det.CheckWithExpectation(o, e).Alarm {
 			hits++
 		}
@@ -158,11 +154,7 @@ func Correction(model *deploy.Model, opts Options) (Figure, error) {
 			a := model.SampleObservation(la, group, r)
 			le := attack.ForgeLocationInField(la, d, model.Field(), r, 64)
 			e := core.NewExpectation(model, le)
-			var total int
-			for _, c := range a {
-				total += c
-			}
-			o := StrategyFor(metric, e, attack.DecBounded).Taint(a, int(0.10*float64(total)))
+			o := StrategyFor(metric, e, attack.DecBounded).Taint(a, compromised(a, 0.10))
 			pc, err := corr.Correct(o)
 			if err != nil {
 				continue

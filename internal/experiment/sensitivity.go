@@ -109,12 +109,8 @@ func SchemeSensitivity(opts Options) (Figure, error) {
 				model.SampleObservationInto(a, la, group, ar)
 				le := attack.ForgeLocationInField(la, d, model.Field(), ar, 64)
 				e := core.NewExpectation(model, le)
-				var total int
-				for _, c := range a {
-					total += c
-				}
 				o := attack.NewDiffMinimizer(e.Mu, attack.DecBounded).
-					Taint(a, int(0.10*float64(total)))
+					Taint(a, compromised(a, 0.10))
 				trials++
 				if metric.Score(o, e) > threshold {
 					detected++

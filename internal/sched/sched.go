@@ -5,22 +5,20 @@
 // worker, every job finishes within ~K× its solo time — no job convoys
 // behind another's 100k-trial run, which is the property the
 // one-goroutine-per-job-behind-a-semaphore model it replaces could not
-// give. After each non-final batch the scheduler offers the job's
-// durable progress to a checkpoint sink, so an evicted or SIGKILLed job
-// resumes from its last batch boundary instead of restarting.
+// give.
 //
 // The scheduler is deliberately storage- and domain-agnostic: tasks are
-// an interface, checkpoints are opaque bytes, and persistence is a pair
-// of callbacks. The serving pool owns the mapping onto detectors,
-// specs, and the snapshot store. The scheduler's counters, gauges and
-// wait/run histograms are ladd_sched_* families in the metrics registry
-// the pool passes in (Config.Metrics).
+// an interface and a submission's only record is the *Job handle Submit
+// returns. The serving pool owns the mapping onto detectors and specs,
+// and it owns checkpointing: its task persists its own progress between
+// batches. The scheduler's counters, gauges and wait/run histograms are
+// ladd_sched_* families in the metrics registry the pool passes in
+// (Config.Metrics).
 package sched
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -28,25 +26,17 @@ import (
 )
 
 // Task is one schedulable job body. RunBatch executes up to n work
-// units and reports how many ran and whether the job is complete; the
-// scheduler calls it from exactly one worker at a time (no concurrent
-// RunBatch on the same Task), so implementations need no internal
-// locking against the scheduler. A returned error terminates the job.
+// units and reports how many ran and whether the job is complete;
+// cancel is the job's cancel channel, closed by Job.Cancel, which a
+// long batch may watch to return early. The scheduler calls RunBatch
+// from exactly one worker at a time (no concurrent RunBatch on the same
+// Task), so implementations need no internal locking against the
+// scheduler. A returned error terminates the job.
 type Task interface {
-	RunBatch(n int) (ran int, done bool, err error)
+	RunBatch(n int, cancel <-chan struct{}) (ran int, done bool, err error)
 }
 
-// Checkpointer is optionally implemented by Tasks whose progress can be
-// persisted. Checkpoint returns the job's durable state as of the last
-// completed batch, or ok=false when there is nothing worth saving yet.
-// The returned bytes are only read until the next RunBatch/Checkpoint
-// call, so implementations may reuse one buffer.
-type Checkpointer interface {
-	Checkpoint() (data []byte, ok bool)
-}
-
-// ErrCanceled terminates a job whose Cancel arrived while it was queued
-// or between batches.
+// ErrCanceled terminates a job whose Cancel arrived before it completed.
 var ErrCanceled = errors.New("sched: job canceled")
 
 // DefaultBatchUnits is the batch size when Config.BatchUnits is unset:
@@ -61,69 +51,32 @@ type Config struct {
 	// BatchUnits is the work-unit budget per batch turn; < 1 means
 	// DefaultBatchUnits.
 	BatchUnits int
-	// Save, when non-nil, receives each job's checkpoint bytes after
-	// every completed non-final batch. It is called synchronously from
-	// the worker between batches and must not block long; failures are
-	// the sink's to swallow (the next batch brings the next save — a
-	// checkpoint is an optimization, never a correctness dependency).
-	Save func(id string, data []byte)
-	// Drop, when non-nil, is called once when a job reaches a terminal
-	// state, so stale checkpoints do not outlive their jobs.
-	Drop func(id string)
 	// Metrics receives the scheduler's metric families; nil keeps them
 	// in a private registry. A scheduler rebuilt on the same registry
 	// continues its predecessor's counters.
 	Metrics *metrics.Registry
 }
 
-// JobState is the lifecycle of a submitted job.
-type JobState int
-
-const (
-	// StateQueued: waiting for its first batch turn.
-	StateQueued JobState = iota
-	// StateRunning: at least one batch started (or a worker slot was
-	// preclaimed at submit) and the job is not yet terminal; between
-	// batch turns the job is parked on the ring but still Running.
-	StateRunning
-	// StateDone: all units executed.
-	StateDone
-	// StateFailed: a batch returned an error.
-	StateFailed
-	// StateCanceled: canceled before completion.
-	StateCanceled
-)
-
-// JobResult is handed to a job's OnDone hook at its terminal state.
+// JobResult is handed to a job's onDone callback at its terminal state.
 type JobResult struct {
-	// Err is nil for StateDone, ErrCanceled for StateCanceled, and the
-	// batch error for StateFailed.
+	// Err is nil when all units ran, ErrCanceled when the job was
+	// canceled first, and the batch error otherwise.
 	Err error
-	// WaitSeconds is submit → first batch start (0 if never started).
-	WaitSeconds float64
 	// RunSeconds is the cumulative batch execution time — the job's
 	// worker occupancy, excluding time parked between turns.
 	RunSeconds float64
-	// UnitsDone is the number of units that completed.
-	UnitsDone int
 }
 
-// Hooks are a job's lifecycle callbacks, both optional and both invoked
-// outside scheduler locks. OnStart fires once, immediately before the
-// first batch; OnDone fires once at the terminal state.
-type Hooks struct {
-	OnStart func()
-	OnDone  func(JobResult)
-}
-
-// JobStatus is a point-in-time view of a live job.
+// JobStatus is a point-in-time view of a job.
 type JobStatus struct {
-	State JobState
+	// Started is true once the job holds a worker: a batch has run, or a
+	// worker was idle when it was submitted, so its first batch starts
+	// without queueing.
+	Started bool
 	// QueuePosition is the number of jobs ahead in the service ring:
-	// 0 means executing now or next in line for a worker.
+	// 0 means executing now or next in line.
 	QueuePosition int
 	UnitsDone     int
-	UnitsTotal    int
 	// ETA estimates time until completion from the observed mean batch
 	// throughput and the current worker contention; 0 when no batch has
 	// completed yet (no throughput sample to extrapolate from).
@@ -154,23 +107,24 @@ type Stats struct {
 // seconds, spanning sub-millisecond test jobs to multi-minute trainings.
 var durationBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
-// job is the scheduler-internal record of one submission. The id,
-// total, task, and hooks fields are immutable after Submit; everything
-// else is guarded by the owning Scheduler's mu (job carries no mutex of
-// its own — all transitions happen under the ring lock anyway).
-type job struct {
-	id    string
-	total int
-	task  Task
-	hooks Hooks
+// Job is the handle of one submission and the scheduler's only record
+// of it. s, total and cancel are immutable after Submit; everything else
+// is guarded by the owning Scheduler's mu. task and onDone are nil once
+// the job is terminal, so a finished handle pins neither the task's
+// state nor whatever its callback captured.
+type Job struct {
+	s      *Scheduler
+	total  int
+	cancel chan struct{}
 
-	state     JobState
+	task      Task
+	onDone    func(JobResult)
 	canceled  bool
 	executing bool // a worker is inside RunBatch right now
-	started   bool // first batch dispatched (wait time latched)
+	started   bool // see JobStatus.Started
+	ran       bool // first batch dispatched (wait time latched)
 	unitsDone int
 	enqueued  time.Time
-	waitSecs  float64
 	runNanos  int64
 }
 
@@ -183,10 +137,6 @@ type Scheduler struct {
 	workers int
 	//lad:guardedby setup
 	batch int
-	//lad:guardedby setup
-	save func(string, []byte)
-	//lad:guardedby setup
-	drop func(string)
 
 	ctx  context.Context
 	stop context.CancelFunc
@@ -197,9 +147,9 @@ type Scheduler struct {
 	//lad:guardedby mu
 	launched bool
 	//lad:guardedby mu
-	ring []*job // round-robin service order; executing jobs are popped out
+	ring []*Job // round-robin service order; executing jobs are popped out
 	//lad:guardedby mu
-	jobs map[string]*job // live (non-terminal) jobs by id
+	live int // non-terminal jobs
 	//lad:guardedby mu
 	executing int
 	//lad:guardedby mu
@@ -231,11 +181,8 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		workers:      cfg.Workers,
 		batch:        cfg.BatchUnits,
-		save:         cfg.Save,
-		drop:         cfg.Drop,
 		ctx:          ctx,
 		stop:         stop,
-		jobs:         make(map[string]*job),
 		batches:      reg.Counter("ladd_sched_batches_total", "Trial batches the scheduler has executed."),
 		units:        reg.Counter("ladd_sched_trials_total", "Monte-Carlo trials completed across all training jobs."),
 		jobsDone:     reg.Counter("ladd_sched_jobs_completed_total", completed, "outcome", "ok"),
@@ -254,25 +201,19 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Submit enqueues a job of total units. The returned preclaimed flag is
-// true when idle worker capacity exists, i.e. the job's first batch
-// starts without queueing — callers use it to report "training" instead
-// of "pending" for registrations that hit an idle scheduler, matching
-// the synchronous slot claim of the semaphore model this replaces.
-// Submitting an id that is still live is an error (terminal ids may be
-// reused).
-func (s *Scheduler) Submit(id string, total int, task Task, hooks Hooks) (preclaimed bool, err error) {
+// Submit enqueues a job of total units and returns its handle. onDone,
+// when non-nil, fires once at the terminal state, outside scheduler
+// locks. When idle worker capacity exists the job is Started from the
+// moment Submit returns — callers use that to report "training" instead
+// of "pending" for submissions that hit an idle scheduler.
+func (s *Scheduler) Submit(total int, task Task, onDone func(JobResult)) (*Job, error) {
 	if total < 1 {
 		total = 1
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ctx.Err() != nil {
-		s.mu.Unlock()
-		return false, errors.New("sched: scheduler closed")
-	}
-	if _, live := s.jobs[id]; live {
-		s.mu.Unlock()
-		return false, fmt.Errorf("sched: job %q already live", id)
+		return nil, errors.New("sched: scheduler closed")
 	}
 	if !s.launched {
 		s.launched = true
@@ -281,31 +222,28 @@ func (s *Scheduler) Submit(id string, total int, task Task, hooks Hooks) (precla
 			go s.worker()
 		}
 	}
-	j := &job{id: id, total: total, task: task, hooks: hooks, state: StateQueued, enqueued: time.Now()}
-	preclaimed = len(s.ring)+s.executing < s.workers
-	if preclaimed {
-		j.state = StateRunning
-	}
-	s.jobs[id] = j
+	j := &Job{s: s, total: total, cancel: make(chan struct{}), task: task, onDone: onDone, enqueued: time.Now()}
+	j.started = len(s.ring)+s.executing < s.workers
+	s.live++
 	s.ring = append(s.ring, j)
 	s.cond.Signal()
-	s.mu.Unlock()
-	return preclaimed, nil
+	return j, nil
 }
 
-// Cancel marks a live job canceled. A job parked on the ring completes
-// immediately (OnDone with ErrCanceled, from this goroutine); a job
-// inside a batch completes when that batch returns — tasks that honor a
-// cancellation channel of their own return early, others finish the
-// batch first. Unknown or already-terminal ids are a no-op.
-func (s *Scheduler) Cancel(id string) {
+// Cancel cancels the job and closes its cancel channel. A job parked on
+// the ring completes immediately (onDone with ErrCanceled, from this
+// goroutine); a job inside a batch completes when that batch returns —
+// tasks that watch the cancel channel return early, others finish the
+// batch first. Canceling a terminal job is a no-op.
+func (j *Job) Cancel() {
+	s := j.s
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.canceled {
+	if j.canceled || j.task == nil {
 		s.mu.Unlock()
 		return
 	}
 	j.canceled = true
+	close(j.cancel)
 	if j.executing {
 		// The worker observes canceled when RunBatch returns.
 		s.mu.Unlock()
@@ -317,21 +255,21 @@ func (s *Scheduler) Cancel(id string) {
 			break
 		}
 	}
-	res := s.completeLocked(j, StateCanceled, ErrCanceled)
+	finish := s.completeLocked(j, s.jobsCanceled, ErrCanceled)
 	s.mu.Unlock()
-	s.finish(j, res)
+	finish()
 }
 
-// Status reports a live job's state, ring position, progress, and ETA.
-// Terminal jobs are forgotten (ok=false).
-func (s *Scheduler) Status(id string) (JobStatus, bool) {
+// Status reports the job's start, ring position, progress, and ETA. A
+// terminal job reports its final progress with no position or ETA.
+func (j *Job) Status() JobStatus {
+	s := j.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, false
+	st := JobStatus{Started: j.started, UnitsDone: j.unitsDone}
+	if j.task == nil {
+		return st
 	}
-	st := JobStatus{State: j.state, UnitsDone: j.unitsDone, UnitsTotal: j.total}
 	if !j.executing {
 		for i, q := range s.ring {
 			if q == j {
@@ -343,13 +281,10 @@ func (s *Scheduler) Status(id string) (JobStatus, bool) {
 	if units := s.units.Load(); units > 0 {
 		nsPerUnit := float64(s.runNanosTotal) / float64(units)
 		remaining := float64(j.total - j.unitsDone)
-		contention := float64(len(s.jobs)) / float64(s.workers)
-		if contention < 1 {
-			contention = 1
-		}
+		contention := max(1, float64(s.live)/float64(s.workers))
 		st.ETA = time.Duration(remaining * nsPerUnit * contention)
 	}
-	return st, true
+	return st
 }
 
 // Stats snapshots the scheduler counters.
@@ -359,7 +294,7 @@ func (s *Scheduler) Stats() Stats {
 	return Stats{
 		QueueDepth:   len(s.ring),
 		Executing:    s.executing,
-		ActiveJobs:   len(s.jobs),
+		ActiveJobs:   s.live,
 		Batches:      s.batches.Load(),
 		Units:        s.units.Load(),
 		JobsDone:     s.jobsDone.Load(),
@@ -403,7 +338,7 @@ func (s *Scheduler) worker() {
 // next blocks until a job is available or the scheduler closes.
 //
 //lad:ctx
-func (s *Scheduler) next() (*job, bool) {
+func (s *Scheduler) next() (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -418,99 +353,79 @@ func (s *Scheduler) next() (*job, bool) {
 	j := s.ring[0]
 	s.ring = s.ring[1:]
 	j.executing = true
-	j.state = StateRunning
+	j.started = true
 	s.executing++
 	return j, true
 }
 
-// runOne executes one batch turn of job j.
-func (s *Scheduler) runOne(j *job) {
+// runOne executes one batch turn of job j. A canceled job completes as
+// canceled even when its batch returned an error: a task that watches
+// the cancel channel reports its own abort as one.
+func (s *Scheduler) runOne(j *Job) {
 	s.mu.Lock()
 	if j.canceled {
+		// Canceled between next and here: no batch for a dead job.
 		j.executing = false
 		s.executing--
-		res := s.completeLocked(j, StateCanceled, ErrCanceled)
+		finish := s.completeLocked(j, s.jobsCanceled, ErrCanceled)
 		s.mu.Unlock()
-		s.finish(j, res)
+		finish()
 		return
 	}
-	firstBatch := !j.started
-	if firstBatch {
-		j.started = true
-		j.waitSecs = time.Since(j.enqueued).Seconds()
-		s.waitHist.Observe(j.waitSecs)
+	task := j.task
+	if !j.ran {
+		j.ran = true
+		s.waitHist.Observe(time.Since(j.enqueued).Seconds())
 	}
 	s.mu.Unlock()
 
-	if firstBatch && j.hooks.OnStart != nil {
-		j.hooks.OnStart()
-	}
 	t0 := time.Now()
-	ran, done, err := j.task.RunBatch(s.batch)
-	elapsed := time.Since(t0)
-	if err == nil && !done && s.save != nil {
-		if ck, ok := j.task.(Checkpointer); ok {
-			if data, ok := ck.Checkpoint(); ok {
-				s.save(j.id, data)
-			}
-		}
-	}
+	ran, done, err := task.RunBatch(s.batch, j.cancel)
+	elapsed := time.Since(t0).Nanoseconds()
 
 	s.mu.Lock()
 	j.executing = false
 	s.executing--
 	j.unitsDone += ran
-	j.runNanos += elapsed.Nanoseconds()
+	j.runNanos += elapsed
 	s.batches.Inc()
 	s.units.Add(uint64(ran))
-	s.runNanosTotal += elapsed.Nanoseconds()
-	var res JobResult
-	terminal := true
+	s.runNanosTotal += elapsed
+	var finish func()
 	switch {
-	case err != nil:
-		res = s.completeLocked(j, StateFailed, err)
-	case done:
-		res = s.completeLocked(j, StateDone, nil)
+	case err == nil && done:
+		finish = s.completeLocked(j, s.jobsDone, nil)
 	case j.canceled:
-		res = s.completeLocked(j, StateCanceled, ErrCanceled)
+		finish = s.completeLocked(j, s.jobsCanceled, ErrCanceled)
+	case err != nil:
+		finish = s.completeLocked(j, s.jobsFailed, err)
 	default:
-		terminal = false
 		s.ring = append(s.ring, j)
 		s.cond.Signal()
 	}
 	s.mu.Unlock()
-	if terminal {
-		s.finish(j, res)
+	if finish != nil {
+		finish()
 	}
 }
 
-// completeLocked moves j to a terminal state and forgets it.
+// completeLocked moves j to its terminal state, counting it under
+// outcome, and returns the onDone invocation for the caller to run
+// outside the lock.
 //
 //lad:requires mu
-func (s *Scheduler) completeLocked(j *job, st JobState, err error) JobResult {
-	j.state = st
-	switch st {
-	case StateDone:
-		s.jobsDone.Inc()
-	case StateFailed:
-		s.jobsFailed.Inc()
-	case StateCanceled:
-		s.jobsCanceled.Inc()
+func (s *Scheduler) completeLocked(j *Job, outcome *metrics.Counter, err error) func() {
+	outcome.Inc()
+	res := JobResult{Err: err, RunSeconds: float64(j.runNanos) / 1e9}
+	if j.ran {
+		s.runHist.Observe(res.RunSeconds)
 	}
-	runSecs := float64(j.runNanos) / 1e9
-	if j.started {
-		s.runHist.Observe(runSecs)
-	}
-	delete(s.jobs, j.id)
-	return JobResult{Err: err, WaitSeconds: j.waitSecs, RunSeconds: runSecs, UnitsDone: j.unitsDone}
-}
-
-// finish fires the terminal-state side effects outside scheduler locks.
-func (s *Scheduler) finish(j *job, res JobResult) {
-	if s.drop != nil {
-		s.drop(j.id)
-	}
-	if j.hooks.OnDone != nil {
-		j.hooks.OnDone(res)
+	s.live--
+	onDone := j.onDone
+	j.task, j.onDone = nil, nil
+	return func() {
+		if onDone != nil {
+			onDone(res)
+		}
 	}
 }

@@ -15,7 +15,7 @@ type unitTask struct {
 	onBatch   func(ran int)
 }
 
-func (t *unitTask) RunBatch(n int) (int, bool, error) {
+func (t *unitTask) RunBatch(n int, _ <-chan struct{}) (int, bool, error) {
 	if n > t.remaining {
 		n = t.remaining
 	}
@@ -30,7 +30,7 @@ func (t *unitTask) RunBatch(n int) (int, bool, error) {
 // of holding the scheduler still while it stages submissions.
 type blockTask struct{ release <-chan struct{} }
 
-func (t blockTask) RunBatch(int) (int, bool, error) {
+func (t blockTask) RunBatch(int, <-chan struct{}) (int, bool, error) {
 	<-t.release
 	return 1, true, nil
 }
@@ -46,31 +46,35 @@ func waitDone(t *testing.T, ch <-chan JobResult) JobResult {
 	}
 }
 
-func doneHook(ch chan JobResult) Hooks {
-	return Hooks{OnDone: func(res JobResult) { ch <- res }}
+func doneHook(ch chan JobResult) func(JobResult) {
+	return func(res JobResult) { ch <- res }
+}
+
+// submit is Submit for tests that cannot proceed without the handle.
+func submit(t *testing.T, s *Scheduler, total int, task Task, onDone func(JobResult)) *Job {
+	t.Helper()
+	j, err := s.Submit(total, task, onDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 func TestSingleJobRunsToCompletion(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
 	defer s.Close()
 	done := make(chan JobResult, 1)
-	pre, err := s.Submit("j", 35, &unitTask{remaining: 35}, doneHook(done))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pre {
-		t.Error("idle scheduler should preclaim the first submission")
+	j := submit(t, s, 35, &unitTask{remaining: 35}, doneHook(done))
+	if !j.Status().Started {
+		t.Error("idle scheduler should start the first submission at once")
 	}
 	res := waitDone(t, done)
-	if res.Err != nil || res.UnitsDone != 35 {
-		t.Errorf("result = %+v, want 35 units, nil err", res)
-	}
-	if _, ok := s.Status("j"); ok {
-		t.Error("terminal job should be forgotten")
+	if js := j.Status(); res.Err != nil || js.UnitsDone != 35 {
+		t.Errorf("result = %+v, status %+v, want 35 units, nil err", res, js)
 	}
 	st := s.Stats()
-	if st.JobsDone != 1 || st.Units != 35 || st.Batches != 4 {
-		t.Errorf("stats = %+v, want 1 done / 35 units / 4 batches", st)
+	if st.JobsDone != 1 || st.Units != 35 || st.Batches != 4 || st.ActiveJobs != 0 {
+		t.Errorf("stats = %+v, want 1 done / 35 units / 4 batches / 0 active", st)
 	}
 	if st.Wait.Count != 1 || st.Run.Count != 1 {
 		t.Errorf("wait/run histogram counts = %d/%d, want 1/1", st.Wait.Count, st.Run.Count)
@@ -96,9 +100,7 @@ func TestRoundRobinFairShare(t *testing.T) {
 
 	release := make(chan struct{})
 	gateDone := make(chan JobResult, 1)
-	if _, err := s.Submit("gate", 1, blockTask{release}, doneHook(gateDone)); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, 1, blockTask{release}, doneHook(gateDone))
 
 	var mu sync.Mutex
 	batches := 0
@@ -112,22 +114,22 @@ func TestRoundRobinFairShare(t *testing.T) {
 			batches++
 			mu.Unlock()
 		}}
-		hooks := Hooks{OnDone: func(res JobResult) {
+		submit(t, s, units, task, func(res JobResult) {
 			mu.Lock()
 			completedAt[id] = batches
 			mu.Unlock()
 			done <- res
-		}}
-		if _, err := s.Submit(id, units, task, hooks); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	close(release)
 	waitDone(t, gateDone)
 	for range ids {
-		if res := waitDone(t, done); res.Err != nil || res.UnitsDone != units {
+		if res := waitDone(t, done); res.Err != nil {
 			t.Fatalf("job result = %+v", res)
 		}
+	}
+	if st := s.Stats(); st.Units != 1+K*units {
+		t.Fatalf("units = %d, want %d", st.Units, 1+K*units)
 	}
 
 	// All K jobs must complete in the ring's final K turns: no job may
@@ -150,16 +152,14 @@ func TestPreclaimStopsAtWorkerCount(t *testing.T) {
 	defer s.Close()
 	release := make(chan struct{})
 	done := make(chan JobResult, 3)
-	for i, id := range []string{"a", "b", "c"} {
-		pre, err := s.Submit(id, 1, blockTask{release}, doneHook(done))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := i < 2; pre != want {
-			t.Errorf("submission %d preclaimed = %v, want %v", i, pre, want)
+	var third *Job
+	for i := 0; i < 3; i++ {
+		third = submit(t, s, 1, blockTask{release}, doneHook(done))
+		if want := i < 2; third.Status().Started != want {
+			t.Errorf("submission %d started = %v, want %v", i, !want, want)
 		}
 	}
-	if st, ok := s.Status("c"); !ok || st.State != StateQueued {
+	if st := third.Status(); st.Started {
 		t.Errorf("third job status = %+v, want queued", st)
 	}
 	close(release)
@@ -173,24 +173,16 @@ func TestCancelQueuedJobCompletesImmediately(t *testing.T) {
 	defer s.Close()
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.Submit("gate", 1, blockTask{release}, Hooks{}); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, 1, blockTask{release}, nil)
 	done := make(chan JobResult, 1)
-	if _, err := s.Submit("victim", 100, &unitTask{remaining: 100}, doneHook(done)); err != nil {
-		t.Fatal(err)
-	}
-	s.Cancel("victim")
+	j := submit(t, s, 100, &unitTask{remaining: 100}, doneHook(done))
+	j.Cancel()
 	res := waitDone(t, done)
-	if !errors.Is(res.Err, ErrCanceled) || res.UnitsDone != 0 {
+	if !errors.Is(res.Err, ErrCanceled) || j.Status().UnitsDone != 0 {
 		t.Errorf("result = %+v, want ErrCanceled with 0 units", res)
 	}
 	if st := s.Stats(); st.JobsCanceled != 1 {
 		t.Errorf("JobsCanceled = %d, want 1", st.JobsCanceled)
-	}
-	// A canceled id is reusable.
-	if _, err := s.Submit("victim", 1, &unitTask{remaining: 1}, doneHook(done)); err != nil {
-		t.Fatalf("resubmitting canceled id: %v", err)
 	}
 }
 
@@ -199,117 +191,90 @@ func TestCancelExecutingJobCompletesAfterBatch(t *testing.T) {
 	defer s.Close()
 	inBatch := make(chan struct{})
 	release := make(chan struct{})
-	task := &funcTask{fn: func(int) (int, bool, error) {
+	task := &funcTask{fn: func(int, <-chan struct{}) (int, bool, error) {
 		close(inBatch)
 		<-release
 		return 10, false, nil
 	}}
 	done := make(chan JobResult, 1)
-	if _, err := s.Submit("j", 100, task, doneHook(done)); err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, s, 100, task, doneHook(done))
 	<-inBatch
-	s.Cancel("j")
+	j.Cancel()
 	close(release)
 	res := waitDone(t, done)
-	if !errors.Is(res.Err, ErrCanceled) || res.UnitsDone != 10 {
+	if !errors.Is(res.Err, ErrCanceled) || j.Status().UnitsDone != 10 {
 		t.Errorf("result = %+v, want ErrCanceled after the in-flight batch's 10 units", res)
+	}
+}
+
+// TestCanceledWinsOverBatchError: a task that watches its cancel
+// channel aborts with an error of its own; the job still counts as
+// canceled, not failed.
+func TestCanceledWinsOverBatchError(t *testing.T) {
+	s := New(Config{Workers: 1, BatchUnits: 10})
+	defer s.Close()
+	inBatch := make(chan struct{})
+	task := &funcTask{fn: func(_ int, cancel <-chan struct{}) (int, bool, error) {
+		close(inBatch)
+		<-cancel
+		return 4, false, errors.New("aborted")
+	}}
+	done := make(chan JobResult, 1)
+	j := submit(t, s, 100, task, doneHook(done))
+	<-inBatch
+	j.Cancel()
+	if res := waitDone(t, done); !errors.Is(res.Err, ErrCanceled) {
+		t.Errorf("result = %+v, want ErrCanceled", res)
+	}
+	if st := s.Stats(); st.JobsCanceled != 1 || st.JobsFailed != 0 {
+		t.Errorf("canceled/failed = %d/%d, want 1/0", st.JobsCanceled, st.JobsFailed)
+	}
+}
+
+// TestFinishedJobReleasesTaskAndCallback: a terminal handle must pin
+// neither its task nor its callback — callers keep handles for as long
+// as the resource they describe lives, and the task of a finished
+// training holds its whole run.
+func TestFinishedJobReleasesTaskAndCallback(t *testing.T) {
+	s := New(Config{Workers: 1, BatchUnits: 10})
+	defer s.Close()
+	release := make(chan struct{})
+	defer close(release)
+	submit(t, s, 1, blockTask{release}, nil)
+	done := make(chan JobResult, 2)
+	ran := submit(t, s, 5, &unitTask{remaining: 5}, doneHook(done))
+	queued := submit(t, s, 5, &unitTask{remaining: 5}, doneHook(done))
+	queued.Cancel()
+	waitDone(t, done)
+	release <- struct{}{}
+	waitDone(t, done)
+	for name, j := range map[string]*Job{"ran to completion": ran, "canceled in queue": queued} {
+		s.mu.Lock()
+		task, onDone := j.task, j.onDone
+		s.mu.Unlock()
+		if task != nil || onDone != nil {
+			t.Errorf("job %s still holds task=%v onDone=%v", name, task != nil, onDone != nil)
+		}
 	}
 }
 
 // funcTask adapts a closure; the first call is the whole behavior
 // (subsequent calls never happen in the tests that use it).
 type funcTask struct {
-	fn func(n int) (int, bool, error)
+	fn func(n int, cancel <-chan struct{}) (int, bool, error)
 }
 
-func (t *funcTask) RunBatch(n int) (int, bool, error) { return t.fn(n) }
-
-// ckptTask is a unitTask that checkpoints its progress counter.
-type ckptTask struct {
-	unitTask
-	doneUnits int
-}
-
-func (t *ckptTask) RunBatch(n int) (int, bool, error) {
-	ran, done, err := t.unitTask.RunBatch(n)
-	t.doneUnits += ran
-	return ran, done, err
-}
-
-func (t *ckptTask) Checkpoint() ([]byte, bool) {
-	return []byte{byte(t.doneUnits)}, true
-}
-
-func TestCheckpointSavedAfterNonFinalBatches(t *testing.T) {
-	var mu sync.Mutex
-	var saves [][]byte
-	var drops []string
-	s := New(Config{
-		Workers:    1,
-		BatchUnits: 10,
-		Save: func(id string, data []byte) {
-			mu.Lock()
-			saves = append(saves, append([]byte(nil), data...))
-			mu.Unlock()
-			if id != "j" {
-				t.Errorf("save for job %q, want j", id)
-			}
-		},
-		Drop: func(id string) {
-			mu.Lock()
-			drops = append(drops, id)
-			mu.Unlock()
-		},
-	})
-	defer s.Close()
-	done := make(chan JobResult, 1)
-	if _, err := s.Submit("j", 30, &ckptTask{unitTask: unitTask{remaining: 30}}, doneHook(done)); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, done)
-	mu.Lock()
-	defer mu.Unlock()
-	// 3 batches: saves after the 1st and 2nd only (the final batch's
-	// progress is the finished job — the Drop callback retires it).
-	if len(saves) != 2 || saves[0][0] != 10 || saves[1][0] != 20 {
-		t.Errorf("saves = %v, want progress bytes [10] then [20]", saves)
-	}
-	if len(drops) != 1 || drops[0] != "j" {
-		t.Errorf("drops = %v, want exactly [j]", drops)
-	}
-}
-
-func TestDuplicateLiveIDRejected(t *testing.T) {
-	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
-	release := make(chan struct{})
-	done := make(chan JobResult, 1)
-	if _, err := s.Submit("j", 1, blockTask{release}, doneHook(done)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit("j", 1, &unitTask{remaining: 1}, Hooks{}); err == nil {
-		t.Error("submitting a live id should fail")
-	}
-	close(release)
-	waitDone(t, done)
-	if _, err := s.Submit("j", 1, &unitTask{remaining: 1}, doneHook(done)); err != nil {
-		t.Fatalf("terminal id should be reusable: %v", err)
-	}
-	waitDone(t, done)
-}
+func (t *funcTask) RunBatch(n int, cancel <-chan struct{}) (int, bool, error) { return t.fn(n, cancel) }
 
 func TestBatchErrorFailsJob(t *testing.T) {
 	boom := errors.New("boom")
 	s := New(Config{Workers: 1, BatchUnits: 10})
 	defer s.Close()
 	done := make(chan JobResult, 1)
-	task := &funcTask{fn: func(int) (int, bool, error) { return 3, false, boom }}
-	if _, err := s.Submit("j", 100, task, doneHook(done)); err != nil {
-		t.Fatal(err)
-	}
+	task := &funcTask{fn: func(int, <-chan struct{}) (int, bool, error) { return 3, false, boom }}
+	j := submit(t, s, 100, task, doneHook(done))
 	res := waitDone(t, done)
-	if !errors.Is(res.Err, boom) || res.UnitsDone != 3 {
+	if !errors.Is(res.Err, boom) || j.Status().UnitsDone != 3 {
 		t.Errorf("result = %+v, want boom after 3 units", res)
 	}
 	if st := s.Stats(); st.JobsFailed != 1 {
@@ -323,7 +288,7 @@ func TestStatusProgressAndETA(t *testing.T) {
 	mid := make(chan struct{})
 	release := make(chan struct{})
 	first := true
-	task := &funcTask{fn: func(int) (int, bool, error) {
+	task := &funcTask{fn: func(int, <-chan struct{}) (int, bool, error) {
 		if first {
 			first = false
 			close(mid)
@@ -333,24 +298,22 @@ func TestStatusProgressAndETA(t *testing.T) {
 		return 10, true, nil
 	}}
 	done := make(chan JobResult, 1)
-	if _, err := s.Submit("j", 20, task, doneHook(done)); err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, s, 20, task, doneHook(done))
 	<-mid
-	if st, ok := s.Status("j"); !ok || st.State != StateRunning || st.UnitsTotal != 20 {
-		t.Errorf("mid-batch status = %+v", st)
+	if st := j.Status(); !st.Started || st.UnitsDone != 0 || st.ETA != 0 {
+		t.Errorf("mid-batch status = %+v, want started, no progress, no ETA sample yet", st)
 	}
 	close(release)
 	waitDone(t, done)
-	if _, ok := s.Status("j"); ok {
-		t.Error("done job should be forgotten")
+	if st := j.Status(); st.UnitsDone != 20 || st.ETA != 0 || st.QueuePosition != 0 {
+		t.Errorf("finished status = %+v, want 20 units and no ETA", st)
 	}
 }
 
 func TestSubmitAfterCloseFails(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.Close()
-	if _, err := s.Submit("j", 1, &unitTask{remaining: 1}, Hooks{}); err == nil {
+	if _, err := s.Submit(1, &unitTask{remaining: 1}, nil); err == nil {
 		t.Error("submit after Close should fail")
 	}
 }

@@ -106,8 +106,8 @@ func TestCheckpointSavedBetweenBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveOK, saveErr := p.ckptSaveOK.Load(), p.ckptSaveErr.Load()
-	if saveOK < 1 || saveErr != 0 {
-		t.Errorf("checkpoint saves ok/err = %d/%d, want ≥1/0", saveOK, saveErr)
+	if saveOK != 4 || saveErr != 0 {
+		t.Errorf("checkpoint saves ok/err = %d/%d, want 4/0", saveOK, saveErr)
 	}
 	waitCheckpointGone(t, fs, spec.ID())
 	waitSaves(t, p, 1)
@@ -263,10 +263,12 @@ func TestRetryAfterScalesWithQueuePosition(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
-	head := p.RetryAfterFor(ids[1]) // next in line
-	tail := p.RetryAfterFor(ids[2]) // behind it
+	headSt, _ := p.Lookup(ids[1])
+	tailSt, _ := p.Lookup(ids[2])
+	head := p.RetryAfter(headSt) // next in line
+	tail := p.RetryAfter(tailSt) // behind it
 	if tail <= head {
-		t.Errorf("RetryAfterFor(tail) = %v, want > head's %v", tail, head)
+		t.Errorf("RetryAfter(tail) = %v, want > head's %v", tail, head)
 	}
 	if head < 100*time.Millisecond || tail > 30*time.Second {
 		t.Errorf("hints outside clamp: head %v, tail %v", head, tail)

@@ -247,6 +247,41 @@ func TestDeleteCancelsTrainingFlight(t *testing.T) {
 	}
 }
 
+// TestDeleteExecutingFlightCountsCanceled: a DELETE that aborts a real
+// training mid-batch is a cancellation, not a failure, in the
+// scheduler's outcome counters — even though the aborted run returns
+// its own error.
+func TestDeleteExecutingFlightCountsCanceled(t *testing.T) {
+	const trials = 200_000
+	p := NewDetectorPool(0)
+	p.SetSchedBatchTrials(trials) // one batch: the job executes until done
+	spec := tinySpec()
+	spec.Train.Trials = trials
+	st, _, err := p.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.SchedStats().Executing == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("training never started executing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !p.Delete(st.ID) {
+		t.Fatal("Delete returned false")
+	}
+	for p.SchedStats().ActiveJobs != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("canceled training never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ss := p.SchedStats(); ss.JobsCanceled != 1 || ss.JobsFailed != 0 || ss.JobsDone != 0 {
+		t.Errorf("sched outcomes canceled/failed/ok = %d/%d/%d, want 1/0/0", ss.JobsCanceled, ss.JobsFailed, ss.JobsDone)
+	}
+}
+
 // validSnapshot trains one real detector through a persisting pool and
 // returns the stored snapshot bytes plus the spec.
 func validSnapshot(t *testing.T) ([]byte, DetectorSpec) {

@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -210,20 +209,11 @@ type poolEntry struct {
 	//lad:guardedby mu
 	done chan struct{}
 
-	// cancel aborts the current flight's Monte-Carlo run: Delete closes
-	// it when detaching a mid-training resource, so the detached flight
-	// stops burning cores instead of finishing a run nobody will read.
-	// Re-arming installs a fresh channel alongside done; nil on adopted
-	// entries (no flight ever ran).
+	// job is the current flight's scheduler handle: its status tells
+	// pending from training, and Delete cancels through it. nil on
+	// adopted entries (no flight ever ran) and while a re-arm submits.
 	//lad:guardedby mu
-	cancel chan struct{}
-
-	// jobID names the current flight's scheduler job. Flight-scoped, not
-	// resource-scoped: re-registration after a delete may start a new
-	// flight while the canceled one still drains, so each flight gets a
-	// fresh id ("<resource id>#<seq>"). Empty on adopted entries.
-	//lad:guardedby mu
-	jobID string
+	job *sched.Job
 
 	// saveMu serializes snapshot saves for this entry so an initial save
 	// and a racing rethreshold save cannot land on disk out of order (the
@@ -233,7 +223,9 @@ type poolEntry struct {
 	saveMu sync.Mutex
 }
 
-// status snapshots the entry.
+// status snapshots the entry. A live flight is pending until its job
+// holds a worker and training after; its queue position, progress and
+// ETA come from the same job snapshot.
 func (e *poolEntry) status() DetectorStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -245,10 +237,19 @@ func (e *poolEntry) status() DetectorStatus {
 		Err:           e.err,
 		QueuePosition: -1,
 	}
-	if e.state == StateReady {
+	switch {
+	case e.state == StateReady:
 		st.Threshold = e.det.Threshold()
 		st.BenignScores = len(e.scores)
 		st.TrainSeconds = e.trainSecs
+	case e.state == StatePending && e.job != nil:
+		js := e.job.Status()
+		if js.Started {
+			st.State = StateTraining
+		}
+		st.QueuePosition = js.QueuePosition
+		st.TrialsDone = js.UnitsDone
+		st.EtaMS = js.ETA.Milliseconds()
 	}
 	return st
 }
@@ -290,8 +291,8 @@ const DefaultTrainConcurrency = 2
 // DetectorPool holds detector resources keyed by DetectorSpec.Key (and
 // addressable by DetectorSpec.ID). Training is asynchronous and
 // single-flight: Register returns immediately with the resource's state
-// while one goroutine per resource trains behind the concurrency cap;
-// concurrent registrations of the same spec share the flight. Safe for
+// while its job runs on the fair-share training scheduler; concurrent
+// registrations of the same spec share the flight. Safe for
 // concurrent use.
 type DetectorPool struct {
 	mu sync.Mutex
@@ -319,10 +320,6 @@ type DetectorPool struct {
 	schedBatch int
 	//lad:guardedby setup
 	trainWorkers int
-	// jobSeq disambiguates scheduler job ids across flights of the same
-	// resource id (a re-registered spec may overlap its predecessor's
-	// canceled, still-draining job).
-	jobSeq atomic.Uint64
 	// expCacheCap overrides the expectation-cache capacity installed on
 	// newly trained detectors: 0 keeps core's default, negative disables.
 	//lad:guardedby setup
@@ -337,7 +334,7 @@ type DetectorPool struct {
 	// pool trains through newTrialTask; the field exists so this
 	// package's tests can swap in a fake whole-run trainer.
 	//lad:guardedby setup
-	newTask func(e *poolEntry, cancel <-chan struct{}) (poolTask, int)
+	newTask func(e *poolEntry) (poolTask, int)
 	// snapStore, when set, persists ready detectors across restarts and
 	// feeds boot-time adoption; nil (the default) keeps the pool purely
 	// in-memory. See persist.go.
@@ -410,7 +407,6 @@ func (p *DetectorPool) rebuildSched() {
 	p.sched = sched.New(sched.Config{
 		Workers:    p.schedWorkers,
 		BatchUnits: p.schedBatch,
-		Save:       p.saveCheckpoint,
 		Metrics:    p.reg,
 	})
 }
@@ -451,9 +447,9 @@ func (p *DetectorPool) SetExpCacheByteBudget(bytes int64) {
 // the pool is at its live-entry limit first purges failed residents and
 // then, if still full, returns ErrPoolFull.
 //
-// When a training-concurrency slot is free, the returned status is
-// already StateTraining (the slot is claimed synchronously); otherwise
-// the resource is StatePending until a slot frees up.
+// When a scheduler worker is idle, the returned status is already
+// StateTraining (the job's first batch starts without queueing);
+// otherwise the resource is StatePending until a worker frees up.
 func (p *DetectorPool) Register(spec DetectorSpec) (DetectorStatus, bool, error) {
 	e, created, err := p.admit(spec)
 	if err != nil {
@@ -464,28 +460,7 @@ func (p *DetectorPool) Register(spec DetectorSpec) (DetectorStatus, bool, error)
 	} else {
 		p.hits.Inc()
 	}
-	return p.statusOf(e), created, nil
-}
-
-// statusOf snapshots the entry and, for live training jobs, decorates
-// the snapshot with the scheduler's queue position, progress, and ETA.
-func (p *DetectorPool) statusOf(e *poolEntry) DetectorStatus {
-	st := e.status()
-	if st.State != StatePending && st.State != StateTraining {
-		return st
-	}
-	e.mu.Lock()
-	jobID := e.jobID
-	e.mu.Unlock()
-	if jobID == "" {
-		return st
-	}
-	if js, ok := p.sched.Status(jobID); ok {
-		st.QueuePosition = js.QueuePosition
-		st.TrialsDone = js.UnitsDone
-		st.EtaMS = js.ETA.Milliseconds()
-	}
-	return st
+	return e.status(), created, nil
 }
 
 // admit is Register without the hit/miss accounting: it returns the live
@@ -513,7 +488,7 @@ func (p *DetectorPool) admit(spec DetectorSpec) (*poolEntry, bool, error) {
 			e.state = StatePending
 			e.err = nil
 			e.done = make(chan struct{})
-			e.cancel = make(chan struct{})
+			e.job = nil
 			e.mu.Unlock()
 			p.startTraining(e)
 		}
@@ -533,7 +508,6 @@ func (p *DetectorPool) admit(spec DetectorSpec) (*poolEntry, bool, error) {
 		state:      StatePending,
 		percentile: spec.Train.Percentile,
 		done:       make(chan struct{}),
-		cancel:     make(chan struct{}),
 	}
 	p.entries[key] = e
 	p.byID[e.id] = e
@@ -588,14 +562,13 @@ type poolTask interface {
 // trial batch per scheduler turn. Model construction and checkpoint
 // resume happen lazily in the first batch, so spec failures surface as
 // job failures (like the monolithic trainer's) and Submit stays cheap.
-// It implements sched.Checkpointer: after every non-final batch the
-// scheduler persists the run's progress, and a later flight for the
-// same resource id — after an eviction or a crash-reboot — resumes from
-// it bit-identically instead of restarting.
+// The pool owns checkpointing: when a store is configured, the task
+// saves the run's progress after every non-final batch, and a later
+// flight for the same resource id — after an eviction or a crash-reboot
+// — resumes from it bit-identically instead of restarting.
 type trialTask struct {
 	p       *DetectorPool
 	e       *poolEntry
-	cancel  <-chan struct{}
 	run     *core.TrainRun
 	specKey string
 	depHash string
@@ -607,13 +580,13 @@ type trialTask struct {
 
 // newTrialTask is the pool's newTask: a trialTask budgeted at the
 // spec's trial count.
-func (p *DetectorPool) newTrialTask(e *poolEntry, cancel <-chan struct{}) (poolTask, int) {
-	return &trialTask{p: p, e: e, cancel: cancel}, e.spec.Train.Trials
+func (p *DetectorPool) newTrialTask(e *poolEntry) (poolTask, int) {
+	return &trialTask{p: p, e: e}, e.spec.Train.Trials
 }
 
-func (t *trialTask) RunBatch(n int) (int, bool, error) {
+func (t *trialTask) RunBatch(n int, cancel <-chan struct{}) (int, bool, error) {
 	if t.run == nil {
-		if err := t.init(); err != nil {
+		if err := t.init(cancel); err != nil {
 			return 0, false, err
 		}
 	}
@@ -622,6 +595,7 @@ func (t *trialTask) RunBatch(n int) (int, bool, error) {
 		return ran, false, err
 	}
 	if !t.run.Done() {
+		t.p.saveCheckpoint(t)
 		return ran, false, nil
 	}
 	det, scores, err := t.run.Finish()
@@ -634,7 +608,9 @@ func (t *trialTask) RunBatch(n int) (int, bool, error) {
 
 func (t *trialTask) result() (*core.Detector, []float64) { return t.det, t.scores }
 
-func (t *trialTask) init() error {
+// init builds the run; cancel is the job's cancel channel, which the
+// run checks between trial dispatches.
+func (t *trialTask) init(cancel <-chan struct{}) error {
 	spec := t.e.spec
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -649,7 +625,7 @@ func (t *trialTask) init() error {
 	}
 	cfg := spec.Train.TrainConfig()
 	cfg.Workers = t.p.trainWorkers
-	cfg.Cancel = t.cancel
+	cfg.Cancel = cancel
 	t.specKey = spec.Key()
 	t.depHash = spec.Deployment.Hash()
 	if run := t.p.resumeRun(t.e.id, t.specKey, t.depHash, model, metric, cfg, &t.ck); run != nil {
@@ -664,68 +640,28 @@ func (t *trialTask) init() error {
 	return nil
 }
 
-// Checkpoint renders the run's durable progress, reusing the task's
-// receiver and buffer (0 allocs/op at steady state, held by
-// core.TestCheckpointEncodeDecodeZeroAllocs).
-func (t *trialTask) Checkpoint() ([]byte, bool) {
-	if t.run == nil || t.run.TrialsDone() == 0 {
-		return nil, false
-	}
-	t.ck.SpecKey = t.specKey
-	t.ck.DeploymentHash = t.depHash
-	t.run.CheckpointInto(&t.ck)
-	t.buf = t.ck.AppendBinary(t.buf[:0])
-	return t.buf, true
-}
-
 // startTraining submits the resource's training flight to the
-// scheduler. When idle worker capacity exists the job's slot is claimed
-// synchronously, so the common idle-server registration observes
-// StateTraining immediately; otherwise the resource stays StatePending
-// until its first batch turn.
+// scheduler and records the job handle on the entry.
 func (p *DetectorPool) startTraining(e *poolEntry) {
 	p.jobsStarted.Inc()
-	e.mu.Lock()
-	cancel := e.cancel
-	e.mu.Unlock()
-	task, units := p.newTask(e, cancel)
-	jobID := fmt.Sprintf("%s#%d", e.id, p.jobSeq.Add(1))
-	e.mu.Lock()
-	e.jobID = jobID
-	e.mu.Unlock()
-	preclaimed, err := p.sched.Submit(jobID, units, task, sched.Hooks{
-		OnStart: func() { p.markTraining(e) },
-		OnDone: func(res sched.JobResult) {
-			det, scores := task.result()
-			p.finishTraining(e, det, scores, res)
-		},
+	task, units := p.newTask(e)
+	job, err := p.sched.Submit(units, task, func(res sched.JobResult) {
+		det, scores := task.result()
+		p.finishTraining(e, det, scores, res)
 	})
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err != nil {
-		// Unreachable in normal operation (flight-scoped ids cannot
-		// collide; the scheduler only closes during setup) — but a job
-		// that never ran must still publish a terminal state or waiters
-		// hang forever.
-		e.mu.Lock()
+		// Unreachable in normal operation (the scheduler only closes
+		// during setup) — but a job that never ran must still publish a
+		// terminal state or waiters hang forever.
 		e.state = StateFailed
 		e.err = err
 		close(e.done)
-		e.mu.Unlock()
 		p.failures.Inc()
 		return
 	}
-	if preclaimed {
-		p.markTraining(e)
-	}
-}
-
-// markTraining publishes the pending → training transition (idempotent:
-// the preclaim path and the first-batch hook may both report it).
-func (p *DetectorPool) markTraining(e *poolEntry) {
-	e.mu.Lock()
-	if e.state == StatePending {
-		e.state = StateTraining
-	}
-	e.mu.Unlock()
+	e.job = job
 }
 
 // finishTraining publishes a flight's terminal outcome. Failed runs
@@ -829,7 +765,7 @@ func (p *DetectorPool) await(spec DetectorSpec) (*core.Detector, error) {
 		// is the current truth for this spec.
 	}
 	if trainErr != nil {
-		// Run failures are counted once per run (in runTraining), not per
+		// Run failures are counted once per run (in finishTraining), not per
 		// waiter: N clients joining one failed flight is one failure.
 		return nil, trainErr
 	}
@@ -849,7 +785,7 @@ func (p *DetectorPool) Lookup(id string) (DetectorStatus, bool) {
 	if e == nil {
 		return DetectorStatus{}, false
 	}
-	return p.statusOf(e), true
+	return e.status(), true
 }
 
 // Detector returns the trained detector behind id. ok is false when the
@@ -863,7 +799,7 @@ func (p *DetectorPool) Detector(id string) (det *core.Detector, st DetectorStatu
 		return nil, DetectorStatus{}, false
 	}
 	det, ready := e.detector()
-	return det, p.statusOf(e), ready
+	return det, e.status(), ready
 }
 
 // Corrector returns the shared corrector for a ready resource.
@@ -891,7 +827,7 @@ func (p *DetectorPool) List() []DetectorStatus {
 	p.mu.Unlock()
 	out := make([]DetectorStatus, len(es))
 	for i, e := range es {
-		out[i] = p.statusOf(e)
+		out[i] = e.status()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -901,12 +837,12 @@ func (p *DetectorPool) List() []DetectorStatus {
 // cache is retired so its reservations return to the shared byte budget
 // (in-flight checks keep scoring; their admissions are simply
 // uncharged). A mid-training resource is removed from the maps
-// immediately and its flight's cancel channel is closed, so the
-// Monte-Carlo run aborts between trial dispatches instead of burning
-// cores to completion; the detached flight publishes its (canceled)
-// outcome for waiters that joined before the delete and skips the
-// job/duration counters. Any persisted snapshot is removed from the
-// store. Returns false for unknown ids.
+// immediately and its flight's job is canceled: a queued job completes
+// at once, and an executing one's Monte-Carlo run aborts between trial
+// dispatches instead of burning cores to completion. The detached
+// flight publishes its (canceled) outcome for waiters that joined
+// before the delete and skips the job/duration counters. Any persisted
+// snapshot is removed from the store. Returns false for unknown ids.
 func (p *DetectorPool) Delete(id string) bool {
 	p.mu.Lock()
 	e := p.byID[id]
@@ -919,19 +855,11 @@ func (p *DetectorPool) Delete(id string) bool {
 	p.mu.Unlock()
 	e.mu.Lock()
 	e.evicted = true
-	det := e.det
-	jobID := e.jobID
-	if e.cancel != nil {
-		// Closing is safe exactly once: the entry just left the maps, so
-		// no second Delete or re-arm can reach this channel again.
-		close(e.cancel)
-		e.cancel = nil
-	}
+	det, job := e.det, e.job
 	e.mu.Unlock()
-	if jobID != "" {
-		// A queued job completes (canceled) immediately; an executing one
-		// when its current batch observes the closed cancel channel.
-		p.sched.Cancel(jobID)
+	if job != nil {
+		// Outside e.mu: a queued job's onDone runs on this goroutine.
+		job.Cancel()
 	}
 	if det != nil {
 		det.RetireExpCache()
@@ -956,19 +884,18 @@ func (p *DetectorPool) Rethreshold(id string, tau float64) (DetectorStatus, erro
 	if e == nil {
 		return DetectorStatus{}, apiErrorf(CodeNotFound, "no detector %q", id)
 	}
-	e.mu.Lock()
-	if e.state != StateReady {
-		state := e.state
-		e.mu.Unlock()
-		if state == StateFailed {
-			return DetectorStatus{}, apiErrorf(CodeDetectorFailed, "detector %q failed; re-register to retrain", id)
-		}
-		// Pending/training: the job is alive — tell the client to retry,
-		// not to give up, paced by its own queue position.
-		apiErr := apiErrorf(CodeDetectorTraining, "detector %q is %s", id, state)
-		apiErr.RetryAfterMS = p.RetryAfterFor(id).Milliseconds()
+	switch st := e.status(); st.State {
+	case StateFailed:
+		return DetectorStatus{}, apiErrorf(CodeDetectorFailed, "detector %q failed; re-register to retrain", id)
+	case StatePending, StateTraining:
+		// The job is alive — tell the client to retry, not to give up,
+		// paced by its own queue position.
+		apiErr := apiErrorf(CodeDetectorTraining, "detector %q is %s", id, st.State)
+		apiErr.RetryAfterMS = p.RetryAfter(st).Milliseconds()
 		return DetectorStatus{}, apiErr
 	}
+	// Ready is terminal for an entry, so it still holds under the lock.
+	e.mu.Lock()
 	th := mathx.PercentileSorted(e.scores, tau)
 	e.det.SetThreshold(th)
 	e.percentile = tau
@@ -996,72 +923,31 @@ func (p *DetectorPool) countState(st DetectorState) int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, e := range p.entries {
-		e.mu.Lock()
-		if e.state == st {
+		if e.status().State == st {
 			n++
 		}
-		e.mu.Unlock()
 	}
 	return n
 }
 
-// RetryAfter estimates how long a client should wait before re-polling a
-// not-yet-ready resource: the mean successful training duration when one
-// is known, a conservative default otherwise, clamped to [100ms, 30s].
-// It knows nothing about any particular resource; prefer RetryAfterFor,
-// which paces by the resource's actual queue standing.
-func (p *DetectorPool) RetryAfter() time.Duration {
-	return clampRetry(p.retryBase())
-}
-
-// RetryAfterFor is RetryAfter scaled by the named resource's standing
-// in the training scheduler: the scheduler's own completion estimate
-// when it has a throughput sample, otherwise the pool-mean baseline
-// multiplied by (queue position + 1) — a deep queue must not advertise
-// the same optimistic hint as the job at the head. Falls back to the
-// flat RetryAfter for unknown ids or jobs the scheduler has forgotten.
-func (p *DetectorPool) RetryAfterFor(id string) time.Duration {
-	p.mu.Lock()
-	e := p.byID[id]
-	p.mu.Unlock()
-	if e == nil {
-		return p.RetryAfter()
+// RetryAfter estimates how long a client should wait before re-polling
+// the not-yet-ready resource st describes: the scheduler's completion
+// estimate when it has a throughput sample, otherwise the mean
+// successful training duration (a conservative default before the
+// first) multiplied by (queue position + 1) — a deep queue must not
+// advertise the same optimistic hint as the job at the head. Clamped to
+// [100ms, 30s]: never busy-loop a client, never park one past the point
+// the estimate is guesswork.
+func (p *DetectorPool) RetryAfter(st DetectorStatus) time.Duration {
+	d := time.Duration(st.EtaMS) * time.Millisecond
+	if d <= 0 {
+		d = time.Second
+		if mean := p.meanTrainSeconds(); !math.IsNaN(mean) {
+			d = time.Duration(mean * float64(time.Second))
+		}
+		d *= time.Duration(max(st.QueuePosition, 0) + 1)
 	}
-	e.mu.Lock()
-	jobID := e.jobID
-	e.mu.Unlock()
-	if jobID == "" {
-		return p.RetryAfter()
-	}
-	js, ok := p.sched.Status(jobID)
-	if !ok {
-		return p.RetryAfter()
-	}
-	if js.ETA > 0 {
-		return clampRetry(js.ETA)
-	}
-	return clampRetry(p.retryBase() * time.Duration(js.QueuePosition+1))
-}
-
-// retryBase is the unclamped single-job wait estimate.
-func (p *DetectorPool) retryBase() time.Duration {
-	mean := p.meanTrainSeconds()
-	if math.IsNaN(mean) {
-		return time.Second
-	}
-	return time.Duration(mean * float64(time.Second))
-}
-
-// clampRetry bounds a retry hint to [100ms, 30s]: never busy-loop a
-// client, never park one past the point the estimate is guesswork.
-func clampRetry(d time.Duration) time.Duration {
-	if d < 100*time.Millisecond {
-		return 100 * time.Millisecond
-	}
-	if d > 30*time.Second {
-		return 30 * time.Second
-	}
-	return d
+	return min(max(d, 100*time.Millisecond), 30*time.Second)
 }
 
 // ExpCacheStats aggregates the per-detector expectation caches across

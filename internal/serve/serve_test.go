@@ -40,8 +40,8 @@ func tinySpec() DetectorSpec {
 // never interleave.
 func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
 	p := NewDetectorPool(0)
-	p.newTask = func(e *poolEntry, cancel <-chan struct{}) (poolTask, int) {
-		return &monoTask{train: func() (*core.Detector, []float64, error) {
+	p.newTask = func(e *poolEntry) (poolTask, int) {
+		return &monoTask{train: func(cancel <-chan struct{}) (*core.Detector, []float64, error) {
 			return trainer(e.spec, p.trainWorkers, cancel)
 		}}, 1
 	}
@@ -50,13 +50,13 @@ func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{})
 
 // monoTask is a whole training run as one scheduler batch.
 type monoTask struct {
-	train  func() (*core.Detector, []float64, error)
+	train  func(cancel <-chan struct{}) (*core.Detector, []float64, error)
 	det    *core.Detector
 	scores []float64
 }
 
-func (t *monoTask) RunBatch(int) (int, bool, error) {
-	det, scores, err := t.train()
+func (t *monoTask) RunBatch(_ int, cancel <-chan struct{}) (int, bool, error) {
+	det, scores, err := t.train(cancel)
 	if err != nil {
 		return 0, false, err
 	}

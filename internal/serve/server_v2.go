@@ -79,7 +79,7 @@ func (s *Server) detectorJSON(st DetectorStatus) DetectorJSON {
 			out.Error = st.Err.Error()
 		}
 	default:
-		out.RetryAfterMS = s.pool.RetryAfterFor(st.ID).Milliseconds()
+		out.RetryAfterMS = s.pool.RetryAfter(st).Milliseconds()
 		if st.QueuePosition >= 0 {
 			pos := st.QueuePosition
 			out.QueuePosition = &pos
@@ -152,7 +152,7 @@ func (s *Server) v2Detector(w http.ResponseWriter, r *http.Request) (*core.Detec
 		writeAPIError(w, apiErrorf(CodeDetectorFailed, "detector %q failed: %s", id, msg))
 	default:
 		e := apiErrorf(CodeDetectorTraining, "detector %q is %s", id, st.State)
-		e.RetryAfterMS = s.pool.RetryAfterFor(id).Milliseconds()
+		e.RetryAfterMS = s.pool.RetryAfter(st).Milliseconds()
 		writeAPIError(w, e)
 	}
 	return nil, false
