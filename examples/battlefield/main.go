@@ -66,12 +66,8 @@ func main() {
 			a := model.SampleObservation(la, group, r)
 			le := attack.ForgeLocationInField(la, d, model.Field(), r, 64)
 			e := core.NewExpectation(model, le)
-			var total int
-			for _, c := range a {
-				total += c
-			}
 			o := attack.NewDiffMinimizer(e.Mu, lad.DecBounded).
-				Taint(a, int(compromised*float64(total)))
+				Taint(a, attack.Compromised(a, compromised))
 			if detector.CheckWithExpectation(o, e).Alarm {
 				detected++
 			}

@@ -62,6 +62,19 @@ type Strategy interface {
 	Taint(a []int, x int) []int
 }
 
+// Compromised is the attacker's node budget against observation a:
+// x = ⌈xFrac·|a|⌉ compromised neighbors per §7.1, where |a| is the
+// victim's neighbor count. The 1e-9 slack keeps binary-float noise
+// (0.07*100 = 7.000000000000001) from rounding an exact product up and
+// granting a phantom extra node.
+func Compromised(a []int, xFrac float64) int {
+	total := 0
+	for _, c := range a {
+		total += c
+	}
+	return int(math.Ceil(xFrac*float64(total) - 1e-9))
+}
+
 // SatisfiesDecBounded reports whether tainted observation o is reachable
 // from a under the Dec-Bounded constraint with budget x.
 func SatisfiesDecBounded(a, o []int, x int) bool {

@@ -302,3 +302,25 @@ func TestProbMaximizerNeverLowersMinProbProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCompromisedIsCeiling pins the §7.1 budget rule: ⌈x%·|a|⌉ nodes,
+// with exact products (binary-float noise included) not rounded up.
+func TestCompromisedIsCeiling(t *testing.T) {
+	for _, c := range []struct {
+		a    []int
+		frac float64
+		want int
+	}{
+		{[]int{60, 40}, 0.07, 7},    // 0.07*100 = 7.000000000000001
+		{[]int{50, 45}, 0.10, 10},   // 9.5 rounds up
+		{[]int{3, 0, 2}, 0.20, 1},   // exactly 1
+		{[]int{3, 0, 3}, 0.20, 2},   // 1.2 rounds up
+		{[]int{0, 0}, 0.20, 0},      // no neighbors, no budget
+		{[]int{120, 80}, 0.0, 0},    // no attacker
+		{[]int{7, 3, 90}, 1.0, 100}, // every neighbor
+	} {
+		if got := Compromised(c.a, c.frac); got != c.want {
+			t.Errorf("Compromised(%v, %v) = %d, want %d", c.a, c.frac, got, c.want)
+		}
+	}
+}

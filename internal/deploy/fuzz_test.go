@@ -69,9 +69,9 @@ func FuzzBinomTable(f *testing.F) {
 	})
 }
 
-// FuzzGTableLogEval feeds fuzzed squared distances through the three
-// log-companion evaluation paths — GTable.LogEval2, GTable.LogEvalN,
-// and the raw LogTableView.LogEvalN inner-loop form — and asserts the
+// FuzzGTableLogEval feeds fuzzed squared distances through the two
+// log-companion evaluation paths — GTable.LogEval2 and LogAt over the
+// raw LogTableView, the localization inner-loop form — and asserts the
 // bit-identity contract the localization engine's exactness rests on,
 // plus the clamp convention: both log-probabilities are finite, at most
 // zero, and beyond MaxZ² collapse to (LnEps, 0).
@@ -98,23 +98,14 @@ func FuzzGTableLogEval(f *testing.F) {
 		// fuzzed values.
 		z2s = append(z2s, g.MaxZ2(), math.Nextafter(g.MaxZ2(), 0), 0)
 
-		lnG := make([]float64, len(z2s))
-		ln1G := make([]float64, len(z2s))
-		g.LogEvalN(z2s, lnG, ln1G)
-
-		viewLnG := make([]float64, len(z2s))
-		viewLn1G := make([]float64, len(z2s))
-		g.LogTable().LogEvalN(z2s, viewLnG, viewLn1G)
-
-		for i, z2 := range z2s {
+		v := g.LogTable()
+		for _, z2 := range z2s {
 			wantLn, wantLn1 := g.LogEval2(z2)
-			if math.Float64bits(lnG[i]) != math.Float64bits(wantLn) || math.Float64bits(ln1G[i]) != math.Float64bits(wantLn1) {
-				t.Fatalf("LogEvalN(z2=%g) = (%x, %x), LogEval2 = (%x, %x): batch path diverged",
-					z2, math.Float64bits(lnG[i]), math.Float64bits(ln1G[i]),
+			lnG, ln1G := LogAt(v.Logs, v.InvStep, v.MaxZ2, v.LnEps, len(v.Logs)-2, z2)
+			if math.Float64bits(lnG) != math.Float64bits(wantLn) || math.Float64bits(ln1G) != math.Float64bits(wantLn1) {
+				t.Fatalf("LogAt(view, z2=%g) = (%x, %x), LogEval2 = (%x, %x): inner-loop path diverged",
+					z2, math.Float64bits(lnG), math.Float64bits(ln1G),
 					math.Float64bits(wantLn), math.Float64bits(wantLn1))
-			}
-			if math.Float64bits(viewLnG[i]) != math.Float64bits(wantLn) || math.Float64bits(viewLn1G[i]) != math.Float64bits(wantLn1) {
-				t.Fatalf("LogTableView.LogEvalN(z2=%g) diverged from LogEval2", z2)
 			}
 			if math.IsNaN(wantLn) || math.IsNaN(wantLn1) || wantLn > 0 || wantLn1 > 0 {
 				t.Fatalf("LogEval2(z2=%g) = (%g, %g): log-probabilities must be finite and <= 0", z2, wantLn, wantLn1)

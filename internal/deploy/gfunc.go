@@ -189,41 +189,35 @@ func (g *GTable) LnEps() float64 { return g.lnEps }
 // makes the far-group contribution o·lnG + (m−o)·ln1G correct without
 // any branch in the caller.
 func (g *GTable) LogEval2(z2 float64) (lnG, ln1G float64) {
-	if z2 >= g.maxZ2 {
-		return g.lnEps, 0
+	return LogAt(g.logs, g.invStep, g.maxZ2, g.lnEps, len(g.logs)-2, z2)
+}
+
+// LogAt is the one log-companion interpolation: LogEval2 over a raw
+// table view, with last = len(logs)−2 the highest left sample index.
+// z2 must be finite and non-negative (a squared distance). Likelihood
+// inner loops fetch the view once and call LogAt per group per probe;
+// it inlines (its cost sits one below the compiler's budget of 80, and
+// CI fails if it stops inlining), so those loops pay no call. The
+// right-edge clamp is phrased unsigned: for the non-negative k of a
+// squared distance it is the same condition as k > last, and one
+// comparison bounds k on both sides.
+func LogAt(logs [][2]float64, invStep, maxZ2, lnEps float64, last int, z2 float64) (lnG, ln1G float64) {
+	if z2 >= maxZ2 {
+		return lnEps, 0
 	}
-	u := z2 * g.invStep
-	i := int(u)
-	if i >= len(g.logs)-1 { // float rounding at the right edge
-		i = len(g.logs) - 2
+	u := z2 * invStep
+	k := int(u)
+	if uint(k) > uint(last) { // float rounding at the right edge
+		k = last
 	}
-	f := u - float64(i)
-	lo, hi := g.logs[i], g.logs[i+1]
+	f := u - float64(k)
+	lo, hi := logs[k], logs[k+1]
 	return lo[0] + (hi[0]-lo[0])*f, lo[1] + (hi[1]-lo[1])*f
 }
 
-// LogEvalN is the batched form of LogEval2: it fills lnG[i], ln1G[i]
-// with the clamped log-probabilities at squared distance z2s[i] for
-// every element of z2s. Each element is computed with exactly LogEval2's
-// arithmetic (same operation order), so the outputs are bit-identical to
-// calling LogEval2 per element; the batch exists so likelihood inner
-// loops can run the table lookup as one branch-light pass over a
-// structure-of-arrays probe batch instead of a dependent per-group
-// chain. lnG and ln1G must be at least len(z2s) long.
-//
-//lad:noalloc
-func (g *GTable) LogEvalN(z2s, lnG, ln1G []float64) {
-	g.LogTable().LogEvalN(z2s, lnG, ln1G)
-}
-
 // LogTableView is the raw log-companion table: the interleaved
-// {ln g, ln(1−g)} samples plus the constants LogEval2 combines them
-// with. LogEval2 is above the compiler's inlining budget, so likelihood
-// inner loops that evaluate it per group per probe fetch the view once
-// and inline the two-line interpolation themselves; an evaluation
-// through the view MUST use exactly LogEval2's arithmetic (same
-// operation order) to stay bit-identical with it. The slice is shared,
-// not a copy — callers must not write to it.
+// {ln g, ln(1−g)} samples plus the constants LogAt combines them with.
+// The slice is shared, not a copy — callers must not write to it.
 type LogTableView struct {
 	Logs    [][2]float64
 	InvStep float64
@@ -234,33 +228,6 @@ type LogTableView struct {
 // LogTable returns the raw view of the log-space companion table.
 func (g *GTable) LogTable() LogTableView {
 	return LogTableView{Logs: g.logs, InvStep: g.invStep, MaxZ2: g.maxZ2, LnEps: g.lnEps}
-}
-
-// LogEvalN evaluates the view at every squared distance in z2s, writing
-// ln g into lnG and ln(1−g) into ln1G. Per element it is LogEval2's
-// arithmetic verbatim — see GTable.LogEvalN for the contract.
-//
-//lad:noalloc
-func (v LogTableView) LogEvalN(z2s, lnG, ln1G []float64) {
-	lnG = lnG[:len(z2s)]
-	ln1G = ln1G[:len(z2s)]
-	logs, invStep, maxZ2, lnEps := v.Logs, v.InvStep, v.MaxZ2, v.LnEps
-	last := len(logs) - 2
-	for i, z2 := range z2s {
-		if z2 >= maxZ2 {
-			lnG[i], ln1G[i] = lnEps, 0
-			continue
-		}
-		u := z2 * invStep
-		k := int(u)
-		if k > last { // float rounding at the right edge
-			k = last
-		}
-		f := u - float64(k)
-		lo, hi := logs[k], logs[k+1]
-		lnG[i] = lo[0] + (hi[0]-lo[0])*f
-		ln1G[i] = lo[1] + (hi[1]-lo[1])*f
-	}
 }
 
 // Omega returns the number of sub-ranges in the table.

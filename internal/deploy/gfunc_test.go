@@ -186,11 +186,12 @@ func TestGExactMonotoneInRangeProperty(t *testing.T) {
 	}
 }
 
-// TestLogEvalNBitIdenticalToLogEval2 pins the batched table lookup to
-// the scalar one: for any vector of squared distances — interior,
-// table-edge, beyond-MaxZ, zero — LogEvalN must produce bit-for-bit the
-// pair LogEval2 returns per element. The probe engine's equivalence
-// guarantee stands on this.
+// TestLogEvalNBitIdenticalToLogEval2 pins the localization inner loops'
+// table lookup to the scalar one: for any squared distance — interior,
+// table-edge, beyond-MaxZ, zero — LogAt over the raw LogTableView must
+// return bit-for-bit the pair LogEval2 returns. LogAt replaced the
+// batched LogEvalN; the probe engine's equivalence guarantee stands on
+// this.
 func TestLogEvalNBitIdenticalToLogEval2(t *testing.T) {
 	gt := NewGTable(50, 50, DefaultOmega)
 	maxZ2 := gt.MaxZ2()
@@ -199,23 +200,13 @@ func TestLogEvalNBitIdenticalToLogEval2(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		z2s = append(z2s, r.Float64()*maxZ2*1.2)
 	}
-	lnG := make([]float64, len(z2s))
-	ln1G := make([]float64, len(z2s))
-	gt.LogEvalN(z2s, lnG, ln1G)
-	for i, z2 := range z2s {
+	v := gt.LogTable()
+	for _, z2 := range z2s {
+		lnG, ln1G := LogAt(v.Logs, v.InvStep, v.MaxZ2, v.LnEps, len(v.Logs)-2, z2)
 		wantG, want1G := gt.LogEval2(z2)
-		if lnG[i] != wantG || ln1G[i] != want1G {
-			t.Fatalf("z2=%v: LogEvalN (%v,%v) != LogEval2 (%v,%v)",
-				z2, lnG[i], ln1G[i], wantG, want1G)
-		}
-	}
-	// The view method is the same code path; spot-check it directly.
-	view := gt.LogTable()
-	view.LogEvalN(z2s[:8], lnG[:8], ln1G[:8])
-	for i, z2 := range z2s[:8] {
-		wantG, want1G := gt.LogEval2(z2)
-		if lnG[i] != wantG || ln1G[i] != want1G {
-			t.Fatalf("view z2=%v: (%v,%v) != (%v,%v)", z2, lnG[i], ln1G[i], wantG, want1G)
+		if lnG != wantG || ln1G != want1G {
+			t.Fatalf("z2=%v: LogAt (%v,%v) != LogEval2 (%v,%v)",
+				z2, lnG, ln1G, wantG, want1G)
 		}
 	}
 }

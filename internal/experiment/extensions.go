@@ -114,7 +114,7 @@ func mismatchDRRate(assumed, actual *deploy.Model, metric core.Metric, threshold
 		a := actual.SampleObservation(la, group, r)
 		le := attack.ForgeLocationInField(la, 100, actual.Field(), r, 64)
 		e := core.NewExpectation(assumed, le)
-		o := StrategyFor(metric, e, attack.DecBounded).Taint(a, compromised(a, 0.10))
+		o := StrategyFor(metric, e, attack.DecBounded).Taint(a, attack.Compromised(a, 0.10))
 		if det.CheckWithExpectation(o, e).Alarm {
 			hits++
 		}
@@ -154,7 +154,7 @@ func Correction(model *deploy.Model, opts Options) (Figure, error) {
 			a := model.SampleObservation(la, group, r)
 			le := attack.ForgeLocationInField(la, d, model.Field(), r, 64)
 			e := core.NewExpectation(model, le)
-			o := StrategyFor(metric, e, attack.DecBounded).Taint(a, compromised(a, 0.10))
+			o := StrategyFor(metric, e, attack.DecBounded).Taint(a, attack.Compromised(a, 0.10))
 			pc, err := corr.Correct(o)
 			if err != nil {
 				continue

@@ -110,7 +110,7 @@ func SchemeSensitivity(opts Options) (Figure, error) {
 				le := attack.ForgeLocationInField(la, d, model.Field(), ar, 64)
 				e := core.NewExpectation(model, le)
 				o := attack.NewDiffMinimizer(e.Mu, attack.DecBounded).
-					Taint(a, compromised(a, 0.10))
+					Taint(a, attack.Compromised(a, 0.10))
 				trials++
 				if metric.Score(o, e) > threshold {
 					detected++

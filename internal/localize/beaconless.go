@@ -47,7 +47,7 @@ type Beaconless struct {
 	// within R + epoch2TailSigmas·σ of the centroid (instead of the full
 	// MaxZ = R + 6σ tail, whose per-group contribution is below ~1e-1
 	// nats), and the batched pattern search polls all eight compass
-	// probes from one center per round through the fused atN8 kernel,
+	// probes from one center per round (two four-wide atN4 passes),
 	// accepting the best improvement instead of replaying the scalar
 	// first-improvement order. Results are distribution-level equivalent
 	// to epoch 1 (threshold/detection-rate/FPR tolerance bands — see
@@ -118,8 +118,9 @@ func (b *Beaconless) LocalizeObservation(o []int) (geom.Point, error) {
 }
 
 // LocalizeMasked is LocalizeObservation with groups flagged in exclude
-// removed from the likelihood — the LAD corrector uses this to trim
-// groups whose counts look tainted. A nil exclude means no exclusions.
+// removed from the likelihood, on a pooled Session. A nil exclude means
+// no exclusions. (The LAD corrector trims tainted groups through
+// Session.LocalizeFrom on its own Session.)
 func (b *Beaconless) LocalizeMasked(o []int, exclude []bool) (geom.Point, error) {
 	s := b.session()
 	var p geom.Point
@@ -132,8 +133,7 @@ func (b *Beaconless) LocalizeMasked(o []int, exclude []bool) (geom.Point, error)
 }
 
 // LogLikelihoodAt exposes the observation log-likelihood at an arbitrary
-// location; the LAD corrector re-uses it to re-estimate locations after
-// an alarm.
+// location, on a pooled Session.
 func (b *Beaconless) LogLikelihoodAt(o []int, loc geom.Point) float64 {
 	s := b.session()
 	v := math.Inf(-1)
@@ -151,9 +151,8 @@ func (b *Beaconless) LogLikelihoodAt(o []int, loc geom.Point) float64 {
 type Session struct {
 	b  *Beaconless
 	ll likelihood
-	// probePts/probeVals are the pattern-search probe batch: the round
-	// center plus one slot per compass direction, reused across rounds
-	// and localizations.
+	// probePts/probeVals are the pattern-search probe batch: one slot
+	// per compass direction, reused across rounds and localizations.
 	probePts  []geom.Point
 	probeVals []float64
 }
@@ -163,8 +162,8 @@ type Session struct {
 // Session reuses its buffers.
 func (b *Beaconless) NewSession() *Session {
 	s := &Session{b: b}
-	s.probePts = make([]geom.Point, probeBatchMax)
-	s.probeVals = make([]float64, probeBatchMax)
+	s.probePts = make([]geom.Point, len(compassDirs))
+	s.probeVals = make([]float64, len(compassDirs))
 	return s
 }
 
@@ -219,9 +218,9 @@ func (s *Session) LocalizeFrom(start geom.Point, maxStep float64, exclude []bool
 	// batched probe evaluations, so its fixpoints are bit-identical to a
 	// point-at-a-time search over likelihood.at (probe_test.go keeps that
 	// search as the oracle). Epoch ≥ 2 takes the full-poll search instead:
-	// all eight probes of a round fused into one atN8 pass from a fixed
-	// center, best improvement wins — equivalent only at the distribution
-	// level, which is epoch 2's contract.
+	// all eight probes of a round evaluated from a fixed center as two
+	// atN4 passes, best improvement wins — equivalent only at the
+	// distribution level, which is epoch 2's contract.
 	if s.b.simEpoch >= 2 {
 		return s.ll.patternSearchPoll8(s.probePts, s.probeVals, start, maxStep, minStep), nil
 	}
@@ -327,27 +326,22 @@ type likelihood struct {
 	actXs, actYs, actOw, actMw     []float64
 	maskXs, maskYs, maskOw, maskMw []float64
 
-	// Probe-engine live set (atN): the per-batch compaction of the
-	// active arrays, cached with the coverage ball it was built for
-	// (anchor liveP0, radius liveRad) so batches probing inside the ball
-	// reuse it. liveValid drops on every bind/mask.
+	// Probe-engine live set (atN): the compaction of the active arrays,
+	// cached with the coverage ball it was built for (anchor liveP0,
+	// radius liveRad) so rounds probing inside the ball reuse it.
+	// liveValid drops on every bind/mask.
 	liveXs, liveYs, liveOw, liveMw []float64
 	liveN                          int
 	liveP0                         geom.Point
 	liveRad                        float64
 	liveValid                      bool
 
-	// Generic-width probe scratch (atN's three-pass path): squared
-	// distances and table outputs, len(batch)·len(live set), grown once
-	// and reused.
-	z2Buf, lgBuf, l1gBuf []float64
-
 	// maxZ caches GTable.MaxZ() for the probe engine's skip bound.
 	maxZ float64
 
-	// logs is the raw log-companion table view; at inlines the lookup
-	// (deploy.GTable.LogEval2 is over the compiler's inlining budget)
-	// using exactly LogEval2's arithmetic.
+	// logs is the raw log-companion table view the inner loops pass to
+	// deploy.LogAt (GTable.LogEval2 is over the compiler's inlining
+	// budget; LogAt is its body and inlines).
 	logs deploy.LogTableView
 }
 
@@ -498,25 +492,11 @@ func (ll *likelihood) at(p geom.Point) float64 {
 	var sum float64
 	mm := float64(ll.m)
 	logs, invStep, maxZ2, lnEps := ll.logs.Logs, ll.logs.InvStep, ll.logs.MaxZ2, ll.logs.LnEps
+	last := len(logs) - 2
 	for _, i := range ll.act {
 		dp := ll.model.DeploymentPoint(int(i))
 		dx, dy := p.X-dp.X, p.Y-dp.Y
-		z2 := dx*dx + dy*dy
-		// Inlined GTable.LogEval2 (same arithmetic, bit-identical).
-		var lg, l1g float64
-		if z2 >= maxZ2 {
-			lg, l1g = lnEps, 0
-		} else {
-			u := z2 * invStep
-			k := int(u)
-			if k >= len(logs)-1 { // float rounding at the right edge
-				k = len(logs) - 2
-			}
-			f := u - float64(k)
-			lo, hi := logs[k], logs[k+1]
-			lg = lo[0] + (hi[0]-lo[0])*f
-			l1g = lo[1] + (hi[1]-lo[1])*f
-		}
+		lg, l1g := deploy.LogAt(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
 		o := float64(ll.counts[i])
 		sum += o*lg + (mm-o)*l1g
 	}

@@ -3,39 +3,34 @@ package localize
 import (
 	"math"
 
+	"repro/internal/deploy"
 	"repro/internal/geom"
 )
 
 // This file is the structure-of-arrays probe engine of the beaconless
-// MLE: batched evaluation of pattern-search candidates over the
-// likelihood's active set.
+// MLE: pattern-search candidates evaluated over the likelihood's live
+// set.
 //
-// The scalar objective (likelihood.at) walks the active set once per
-// candidate, and each group's contribution is a dependent chain — index
-// through the id list, load the deployment point, interpolate the log
-// table, fold into one running sum. A pattern-search round probes up to
-// eight compass candidates against the SAME active set, so the engine
-// (atN) evaluates the whole probe batch in one group-major pass over the
-// bind-time SoA arrays: per group, the distance step, the table step,
-// and the weighted-sum step run for every probe of the batch before
-// moving on. That shape pays the group's table neighborhood once per
-// batch instead of once per probe, runs on compact coordinate/weight
-// arrays instead of pointer-chasing through model.DeploymentPoint and
-// counts[], and gives each probe an independent accumulator so the sum
-// updates pipeline instead of serializing on one running total.
-//
-// Before the pass, the batch is compacted to its live set: zero-count
-// groups provably beyond MaxZ of every probe contribute exactly +0.0
-// and are dropped (see atN for the proof sketch). The compaction is
-// cached across batches whose probes stay inside the previous coverage
-// ball, so a halving cascade at a converged center compacts once.
+// The scalar objective (likelihood.at) walks the id-indexed active set
+// once per candidate: index through the id list, load the deployment
+// point, interpolate the log table, fold into one running sum. The
+// engine instead runs on the bind-time structure-of-arrays copy of the
+// active set, compacted to its live set (compactLive), so each probe
+// streams compact coordinate/weight arrays with no pointer chasing.
+// Four-probe batches (a round's axis probes, or its diagonals) take
+// atN4, which evaluates all four in one group-major pass with
+// register-resident accumulators: each group's coordinates and weights
+// load once per batch, and the four table interpolations issue with no
+// cross-probe dependency. Any other width walks the live set once per
+// probe.
 //
 // Every per-element operation is the scalar path's arithmetic verbatim
-// and each probe's terms accumulate in the same ascending-group order,
-// so atN is bit-identical to calling at per candidate — probe_test.go
-// enforces this against at and against a point-at-a-time search oracle,
-// and it is why the engine's epoch-1 thresholds match the scalar
-// arithmetic exactly.
+// (the one table interpolation, deploy.LogAt) and each probe's terms
+// accumulate in the same ascending-group order, so every lane is
+// bit-identical to calling at per candidate — probe_test.go enforces
+// this against at and against a point-at-a-time search oracle, and it
+// is why the engine's epoch-1 thresholds match the scalar arithmetic
+// exactly.
 
 // compassDirs are the pattern-search probe directions, in the fixed
 // order every search shares: axes first, then diagonals. The order is
@@ -46,11 +41,6 @@ var compassDirs = [8]geom.Vec{
 	{DX: 1, DY: 1}, {DX: 1, DY: -1}, {DX: -1, DY: 1}, {DX: -1, DY: -1},
 }
 
-// probeBatchMax caps one probe batch: a full pattern-search round — the
-// center plus every compass direction. Larger atN inputs are processed
-// in chunks of this size.
-const probeBatchMax = len(compassDirs) + 1
-
 // probeSkipSlack absorbs the floating-point error of the live-set skip
 // bound: the true probe distances differ from the triangle-inequality
 // estimate by a handful of ulps, which 1e-6 m dwarfs by ~9 orders of
@@ -59,141 +49,39 @@ const probeSkipSlack = 1e-6
 
 // atN evaluates the log-likelihood at every candidate in pts, writing
 // the results to the parallel out slice (len(out) must equal len(pts)).
-// Each candidate's result is bit-identical to at(candidate).
+// Each candidate's result is bit-identical to at(candidate). The live
+// set must cover every candidate (ensureLive or compactLive).
 //
 //lad:noalloc
 func (ll *likelihood) atN(pts []geom.Point, out []float64) {
 	if len(out) != len(pts) {
 		panic("localize: atN length mismatch")
 	}
-	for len(pts) > probeBatchMax {
-		ll.atN(pts[:probeBatchMax], out[:probeBatchMax])
-		pts, out = pts[probeBatchMax:], out[probeBatchMax:]
-	}
-	np := len(pts)
-	if np == 0 {
-		return
-	}
-
-	// Live-set compaction. A zero-count group farther than MaxZ from
-	// every probe of the batch contributes o·ln g + (m−o)·ln(1−g) =
-	// 0·lnEps + (m−0)·0 = exactly +0.0, and x + (+0.0) == x bit-for-bit
-	// for every partial sum this likelihood produces (terms are +0.0 or
-	// strictly negative, so no −0.0 partial sums arise) — dropping such
-	// groups leaves every probe's result bit-identical while cutting the
-	// batch by the far third of the active margin disk. The bound: every
-	// probe lies within `radius` of the anchor, so a group at least
-	// MaxZ + radius (+ slack) from the anchor is at least MaxZ from
-	// every probe. Relative order of the surviving groups is preserved,
-	// which keeps the accumulation order — and therefore the rounding —
-	// of the scalar walk.
-	//
-	// The compaction is reused while probes stay inside the cached
-	// coverage ball: a cached live set that covered ball(p0, r) stays
-	// valid for any probe within r of p0, so the halving cascade of a
-	// converged search center compacts once, not once per round.
-	reuse := ll.liveValid
-	if reuse {
-		r2 := ll.liveRad * ll.liveRad
-		for j := 0; j < np; j++ {
-			if pts[j].Dist2(ll.liveP0) > r2 {
-				reuse = false
-				break
-			}
-		}
-	}
-	if !reuse {
-		p0 := pts[0]
-		var maxR2 float64
-		for j := 1; j < np; j++ {
-			if r2 := pts[j].Dist2(p0); r2 > maxR2 {
-				maxR2 = r2
-			}
-		}
-		ll.compactLive(p0, math.Sqrt(maxR2))
-	}
-
-	n := ll.liveN
-	out = out[:np]
-	for j := range out {
-		out[j] = 0
-	}
-	if n == 0 {
-		return
-	}
-
-	// The pattern search batches in chunks of four (the axis probes, the
-	// diagonal probes), so the four-wide kernel with register-resident
-	// accumulators carries almost all the traffic; odd widths (the round
-	// center, post-acceptance remainders, external callers) take the
-	// generic slice-accumulator pass.
-	if np == 4 {
+	if len(pts) == 4 {
 		ll.atN4((*[4]geom.Point)(pts), (*[4]float64)(out))
 		return
 	}
-
+	n := ll.liveN
 	xs, ys := ll.liveXs[:n], ll.liveYs[:n]
 	ow, mw := ll.liveOw[:n], ll.liveMw[:n]
-
-	// Generic width: three passes over a flat probe×group matrix —
-	// distance pass, one deploy.LogTableView.LogEvalN call for the whole
-	// batch (the batched table API; per element it is LogEval2's
-	// arithmetic verbatim), then a group-major weighted-sum pass with
-	// one independent accumulator slot per probe, accumulating each
-	// probe's terms in ascending group order.
-	need := np * n
-	if cap(ll.z2Buf) < need {
-		ll.z2Buf = make([]float64, need)
-		ll.lgBuf = make([]float64, need)
-		ll.l1gBuf = make([]float64, need)
-	}
-	z2 := ll.z2Buf[:need]
-	for j := 0; j < np; j++ {
-		row := z2[j*n : j*n+n]
-		px, py := pts[j].X, pts[j].Y
+	logs, invStep, maxZ2, lnEps := ll.logs.Logs, ll.logs.InvStep, ll.logs.MaxZ2, ll.logs.LnEps
+	last := len(logs) - 2
+	for j, p := range pts {
+		var sum float64
 		for g, x := range xs {
-			dx, dy := px-x, py-ys[g]
-			row[g] = dx*dx + dy*dy
+			dx, dy := p.X-x, p.Y-ys[g]
+			lgv, l1gv := deploy.LogAt(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
+			sum += ow[g]*lgv + mw[g]*l1gv
 		}
+		out[j] = sum
 	}
-	lg, l1g := ll.lgBuf[:need], ll.l1gBuf[:need]
-	ll.logs.LogEvalN(z2, lg, l1g)
-	for g := 0; g < n; g++ {
-		owg, mwg := ow[g], mw[g]
-		idx := g
-		for j := range out {
-			out[j] += owg*lg[idx] + mwg*l1g[idx]
-			idx += n
-		}
-	}
-}
-
-// logLookup is the log-companion table interpolation of the four-probe
-// kernel: LogEval2's arithmetic verbatim (same operation order, so
-// results are bit-identical to deploy.GTable.LogEval2 and LogEvalN —
-// deploy's tests pin LogEvalN to LogEval2 and this package's pin atN to
-// at), with the clamp phrased unsigned — the same condition, k is never
-// negative — so the compiler proves 0 ≤ k ≤ last and drops the bounds
-// checks on the two table loads. Small enough to inline.
-func logLookup(logs [][2]float64, invStep, maxZ2, lnEps float64, last int, z2 float64) (lgv, l1gv float64) {
-	if z2 >= maxZ2 {
-		return lnEps, 0
-	}
-	u := z2 * invStep
-	k := int(u)
-	if uint(k) > uint(last) { // float rounding at the right edge
-		k = last
-	}
-	f := u - float64(k)
-	lo, hi := logs[k], logs[k+1]
-	return lo[0] + (hi[0]-lo[0])*f, lo[1] + (hi[1]-lo[1])*f
 }
 
 // atN4 is the four-probe kernel: probe coordinates and the four
 // accumulators live in registers for the whole pass, so each (group,
 // probe) element costs its arithmetic plus loads only — no accumulator
 // store/reload per element. Arithmetic and accumulation order are the
-// scalar walk's exactly; see atN.
+// scalar walk's exactly.
 //
 //lad:noalloc
 func (ll *likelihood) atN4(pts *[4]geom.Point, out *[4]float64) {
@@ -214,109 +102,42 @@ func (ll *likelihood) atN4(pts *[4]geom.Point, out *[4]float64) {
 		y, owg, mwg := ys[g], ow[g], mw[g]
 		{
 			dx, dy := p0x-x, p0y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
+			lgv, l1gv := deploy.LogAt(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
 			a0 += owg*lgv + mwg*l1gv
 		}
 		{
 			dx, dy := p1x-x, p1y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
+			lgv, l1gv := deploy.LogAt(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
 			a1 += owg*lgv + mwg*l1gv
 		}
 		{
 			dx, dy := p2x-x, p2y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
+			lgv, l1gv := deploy.LogAt(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
 			a2 += owg*lgv + mwg*l1gv
 		}
 		{
 			dx, dy := p3x-x, p3y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
+			lgv, l1gv := deploy.LogAt(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
 			a3 += owg*lgv + mwg*l1gv
 		}
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
-
-// atN8 is the epoch-2 kernel: all eight compass probes of a full-poll
-// round evaluated in ONE group-major pass with eight independent
-// register accumulators, so each live group's coordinates and weights
-// are loaded once per round instead of once per four-wide chunk, and
-// the eight table interpolations per group issue back to back with no
-// cross-probe dependency. Arithmetic per element is still the scalar
-// walk's (logLookup is LogEval2's arithmetic verbatim) and terms
-// accumulate in ascending group order per probe, so each lane equals
-// at(pts[lane]) bit-for-bit — the epoch-2 freedom spent here is the
-// SEARCH restructure (full poll from a fixed center), not the
-// per-candidate arithmetic. The caller must have compacted the live set
-// for a ball covering all eight probes (patternSearchPoll8 does).
-//
-//lad:noalloc
-func (ll *likelihood) atN8(pts *[8]geom.Point, out *[8]float64) {
-	n := ll.liveN
-	xs, ys := ll.liveXs[:n], ll.liveYs[:n]
-	ow, mw := ll.liveOw[:n], ll.liveMw[:n]
-	logs, invStep, maxZ2, lnEps := ll.logs.Logs, ll.logs.InvStep, ll.logs.MaxZ2, ll.logs.LnEps
-	last := len(logs) - 2
-	if last < 0 {
-		return // unreachable: tables carry ≥ 2 samples
-	}
-	p0x, p0y := pts[0].X, pts[0].Y
-	p1x, p1y := pts[1].X, pts[1].Y
-	p2x, p2y := pts[2].X, pts[2].Y
-	p3x, p3y := pts[3].X, pts[3].Y
-	p4x, p4y := pts[4].X, pts[4].Y
-	p5x, p5y := pts[5].X, pts[5].Y
-	p6x, p6y := pts[6].X, pts[6].Y
-	p7x, p7y := pts[7].X, pts[7].Y
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	for g, x := range xs {
-		y, owg, mwg := ys[g], ow[g], mw[g]
-		{
-			dx, dy := p0x-x, p0y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a0 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p1x-x, p1y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a1 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p2x-x, p2y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a2 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p3x-x, p3y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a3 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p4x-x, p4y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a4 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p5x-x, p5y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a5 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p6x-x, p6y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a6 += owg*lgv + mwg*l1gv
-		}
-		{
-			dx, dy := p7x-x, p7y-y
-			lgv, l1gv := logLookup(logs, invStep, maxZ2, lnEps, last, dx*dx+dy*dy)
-			a7 += owg*lgv + mwg*l1gv
-		}
-	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-	out[4], out[5], out[6], out[7] = a4, a5, a6, a7
 }
 
 // compactLive rebuilds the live set for probes guaranteed to stay within
 // radius of anchor, and records the coverage ball for reuse.
+//
+// A zero-count group farther than MaxZ from every probe contributes
+// o·ln g + (m−o)·ln(1−g) = 0·lnEps + (m−0)·0 = exactly +0.0, and
+// x + (+0.0) == x bit-for-bit for every partial sum this likelihood
+// produces (terms are +0.0 or strictly negative, so no −0.0 partial
+// sums arise) — dropping such groups leaves every probe's result
+// bit-identical while cutting the far third of the active margin disk.
+// The bound: every probe lies within radius of the anchor, so a group at
+// least MaxZ + radius (+ slack) from the anchor is at least MaxZ from
+// every probe. Relative order of the surviving groups is preserved,
+// which keeps the accumulation order — and therefore the rounding — of
+// the scalar walk.
 func (ll *likelihood) compactLive(anchor geom.Point, radius float64) {
 	xs, ys, ow, mw := ll.actXs, ll.actYs, ll.actOw, ll.actMw
 	nAct := len(xs)
@@ -395,13 +216,15 @@ const axisChunk = 4
 // is bit-identical to the scalar search's (probe_test.go holds that
 // search as the oracle).
 //
-// Two batching choices keep the discarded-probe overhead small without
-// touching the acceptance sequence: the start's own evaluation rides in
-// the first chunk (the first round's candidates depend only on the
-// start, not on its value), and rounds are cut at axisChunk.
+// Rounds are cut at axisChunk, which keeps the discarded-probe overhead
+// small without touching the acceptance sequence. The start is
+// evaluated on its own, on the live set, before the first round. Every
+// chunk first makes the live set cover its center's probes: an accepted
+// move shifts the center mid-round, and coverage is what keeps the
+// live-set evaluation exact.
 //
-// pts and vals are caller-owned scratch of at least probeBatchMax slots
-// (Sessions hold them), so steady state allocates nothing.
+// pts and vals are caller-owned scratch of at least len(compassDirs)
+// slots (Sessions hold them), so steady state allocates nothing.
 //
 //lad:noalloc
 func (ll *likelihood) patternSearchBatch(pts []geom.Point, vals []float64, start geom.Point, maxStep, minStep float64) geom.Point {
@@ -432,6 +255,7 @@ func (ll *likelihood) patternSearchBatch(pts []geom.Point, vals []float64, start
 				pts[m] = best.Add(compassDirs[j].Scale(step))
 				m++
 			}
+			ll.ensureLive(best, (1+math.Sqrt2)*step)
 			ll.atN(pts[:m], vals[:m])
 			adv := m
 			for j := 0; j < m; j++ {
@@ -452,25 +276,25 @@ func (ll *likelihood) patternSearchBatch(pts []geom.Point, vals []float64, start
 		}
 		improved = false
 		k = 0
-		ll.ensureLive(best, (1+math.Sqrt2)*step)
 	}
 }
 
 // patternSearchPoll8 is the epoch-2 pattern search: a FULL POLL per
 // round — all eight compass probes computed from the round's fixed
-// center and evaluated in one fused atN8 pass — accepting the best
-// improving probe (ties break toward the lower compassDirs index). It
-// deliberately abandons the scalar search's first-improvement replay:
-// no probe is ever computed from a mid-round center, so there are no
-// discarded evaluations and no re-batching, and the whole round is one
-// kernel call over the live set. The accepted move sequence therefore
-// differs from patternSearchBatch's — fixpoints agree only
-// at the distribution level (a few centimeters on the paper deployment,
-// far inside the localization error the detector thresholds absorb),
-// which is simulation epoch 2's contract. Epoch 1 keeps the replaying
-// search; this path is reached only via Beaconless.SetSimEpoch(2+).
+// center and evaluated as two atN4 passes (axes, then diagonals) —
+// accepting the best improving probe (ties break toward the lower
+// compassDirs index). It deliberately abandons the scalar search's
+// first-improvement replay: no probe is ever computed from a mid-round
+// center, so there are no discarded evaluations and no re-batching. The
+// accepted move sequence therefore differs from patternSearchBatch's —
+// fixpoints agree only at the distribution level (a few centimeters on
+// the paper deployment, far inside the localization error the detector
+// thresholds absorb), which is simulation epoch 2's contract. Epoch 1
+// keeps the replaying search; this path is reached only via
+// Beaconless.SetSimEpoch(2+).
 //
-// pts and vals are the Session's probe scratch (≥ probeBatchMax slots).
+// pts and vals are the Session's probe scratch (≥ len(compassDirs)
+// slots).
 //
 //lad:noalloc
 func (ll *likelihood) patternSearchPoll8(pts []geom.Point, vals []float64, start geom.Point, maxStep, minStep float64) geom.Point {
@@ -484,15 +308,14 @@ func (ll *likelihood) patternSearchPoll8(pts []geom.Point, vals []float64, start
 	ll.atN(pts[:1], vals[:1])
 	bestV := vals[0]
 
-	probes := (*[8]geom.Point)(pts[:8])
-	outs := (*[8]float64)(vals[:8])
 	for {
 		for j, d := range compassDirs {
-			probes[j] = best.Add(d.Scale(step))
+			pts[j] = best.Add(d.Scale(step))
 		}
-		ll.atN8(probes, outs)
+		ll.atN4((*[4]geom.Point)(pts[:4]), (*[4]float64)(vals[:4]))
+		ll.atN4((*[4]geom.Point)(pts[4:8]), (*[4]float64)(vals[4:8]))
 		bestJ := -1
-		for j, v := range outs {
+		for j, v := range vals[:len(compassDirs)] {
 			if v > bestV {
 				bestV = v
 				bestJ = j
@@ -503,7 +326,7 @@ func (ll *likelihood) patternSearchPoll8(pts []geom.Point, vals []float64, start
 			// first-improvement ones; measured on the paper deployment the
 			// full poll converges in fewer rounds than an axis-first
 			// half-poll despite evaluating more probes per round.
-			best = probes[bestJ]
+			best = pts[bestJ]
 		} else {
 			step /= 2
 			if step < minStep {

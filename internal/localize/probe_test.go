@@ -1,6 +1,7 @@
 package localize
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -10,17 +11,18 @@ import (
 )
 
 // TestAtNBitIdenticalToAt is the probe engine's core property: for any
-// bound observation and any probe batch, atN must produce bit-for-bit
-// the values the scalar at returns point by point — across grid, hex,
-// and random layouts, interior and edge-of-field victims, masked and
-// unmasked active sets, and every batch size the pattern search uses.
+// bound observation and any probe batch its live set covers, atN must
+// produce bit-for-bit the values the scalar at returns point by point —
+// across grid, hex, and random layouts, interior and edge-of-field
+// victims, masked and unmasked active sets, and every batch size the
+// pattern searches use (the four-wide kernel and the per-probe walk).
 func TestAtNBitIdenticalToAt(t *testing.T) {
 	for name, pair := range layoutModels(t) {
 		model := pair[0]
 		b := NewBeaconlessModel(model)
 		s := b.NewSession()
 		r := rng.New(131)
-		pts := make([]geom.Point, probeBatchMax+3) // larger than a chunk: exercises chunking
+		pts := make([]geom.Point, len(compassDirs)+3)
 		got := make([]float64, len(pts))
 		for i := 0; i < 16; i++ {
 			o := sampleObs(model, r, i)
@@ -40,6 +42,7 @@ func TestAtNBitIdenticalToAt(t *testing.T) {
 				for j := 0; j < np; j++ {
 					pts[j] = s.ll.centroid.Add(geom.V(r.Uniform(-80, 80), r.Uniform(-80, 80)))
 				}
+				s.ll.compactLive(s.ll.centroid, 80*math.Sqrt2) // covers every probe
 				s.ll.atN(pts[:np], got[:np])
 				for j := 0; j < np; j++ {
 					if want := s.ll.at(pts[j]); got[j] != want {
