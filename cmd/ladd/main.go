@@ -62,7 +62,6 @@ func main() {
 		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max items per batch request")
 		trainConc   = flag.Int("train-concurrency", serve.DefaultTrainConcurrency, "training scheduler worker count: max detector trainings in flight (each gets GOMAXPROCS/n workers)")
 		schedBatch  = flag.Int("sched-batch-trials", 0, "trials a training job runs per scheduler turn — the fairness and checkpoint granularity (0 = scheduler default)")
-		expCache    = flag.Int("exp-cache", 0, "per-detector expectation-cache capacity in claimed locations (0 = core default, negative disables)")
 		expBudget   = flag.Int64("exp-cache-budget", 0, "pool-wide expectation-cache admission budget in bytes, shared across all detectors (0 = unlimited)")
 		tokenFile   = flag.String("api-token-file", "", "file holding the bearer token that gates mutating v2 endpoints (register/delete/rethreshold); empty leaves them open")
 		storeDir    = flag.String("store-dir", "", "directory for durable detector snapshots; ready detectors are persisted there and adopted on restart instead of retrained (empty disables persistence)")
@@ -114,7 +113,6 @@ func main() {
 		MaxBatch:               *maxBatch,
 		MaxConcurrentTrainings: *trainConc,
 		SchedBatchTrials:       *schedBatch,
-		ExpCacheCapacity:       *expCache,
 		ExpCacheBudgetBytes:    *expBudget,
 	}, nil)
 	if err != nil {
@@ -153,6 +151,9 @@ func main() {
 		if _, err := warmup(); err != nil {
 			log.Fatalf("ladd: warmup failed: %v", err)
 		}
+		// The snapshot save runs in the background; exiting first would
+		// leave -store-dir without the detector just trained.
+		srv.Pool().WaitSaves()
 		det, _, _ := srv.Pool().Detector(spec.ID())
 		log.Printf("ladd: threshold %.4f", det.Threshold())
 		fmt.Printf("%g\n", det.Threshold())
@@ -204,6 +205,8 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("ladd: shutdown: %v", err)
 	}
+	// A ready or rethreshold save may still be writing its snapshot.
+	srv.Pool().WaitSaves()
 	entries, hits, misses, failures := srv.Pool().Stats()
 	expSize, expHits, expMisses := srv.Pool().ExpCacheStats()
 	log.Printf("ladd: bye (detectors cached: %d, pool hits/misses/failures: %d/%d/%d, expectation cache: %d locations, hits/misses: %d/%d)",

@@ -38,113 +38,59 @@ type Detector struct {
 	// scoring hot path — checks in flight see either the old or the new
 	// value, never a torn one.
 	threshold atomic.Uint64
-	// expPool recycles Expectation buffers across CheckBatch calls so
-	// batched scoring does not allocate per verdict when the cache is
-	// disabled.
-	//lad:guardedby setup
-	expPool sync.Pool
 	// expCache shares expectations — and their lazily built log-PMF
-	// tables — across requests, keyed by claimed location. nil disables
-	// it (SetExpCacheCapacity(0)); verdicts are bit-identical either way.
+	// tables — across requests, keyed by claimed location. CheckPooled
+	// and the batch paths score through it; Check does not.
 	//lad:guardedby setup
 	expCache *expCache
-	// expCacheCapacity remembers the configured entry bound so budget
-	// installation can rebuild the cache at the same size.
-	//lad:guardedby setup
-	expCacheCapacity int
-	// expBudget is the (possibly pool-shared) byte budget installed on
-	// the cache; nil leaves admissions ungated.
-	//lad:guardedby setup
-	expBudget *ExpCacheBudget
 }
 
 // NewDetector wires a detector with an explicit threshold (normally
-// produced by Train). The cross-request expectation cache is enabled at
-// DefaultExpCacheCapacity, scaled down for very wide deployments so the
-// raw G/Mu slices stay tens of MiB even at the largest request-supplied
-// group counts; tune it with SetExpCacheCapacity.
+// produced by Train). The cross-request expectation cache holds
+// DefaultExpCacheCapacity locations, scaled down for very wide
+// deployments so the raw G/Mu slices stay tens of MiB even at the
+// largest request-supplied group counts.
 func NewDetector(model *deploy.Model, metric Metric, threshold float64) *Detector {
 	d := &Detector{model: model, metric: metric}
 	d.threshold.Store(math.Float64bits(threshold))
-	n := model.NumGroups()
-	d.expPool.New = func() any {
-		return &Expectation{G: make([]float64, n), Mu: make([]float64, n)}
-	}
 	capacity := DefaultExpCacheCapacity
-	if maxLocs := (1 << 21) / (2 * n); maxLocs < capacity { // ~16 MiB of G/Mu floats
+	if maxLocs := (1 << 21) / (2 * model.NumGroups()); maxLocs < capacity { // ~16 MiB of G/Mu floats
 		capacity = max(1, maxLocs)
 	}
-	d.expCacheCapacity = capacity
-	d.expCache = newExpCache(capacity)
+	d.expCache = newExpCache(capacity, nil)
 	return d
-}
-
-// SetExpCacheCapacity replaces the expectation cache with an empty one
-// bounded at capacity entries; capacity <= 0 disables caching (pooled
-// buffers only). An installed byte budget carries over to the new
-// cache, and the old cache's reservations are credited back. Not safe
-// to call concurrently with checks — configure the detector before
-// serving traffic.
-//
-//lad:setup
-func (d *Detector) SetExpCacheCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	d.expCacheCapacity = capacity
-	d.installExpCache()
 }
 
 // SetExpCacheBudget installs a byte budget on the detector's
 // expectation cache — pass the same *ExpCacheBudget to many detectors
 // to share one pool-wide bound (ladd does). nil removes budgeting. The
-// cache is rebuilt empty at its configured capacity and the previous
-// cache's reservations are credited back. Not safe to call concurrently
-// with checks — configure before serving traffic.
+// cache is rebuilt empty at the same capacity and the previous cache's
+// reservations are credited back. Not safe to call concurrently with
+// checks — configure before serving traffic.
 //
 //lad:setup
 func (d *Detector) SetExpCacheBudget(b *ExpCacheBudget) {
-	d.expBudget = b
-	d.installExpCache()
+	d.expCache.retire()
+	d.expCache = newExpCache(d.expCache.capacity(), b)
 }
 
 // ExpCacheBudget returns the installed byte budget (nil when none).
-func (d *Detector) ExpCacheBudget() *ExpCacheBudget { return d.expBudget }
-
-//lad:setup
-func (d *Detector) installExpCache() {
-	if d.expCache != nil {
-		d.expCache.retire()
-	}
-	if d.expCacheCapacity <= 0 {
-		d.expCache = nil
-		return
-	}
-	c := newExpCache(d.expCacheCapacity)
-	c.budget = d.expBudget
-	d.expCache = c
-}
+func (d *Detector) ExpCacheBudget() *ExpCacheBudget { return d.expCache.budget }
 
 // RetireExpCache credits the detector's expectation-cache reservations
 // back to the shared byte budget and stops the cache from charging it
-// again. Unlike the Set* reconfiguration methods this IS safe to call
-// while checks are in flight — scoring continues (post-retirement
-// admissions are simply uncharged) — which is exactly what the serving
-// pool needs when it evicts a detector whose cache would otherwise pin
-// budget bytes forever.
+// again. Unlike SetExpCacheBudget this IS safe to call while checks are
+// in flight — scoring continues (post-retirement admissions are simply
+// uncharged) — which is exactly what the serving pool needs when it
+// evicts a detector whose cache would otherwise pin budget bytes
+// forever.
 func (d *Detector) RetireExpCache() {
-	if d.expCache != nil {
-		d.expCache.retire()
-	}
+	d.expCache.retire()
 }
 
 // ExpCacheStats reports the expectation cache: resident locations and
-// hit/miss counters since the cache was (re)installed. All zeros when
-// the cache is disabled.
+// hit/miss counters since the cache was (re)installed.
 func (d *Detector) ExpCacheStats() (size int, hits, misses uint64) {
-	if d.expCache == nil {
-		return 0, 0, 0
-	}
 	return d.expCache.stats()
 }
 
@@ -174,22 +120,15 @@ func (d *Detector) Check(o []int, le geom.Point) Verdict {
 	return d.CheckWithExpectation(o, e)
 }
 
-// CheckPooled is Check scoring through the expectation cache (when
-// enabled) or a recycled Expectation buffer — same verdict, no per-call
-// slice allocations. The serving layer uses it for single-observation
-// requests; Check stays allocation-per-call so callers that retain the
-// expectation indirectly are unaffected.
+// CheckPooled is Check scoring through the expectation cache — same
+// verdict, and no allocation once le is resident. The serving layer
+// uses it for single-observation requests; Check builds a fresh
+// expectation per call and is the reference every cached path must
+// match bit for bit.
 //
 //lad:noalloc
 func (d *Detector) CheckPooled(o []int, le geom.Point) Verdict {
-	if d.expCache != nil {
-		return d.CheckWithExpectation(o, d.expCache.get(d.model, le))
-	}
-	e := d.expPool.Get().(*Expectation)
-	e.Fill(d.model, le)
-	v := d.CheckWithExpectation(o, e)
-	d.expPool.Put(e)
-	return v
+	return d.CheckWithExpectation(o, d.expCache.get(d.model, le))
 }
 
 // CheckWithExpectation is Check with a precomputed expectation (several
@@ -211,10 +150,9 @@ type BatchItem struct {
 // CheckBatch scores many observations in one call. Results are identical
 // to calling Check on each item in order; the batch path is faster
 // because items that share a claimed location share one Expectation
-// (through the cross-request cache when enabled), and large batches fan
-// out over a worker pool. This is the hot path of the ladd serving
-// daemon, where many sensors report against a handful of claimed
-// positions.
+// (through the cross-request cache), and large batches fan out over a
+// worker pool. This is the hot path of the ladd serving daemon, where
+// many sensors report against a handful of claimed positions.
 func (d *Detector) CheckBatch(items []BatchItem) []Verdict {
 	verdicts := make([]Verdict, len(items))
 	d.CheckBatchInto(verdicts, items)
@@ -275,32 +213,19 @@ func (d *Detector) CheckBatchInto(dst []Verdict, items []BatchItem) {
 }
 
 // checkRange scores one contiguous chunk. Locations are deduplicated
-// chunk-locally so the shared cache (or the buffer pool) is consulted
-// once per distinct location rather than once per item.
+// chunk-locally so the shared cache is consulted once per distinct
+// location rather than once per item.
 //
 //lad:noalloc
 func (d *Detector) checkRange(dst []Verdict, items []BatchItem) {
 	//lint:ignore ladvet/noalloc per-chunk dedup map: one small map per >=256-item chunk, not per verdict
 	local := make(map[geom.Point]*Expectation, 1+len(items)/8)
-	var pooled []*Expectation
 	for i, it := range items {
 		e := local[it.Location]
 		if e == nil {
-			if d.expCache != nil {
-				e = d.expCache.get(d.model, it.Location)
-			} else {
-				e = d.expPool.Get().(*Expectation)
-				e.Fill(d.model, it.Location)
-				//lint:ignore ladvet/noalloc distinct-location list: grows once per unique location, returned to the pool below
-				pooled = append(pooled, e)
-			}
+			e = d.expCache.get(d.model, it.Location)
 			local[it.Location] = e
 		}
 		dst[i] = d.CheckWithExpectation(it.Observation, e)
-	}
-	// Only pool-owned buffers go back; cached expectations are shared
-	// with concurrent requests and must never be recycled.
-	for _, e := range pooled {
-		d.expPool.Put(e)
 	}
 }

@@ -122,15 +122,13 @@ func BenchmarkCheckBatch64(b *testing.B) {
 	}
 }
 
-// BenchmarkCheck256 times the three scoring paths per metric over the
-// same 256 items (8 claimed locations): one fresh Check per item, the
-// batch with the expectation cache off (ladd -exp-cache -1), and the
-// batch as served, with the cache and its log-PMF tables.
+// BenchmarkCheck256 times the two scoring paths per metric over the
+// same 256 items (8 claimed locations): one fresh Check per item, and
+// the batch as served, with the expectation cache and its log-PMF
+// tables.
 func BenchmarkCheck256(b *testing.B) {
 	for _, metric := range AllMetrics() {
 		det, items := batchFixtureMetric(b, metric, 256, 8)
-		nocache := NewDetector(det.Model(), metric, det.Threshold())
-		nocache.SetExpCacheCapacity(0)
 		dst := make([]Verdict, len(items))
 		b.Run(metric.Name()+"/sequential", func(b *testing.B) {
 			b.ReportAllocs()
@@ -140,17 +138,12 @@ func BenchmarkCheck256(b *testing.B) {
 				}
 			}
 		})
-		for _, p := range []struct {
-			name string
-			d    *Detector
-		}{{"batch_nocache", nocache}, {"batch", det}} {
-			b.Run(metric.Name()+"/"+p.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					p.d.CheckBatchInto(dst, items)
-				}
-			})
-		}
+		b.Run(metric.Name()+"/batch", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				det.CheckBatchInto(dst, items)
+			}
+		})
 	}
 }
 

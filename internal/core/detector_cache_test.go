@@ -61,32 +61,12 @@ func TestCachedAndTableScoringBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledScoringBitIdentical covers the pool-only fallback
-// (ladd -exp-cache -1) for all three metrics.
-func TestCacheDisabledScoringBitIdentical(t *testing.T) {
-	for _, metric := range AllMetrics() {
-		det, items := batchFixtureMetric(t, metric, 200, 5)
-		want := make([]Verdict, len(items))
-		for i, it := range items {
-			want[i] = det.Check(it.Observation, it.Location)
-		}
-		det.SetExpCacheCapacity(0)
-		for round := 0; round < 2; round++ {
-			got := det.CheckBatch(items)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s round %d item %d: uncached batch %+v != fresh Check %+v",
-						metric.Name(), round, i, got[i], want[i])
-				}
-			}
-			if v := det.CheckPooled(items[0].Observation, items[0].Location); v != want[0] {
-				t.Fatalf("%s: uncached CheckPooled %+v != fresh Check %+v", metric.Name(), v, want[0])
-			}
-		}
-		if size, hits, misses := det.ExpCacheStats(); size != 0 || hits != 0 || misses != 0 {
-			t.Errorf("%s: disabled cache reports stats: %d/%d/%d", metric.Name(), size, hits, misses)
-		}
-	}
+// setExpCacheCapacity rebuilds d's expectation cache empty at capacity
+// entries, keeping its byte budget and crediting the old cache's
+// reservations back: the tiny-LRU seam of the eviction and budget tests.
+func setExpCacheCapacity(d *Detector, capacity int) {
+	d.expCache.retire()
+	d.expCache = newExpCache(capacity, d.expCache.budget)
 }
 
 // TestCheckBatchDeterministicUnderSharding re-runs the parallel batch
@@ -178,7 +158,7 @@ func TestConcurrentCachedScoring(t *testing.T) {
 func TestExpCacheEviction(t *testing.T) {
 	det, _ := batchFixture(t, 1, 1)
 	const capacity = 16
-	det.SetExpCacheCapacity(capacity)
+	setExpCacheCapacity(det, capacity)
 	r := rng.New(99)
 	model := det.Model()
 	o := make([]int, model.NumGroups())
@@ -300,7 +280,7 @@ func TestPMFBudgetBounded(t *testing.T) {
 
 	// Shrinking the cache and cycling locations through it must keep the
 	// counter pinned to what is actually resident (eviction credits).
-	det.SetExpCacheCapacity(16)
+	setExpCacheCapacity(det, 16)
 	c = det.expCache
 	for round := 0; round < 2; round++ {
 		for _, le := range locs[:100] {
@@ -370,12 +350,10 @@ func TestExpCacheByteBudgetAdmission(t *testing.T) {
 		locs[i] = p
 		obs[i] = model.SampleObservation(p, g, r)
 	}
-	fresh := NewDetector(model, DiffMetric{}, 5)
-	fresh.SetExpCacheCapacity(0)
 	for round := 0; round < 3; round++ {
 		for i := range locs {
 			got := det.CheckPooled(obs[i], locs[i])
-			want := fresh.Check(obs[i], locs[i])
+			want := det.Check(obs[i], locs[i])
 			if got != want {
 				t.Fatalf("round %d loc %d: budgeted %+v != fresh %+v", round, i, got, want)
 			}
@@ -393,7 +371,7 @@ func TestExpCacheByteBudgetAdmission(t *testing.T) {
 	}
 
 	// Swapping the cache must credit everything back.
-	det.SetExpCacheCapacity(DefaultExpCacheCapacity)
+	setExpCacheCapacity(det, DefaultExpCacheCapacity)
 	if in := budget.InUse(); in != 0 {
 		t.Errorf("after cache swap, budget in-use = %d, want 0", in)
 	}
@@ -405,7 +383,7 @@ func TestExpCacheByteBudgetAdmission(t *testing.T) {
 func TestExpCacheBudgetAccountOnly(t *testing.T) {
 	model := deploy.MustNew(smallConfig())
 	det := NewDetector(model, DiffMetric{}, 5)
-	det.SetExpCacheCapacity(4) // tiny LRU so evictions happen
+	setExpCacheCapacity(det, 4) // tiny LRU so evictions happen
 	budget := NewExpCacheBudget(0)
 	det.SetExpCacheBudget(budget)
 
@@ -463,5 +441,70 @@ func TestExpCacheByteBudgetReclaimsOwnTail(t *testing.T) {
 	}
 	if in := budget.InUse(); in > budget.Capacity() {
 		t.Errorf("budget in-use %d exceeds capacity %d", in, budget.Capacity())
+	}
+}
+
+// TestNaNLocationScoresAndLeaksNothing: a claimed location with a NaN
+// coordinate (reachable through the library API; the HTTP codec rejects
+// NaN) scores like one far from every group on every path, and the
+// cache serves it without inserting it. A NaN map key can never be
+// found or deleted, so an insert per check would grow the shard maps
+// without bound while the LRU stays at capacity.
+func TestNaNLocationScoresAndLeaksNothing(t *testing.T) {
+	for _, metric := range AllMetrics() {
+		det, items := batchFixtureMetric(t, metric, 4, 1)
+		o := items[0].Observation
+		for _, le := range []geom.Point{geom.Pt(math.NaN(), 10), geom.Pt(10, math.NaN())} {
+			want := det.Check(o, le)
+			if got := det.CheckPooled(o, le); got != want {
+				t.Fatalf("%s at %v: CheckPooled %+v != Check %+v", metric.Name(), le, got, want)
+			}
+			batch := det.CheckBatch([]BatchItem{{o, le}, {o, le}, items[1]})
+			if batch[0] != want || batch[1] != want {
+				t.Fatalf("%s at %v: CheckBatch %+v != Check %+v", metric.Name(), le, batch[:2], want)
+			}
+			if ref := det.Check(items[1].Observation, items[1].Location); batch[2] != ref {
+				t.Fatalf("%s: finite item next to NaN: %+v != %+v", metric.Name(), batch[2], ref)
+			}
+		}
+	}
+
+	det, items := batchFixture(t, 1, 1)
+	le := geom.Pt(math.NaN(), 10)
+	for i := 0; i < 10000; i++ {
+		det.CheckPooled(items[0].Observation, le)
+	}
+	entries := 0
+	for i := range det.expCache.shards {
+		s := &det.expCache.shards[i]
+		s.mu.Lock()
+		entries += len(s.ent)
+		s.mu.Unlock()
+	}
+	if c := det.expCache.capacity(); entries > c {
+		t.Errorf("shard maps hold %d entries after 10000 NaN checks, capacity %d", entries, c)
+	}
+}
+
+// TestCachedScoringAllocatesNothing pins the zero-allocation property
+// of the serving paths once their locations are resident: CheckPooled,
+// and a batch below minParallelBatch, which stays on the caller's
+// goroutine. The batch is 56 items because checkRange's dedup map stays
+// on the stack only while its size hint (1 + items/8) is at most 8; a
+// 64-item batch pays three map allocations per call.
+func TestCachedScoringAllocatesNothing(t *testing.T) {
+	for _, metric := range AllMetrics() {
+		det, items := batchFixtureMetric(t, metric, 56, 7)
+		dst := make([]Verdict, len(items))
+		for range 3 { // admit, arm the PMF tables, build them
+			det.CheckBatchInto(dst, items)
+		}
+		it := items[0]
+		if n := testing.AllocsPerRun(100, func() { det.CheckPooled(it.Observation, it.Location) }); n != 0 {
+			t.Errorf("%s: CheckPooled allocates %v per call", metric.Name(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { det.CheckBatchInto(dst, items) }); n != 0 {
+			t.Errorf("%s: %d-item CheckBatchInto allocates %v per call", metric.Name(), len(items), n)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func pmfBytes(e *Expectation) int64 {
 // residency, not once per request. Entries are immutable after insert
 // apart from their internally synchronized PMF tables, so readers share
 // them freely; evicted entries are left to the GC — they may still be
-// in use by in-flight checks and must never return to a sync.Pool.
+// in use by in-flight checks and must never be recycled.
 //
 // When a budget is installed, every insert reserves the entry's bytes
 // and every PMF arming reserves the table's bytes; evictions credit
@@ -143,13 +143,17 @@ type expShard struct {
 	lru list.List // front = most recently used; element values are *Expectation
 }
 
-func newExpCache(capacity int) *expCache {
-	c := &expCache{capPerShard: (capacity + expCacheShards - 1) / expCacheShards}
+func newExpCache(capacity int, budget *ExpCacheBudget) *expCache {
+	c := &expCache{capPerShard: (capacity + expCacheShards - 1) / expCacheShards, budget: budget}
 	for i := range c.shards {
 		c.shards[i].ent = make(map[geom.Point]*list.Element)
 	}
 	return c
 }
+
+// capacity is the entry bound, rounded up to a multiple of the shard
+// count; newExpCache(c.capacity(), …) rebuilds a cache of the same size.
+func (c *expCache) capacity() int { return c.capPerShard * expCacheShards }
 
 func (c *expCache) shard(p geom.Point) *expShard {
 	// SplitMix64-style mix of the coordinate bits; claimed locations are
@@ -161,9 +165,17 @@ func (c *expCache) shard(p geom.Point) *expShard {
 
 // get returns the cached expectation for le, computing and inserting it
 // on a miss. On the first hit (= first reuse) it arms the log-PMF table:
-// a location seen once costs exactly what the uncached path costs, a
+// a location seen once costs exactly what a fresh Check costs, a
 // recurring one graduates to table-driven scoring.
 func (c *expCache) get(model *deploy.Model, le geom.Point) *Expectation {
+	if le.X != le.X || le.Y != le.Y {
+		// A NaN key never equals itself, so it could be neither found
+		// nor deleted: each insert would leak one map entry. Serve it
+		// uncached.
+		c.misses.Add(1)
+		//lint:ignore noalloc NaN locations are never resident; each one is built fresh
+		return NewExpectation(model, le)
+	}
 	s := c.shard(le)
 	s.mu.Lock()
 	if el, ok := s.ent[le]; ok {

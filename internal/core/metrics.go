@@ -72,8 +72,9 @@ func NewExpectation(model *deploy.Model, le geom.Point) *Expectation {
 // Fill re-evaluates the expectation at le in place, reusing the G/Mu
 // buffers (which must have length model.NumGroups()). The evaluation
 // goes through the model's spatially indexed deploy.Model.GMuInto, which
-// is bit-identical to scanning every group, so pooled, freshly
-// allocated, and pre-index expectations all produce identical scores.
+// is bit-identical to scanning every group, so the reused scratch of
+// training trials and corrections scores exactly like a fresh or cached
+// expectation.
 func (e *Expectation) Fill(model *deploy.Model, le geom.Point) {
 	n := model.NumGroups()
 	if len(e.G) != n || len(e.Mu) != n {

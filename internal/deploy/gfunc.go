@@ -158,12 +158,13 @@ func (g *GTable) buildLogTable(logOmega int) {
 	}
 }
 
-// Eval returns the interpolated g(z); 0 beyond MaxZ.
+// Eval returns the interpolated g(z); 0 beyond MaxZ and for NaN, which
+// a claimed location with a NaN coordinate puts at every distance.
 func (g *GTable) Eval(z float64) float64 {
 	if z < 0 {
 		z = -z
 	}
-	if z >= g.MaxZ() {
+	if !(z < g.MaxZ()) {
 		return 0
 	}
 	return g.table.Eval(z)

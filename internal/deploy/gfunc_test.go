@@ -136,8 +136,12 @@ func TestGTableEvalMatchesExact(t *testing.T) {
 			t.Errorf("table g(%v) = %v, exact %v", z, got, want)
 		}
 	}
-	if tb.Eval(tb.MaxZ()+1) != 0 {
-		t.Error("beyond MaxZ should be 0")
+	// NaN is the distance to a claimed location with a NaN coordinate;
+	// it takes the beyond-MaxZ branch instead of indexing at int(NaN).
+	for _, z := range []float64{tb.MaxZ() + 1, 1e308, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := tb.Eval(z); got != 0 {
+			t.Errorf("Eval(%v) = %v, want 0 beyond MaxZ", z, got)
+		}
 	}
 	if got, want := tb.Eval(-20), tb.Eval(20); got != want {
 		t.Error("negative z should mirror")

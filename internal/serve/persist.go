@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -92,7 +93,62 @@ func (p *DetectorPool) persistEntry(e *poolEntry) {
 	if p.snapStore == nil {
 		return
 	}
-	go p.saveEntrySnapshot(e)
+	p.writes.add()
+	go func() {
+		defer p.writes.done()
+		p.saveEntrySnapshot(e)
+	}()
+}
+
+// WaitSaves blocks until the pool's store writes in flight have
+// finished: snapshot saves of ready and rethresholded detectors, and
+// the checkpoint cleanup of flights that just published. A save makes
+// at most saveSnapshotAttempts attempts with backoff capped at 50 ms,
+// so the wait is bounded by the store's own latency. Call it before
+// exiting, after the last request has been served, or a snapshot saved
+// just before shutdown is lost.
+func (p *DetectorPool) WaitSaves() { p.writes.wait() }
+
+// pendingWrites counts in-flight work and lets a caller wait for the
+// count to reach zero. Unlike a sync.WaitGroup, add may run
+// concurrently with wait from a zero count: a training flight can still
+// finish while shutdown waits.
+type pendingWrites struct {
+	mu sync.Mutex
+	//lad:guardedby mu
+	n int
+	// idle is closed when n drops back to zero; nil while idle.
+	//lad:guardedby mu
+	idle chan struct{}
+}
+
+func (w *pendingWrites) add() {
+	w.mu.Lock()
+	if w.n == 0 {
+		w.idle = make(chan struct{})
+	}
+	w.n++
+	w.mu.Unlock()
+}
+
+func (w *pendingWrites) done() {
+	w.mu.Lock()
+	if w.n--; w.n == 0 {
+		close(w.idle)
+		w.idle = nil
+	}
+	w.mu.Unlock()
+}
+
+// wait returns once the count has been zero at some point since the
+// call: at once when nothing is in flight.
+func (w *pendingWrites) wait() {
+	w.mu.Lock()
+	idle := w.idle
+	w.mu.Unlock()
+	if idle != nil {
+		<-idle
+	}
 }
 
 // saveSnapshotAttempts and the backoff bounds shape the save retry
@@ -377,15 +433,12 @@ func (p *DetectorPool) quarantineSnapshot(id string, cause error) {
 }
 
 // installAdopted publishes a restored detector as a ready resource,
-// applying the same cache configuration finishTraining would. Reports
+// installing the pool's cache budget as finishTraining would. Reports
 // false (leaving the snapshot file in place) when the resource already
 // exists or the pool is at its live-entry limit.
 func (p *DetectorPool) installAdopted(id string, spec DetectorSpec, snap *core.Snapshot, det *core.Detector) bool {
-	// Cache configuration mirrors finishTraining's pre-publish step; the
-	// entry is not reachable yet, so no check can race the resize.
-	if p.expCacheCap != 0 {
-		det.SetExpCacheCapacity(max(0, p.expCacheCap))
-	}
+	// Budget installation mirrors finishTraining's pre-publish step; the
+	// entry is not reachable yet, so no check can race the rebuild.
 	det.SetExpCacheBudget(p.expBudget)
 
 	done := make(chan struct{})

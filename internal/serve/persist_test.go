@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,39 @@ func TestPersistAndAdoptRoundTrip(t *testing.T) {
 	// drain them before the test returns or cleanup races the writers.
 	waitSaves(t, p1, 2)
 	waitSaves(t, p2, 1)
+}
+
+// TestWaitSavesCoversWarmupSnapshot: the post-training snapshot save is
+// asynchronous and Warmup returns before it, so a process that exits
+// right after Warmup (ladd -warmup-only) calls WaitSaves first. After
+// it the store holds the default detector, with no polling and no
+// half-written temp file.
+func TestWaitSavesCoversWarmupSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Default: tinySpec()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Pool().SetStore(fs)
+	if err := srv.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Pool().WaitSaves()
+	ids, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ids, tinySpec().ID()) {
+		t.Fatalf("store lists %v after WaitSaves, want the default detector %s", ids, tinySpec().ID())
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+	if err != nil || len(tmps) != 0 {
+		t.Fatalf("temp files left after WaitSaves: %v (%v)", tmps, err)
+	}
 }
 
 func TestRethresholdSurvivesRestart(t *testing.T) {

@@ -320,10 +320,6 @@ type DetectorPool struct {
 	schedBatch int
 	//lad:guardedby setup
 	trainWorkers int
-	// expCacheCap overrides the expectation-cache capacity installed on
-	// newly trained detectors: 0 keeps core's default, negative disables.
-	//lad:guardedby setup
-	expCacheCap int
 	// expBudget is the pool-wide expectation-cache admission budget in
 	// bytes, shared by every detector the pool trains. Created in
 	// account-only mode (capacity 0 = unlimited, bytes still tracked for
@@ -340,6 +336,8 @@ type DetectorPool struct {
 	// in-memory. See persist.go.
 	//lad:guardedby setup
 	snapStore store.Store
+	// writes counts store writes in flight; WaitSaves drains it.
+	writes pendingWrites
 }
 
 // meanTrainSeconds is the average successful training duration, NaN
@@ -414,15 +412,6 @@ func (p *DetectorPool) rebuildSched() {
 // SchedStats snapshots the training scheduler's counters.
 func (p *DetectorPool) SchedStats() sched.Stats {
 	return p.sched.Stats()
-}
-
-// SetExpCacheCapacity sets the expectation-cache capacity applied to
-// detectors the pool trains from now on: 0 keeps core's default,
-// negative disables the cache. Configure before serving.
-//
-//lad:setup
-func (p *DetectorPool) SetExpCacheCapacity(capacity int) {
-	p.expCacheCap = capacity
 }
 
 // SetExpCacheByteBudget caps the bytes the expectation caches of ALL
@@ -677,6 +666,11 @@ func (p *DetectorPool) startTraining(e *poolEntry) {
 // excluding time queued or parked between batches (and, for a resumed
 // job, excluding the pre-crash flight's time).
 func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores []float64, res sched.JobResult) {
+	// Waiters are released before the checkpoint delete and the
+	// snapshot save below; counting the flight as a pending write keeps
+	// WaitSaves from returning in between.
+	p.writes.add()
+	defer p.writes.done()
 	took := time.Duration(res.RunSeconds * float64(time.Second))
 	if res.Err != nil {
 		e.mu.Lock()
@@ -699,13 +693,9 @@ func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores [
 	if !evicted {
 		p.trainSeconds.Observe(took.Seconds())
 		p.trainLast.Store(took.Nanoseconds())
-		// Cache configuration is applied pre-publish: the entry is not
-		// visible as ready yet, so the resize cannot race in-flight
-		// checks. Capacity first, then the shared byte budget (budget
-		// installation rebuilds the cache at the configured capacity).
-		if p.expCacheCap != 0 {
-			det.SetExpCacheCapacity(max(0, p.expCacheCap))
-		}
+		// The shared byte budget is installed pre-publish: the entry is
+		// not visible as ready yet, so the cache rebuild cannot race
+		// in-flight checks.
 		det.SetExpCacheBudget(p.expBudget)
 	}
 	// Retain the benign sample sorted so rethreshold is a PercentileSorted

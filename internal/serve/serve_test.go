@@ -714,11 +714,10 @@ func TestExpCacheByteBudgetThroughPool(t *testing.T) {
 	}
 
 	// Score through the server so entries land (or are refused) under
-	// the budget; verdicts must match a fresh uncached detector.
+	// the budget; verdicts must match Check, which builds a fresh
+	// expectation per call.
 	model := det.Model()
 	r := rng.New(3)
-	fresh := core.NewDetector(model, det.Metric(), det.Threshold())
-	fresh.SetExpCacheCapacity(0)
 	h := srv.Handler()
 	for i := 0; i < 10; i++ {
 		g, p := model.SampleLocation(r)
@@ -733,7 +732,7 @@ func TestExpCacheByteBudgetThroughPool(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		want := fresh.Check(o, p)
+		want := det.Check(o, p)
 		if resp.Score != want.Score || resp.Alarm != want.Alarm {
 			t.Fatalf("check %d: budgeted %+v != fresh %+v", i, resp, want)
 		}

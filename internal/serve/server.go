@@ -90,16 +90,11 @@ type ServerConfig struct {
 	// negative is clamped to it. Only consulted when NewServer builds
 	// the pool itself.
 	SchedBatchTrials int
-	// ExpCacheCapacity bounds each detector's cross-request expectation
-	// cache (distinct claimed locations); 0 means the core default,
-	// negative disables the cache. Only consulted when NewServer builds
-	// the pool itself.
-	ExpCacheCapacity int
 	// ExpCacheBudgetBytes caps the bytes ALL detectors' expectation
 	// caches may hold between them (resident entries plus armed PMF
-	// tables); 0 means unlimited — per-detector entry capacities remain
-	// the only bound. Only consulted when NewServer builds the pool
-	// itself.
+	// tables); 0 means unlimited — each detector's cache is then bounded
+	// only by the entry capacity core.NewDetector derives from its group
+	// count. Only consulted when NewServer builds the pool itself.
 	ExpCacheBudgetBytes int64
 }
 
@@ -172,7 +167,6 @@ func NewServer(cfg ServerConfig, pool *DetectorPool) (*Server, error) {
 		pool = NewDetectorPool(cfg.MaxCachedDetectors)
 		pool.SetTrainConcurrency(cfg.MaxConcurrentTrainings)
 		pool.SetSchedBatchTrials(cfg.SchedBatchTrials)
-		pool.SetExpCacheCapacity(cfg.ExpCacheCapacity)
 		pool.SetExpCacheByteBudget(cfg.ExpCacheBudgetBytes)
 	}
 	r := pool.reg

@@ -8,7 +8,8 @@
 # sides alternately, benchmark by benchmark, for PAIRS pairs. For every
 # gated benchmark it reports the median over pairs of the change/parent
 # ns/op ratio and exits 1 when any median is above MAX_RATIO. Benchmarks
-# the parent does not have are reported as new and are not gated.
+# the parent does not have are reported as new, and benchmarks only the
+# parent has as removed; neither is gated.
 #
 # Usage: scripts/benchgate.sh [parent-commit [pairs-table]]
 #
@@ -45,12 +46,18 @@ for side in change parent; do
 	done <<<"$GATED"
 done
 
-# One untimed pass lists the gated benchmarks, sub-benchmarks included.
-while read -r pkg re; do
-	[ -n "$pkg" ] || continue
-	(cd "$root/$pkg" && "$work/change/${pkg//\//_}.test" -test.run '^$' -test.bench "$re" -test.benchtime 1x -test.timeout 5m) |
-		awk -v pkg="$pkg" '/^Benchmark.* ns\/op/ { n = $1; sub(/-[0-9]+$/, "", n); print pkg, n }'
-done <<<"$GATED" >"$work/names"
+# One untimed pass per side lists the gated benchmarks, sub-benchmarks
+# included. The change's list is what gets timed; what only the parent
+# lists is reported as removed.
+for side in change parent; do
+	while read -r pkg re; do
+		bin="$work/$side/${pkg//\//_}.test"
+		[ -n "$pkg" ] && [ -x "$bin" ] || continue
+		(cd "${src[$side]}/$pkg" && "$bin" -test.run '^$' -test.bench "$re" -test.benchtime 1x -test.timeout 5m) |
+			awk -v pkg="$pkg" '/^Benchmark.* ns\/op/ { n = $1; sub(/-[0-9]+$/, "", n); print pkg, n }'
+	done <<<"$GATED" >"$work/names.$side"
+done
+awk 'NR == FNR { have[$0]; next } !($0 in have) { print $2, "removed" }' "$work/names.change" "$work/names.parent" >"$work/removed"
 
 # Each pair times every benchmark on both sides back to back, one
 # process per run, so the two runs of a pair share the host's state of
@@ -65,7 +72,7 @@ for pair in $(seq "$PAIRS"); do
 			(cd "${src[$side]}/$pkg" && "$bin" -test.run '^$' -test.bench "^${name//\//\$/^}\$" -test.benchtime "$BENCHTIME" -test.timeout 5m </dev/null) |
 				awk -v pair="$pair" -v side="$side" '/^Benchmark.* ns\/op/ { n = $1; sub(/-[0-9]+$/, "", n); print pair, side, n, $3 }'
 		done
-	done <"$work/names" >>"$table"
+	done <"$work/names.change" >>"$table"
 done
 
 # One change/parent ratio per benchmark and pair, sorted so each
@@ -77,16 +84,18 @@ awk '{ ns[$1 SUBSEP $2 SUBSEP $3] = $4; key[$1 SUBSEP $3] = $3 }
 			split(k, f, SUBSEP); p = ns[f[1], "parent", f[2]]; c = ns[f[1], "change", f[2]]
 			if (p == "") print key[k], "new"; else if (c != "") print key[k], c / p
 		}
-	}' "$table" | sort -k1,1 -k2,2g | awk -v max="$MAX_RATIO" '
+	}' "$table" | cat - "$work/removed" | sort -k1,1 -k2,2g | awk -v max="$MAX_RATIO" '
 	function flush() {
 		if (name == "") return
+		if (gone) { printf "%-44s removed, not gated\n", name; return }
 		if (n == 0) { printf "%-44s new, not gated\n", name; return }
 		m = n % 2 ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
 		verdict = "ok"
 		if (m > max) { verdict = "FAIL"; bad++ }
 		printf "%-44s %.3f %s\n", name, m, verdict
 	}
-	$1 != name { flush(); name = $1; n = 0 }
+	$1 != name { flush(); name = $1; n = 0; gone = 0 }
+	$2 == "removed" { gone = 1; next }
 	$2 != "new" { r[++n] = $2 }
 	END {
 		flush()
