@@ -2,7 +2,8 @@
 // deployed sensor network: HELLO protocol (optionally under attack, with
 // optional defenses), beaconless localization, LAD detection. It is the
 // "see the whole system move" demo; the figure reproductions use the
-// faster analytic observation model (see DESIGN.md).
+// faster analytic observation model (see README, "Analytic observation
+// model").
 //
 //	ladnet                         # benign run
 //	ladnet -attack silence -frac 0.2

@@ -207,8 +207,8 @@ func TestEndToEndAuthNeutralizesFlooding(t *testing.T) {
 
 func TestAnalyticAndSpatialScoreDistributionsAgree(t *testing.T) {
 	// The harness's binomial fast path and the spatial simulator must
-	// produce statistically compatible benign Diff scores — this is the
-	// consistency contract DESIGN.md promises.
+	// produce statistically compatible benign Diff scores — the contract
+	// README's "Analytic observation model" states.
 	model := integrationModel(t)
 	master := rng.New(404)
 	metric := core.DiffMetric{}

@@ -214,12 +214,15 @@ func (d *Detector) CheckBatchInto(dst []Verdict, items []BatchItem) {
 
 // checkRange scores one contiguous chunk. Locations are deduplicated
 // chunk-locally so the shared cache is consulted once per distinct
-// location rather than once per item.
+// location rather than once per item. The map's size hint stops at 8,
+// the most a map kept on the stack holds: a chunk over eight or fewer
+// distinct locations then allocates nothing, and a wider one grows the
+// map as it goes.
 //
 //lad:noalloc
 func (d *Detector) checkRange(dst []Verdict, items []BatchItem) {
-	//lint:ignore ladvet/noalloc per-chunk dedup map: one small map per >=256-item chunk, not per verdict
-	local := make(map[geom.Point]*Expectation, 1+len(items)/8)
+	//lint:ignore ladvet/noalloc per-chunk dedup map: on the stack up to 8 locations, one small map per chunk beyond
+	local := make(map[geom.Point]*Expectation, min(8, 1+len(items)/8))
 	for i, it := range items {
 		e := local[it.Location]
 		if e == nil {

@@ -489,12 +489,12 @@ func TestNaNLocationScoresAndLeaksNothing(t *testing.T) {
 // TestCachedScoringAllocatesNothing pins the zero-allocation property
 // of the serving paths once their locations are resident: CheckPooled,
 // and a batch below minParallelBatch, which stays on the caller's
-// goroutine. The batch is 56 items because checkRange's dedup map stays
-// on the stack only while its size hint (1 + items/8) is at most 8; a
-// 64-item batch pays three map allocations per call.
+// goroutine. The batch is 64 items over 8 locations, the shape of a
+// batch-hot request: checkRange's dedup map stays on the stack only
+// while its size hint is at most 8.
 func TestCachedScoringAllocatesNothing(t *testing.T) {
 	for _, metric := range AllMetrics() {
-		det, items := batchFixtureMetric(t, metric, 56, 7)
+		det, items := batchFixtureMetric(t, metric, 64, 8)
 		dst := make([]Verdict, len(items))
 		for range 3 { // admit, arm the PMF tables, build them
 			det.CheckBatchInto(dst, items)

@@ -65,7 +65,7 @@ type Config struct {
 // PaperConfig returns the exact evaluation setup of Section 7.1: a
 // 1000 m × 1000 m field divided into 10×10 cells of 100 m, deployment
 // points at cell centers, σ = 50. The paper does not state R; 50 m is the
-// package default (see DESIGN.md).
+// package default (see README, "Analytic observation model").
 func PaperConfig() Config {
 	return Config{
 		Field:     geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000)),

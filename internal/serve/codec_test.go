@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/rng"
 )
 
@@ -67,15 +68,24 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	}
-	want := BatchResponse{Results: make([]CheckResponse, len(batch))}
-	for i, v := range batch {
-		want.Results[i] = verdictJSON(v)
+	// A batch whose threshold repeats, changes mid-batch (a rethreshold
+	// between two scorings) and changes back, and whose zeros differ
+	// only in sign: the encoder copies a repeated threshold's bytes.
+	var shared []core.Verdict
+	for i, thr := range []float64{46.18, 46.18, 46.18, 40.29, 40.29, 46.18, 0, math.Copysign(0, -1), 0, 2.5e-8, 2.5e-8} {
+		shared = append(shared, core.Verdict{Score: floats[i], Threshold: thr, Alarm: i%3 == 0})
 	}
-	if !c.encodeBatch(batch) {
-		t.Fatal("encodeBatch refused finite values")
-	}
-	if w := marshalLine(t, want); !bytes.Equal(c.out, w) {
-		t.Fatalf("batch encodings differ:\n got %q\nwant %q", c.out, w)
+	for _, batch := range [][]core.Verdict{batch, shared} {
+		want := BatchResponse{Results: make([]CheckResponse, len(batch))}
+		for i, v := range batch {
+			want.Results[i] = verdictJSON(v)
+		}
+		if !c.encodeBatch(batch) {
+			t.Fatal("encodeBatch refused finite values")
+		}
+		if w := marshalLine(t, want); !bytes.Equal(c.out, w) {
+			t.Fatalf("batch encodings differ:\n got %q\nwant %q", c.out, w)
+		}
 	}
 
 	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
@@ -96,10 +106,7 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 // shapes whose encoding/json result it does not reproduce.
 func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 	item := `{"observation":[0,3,12],"location":{"x":150.25,"y":-0}}`
-	cases := []struct {
-		body   string
-		accept [3]bool // batch, check, correct
-	}{
+	cases := []scanCase{
 		{`{"items":[` + item + `,` + item + `]}`, [3]bool{true, false, false}},
 		{" \n{ \"items\" :\t[ ] }\r\n", [3]bool{true, false, false}},
 		{`{}`, [3]bool{true, true, true}},
@@ -122,6 +129,7 @@ func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 		{`{"observation":[1],"extra":0}`, [3]bool{}},
 		{``, [3]bool{}},
 	}
+	cases = append(cases, zeroRunCases...)
 	c := new(scratch)
 	for _, tc := range cases {
 		c.body = []byte(tc.body)
@@ -131,6 +139,41 @@ func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 		}
 	}
 }
+
+// scanCase is a body and whether the scanner accepts it as a batch, a
+// check and a correction.
+type scanCase struct {
+	body   string
+	accept [3]bool // batch, check, correct
+}
+
+// zeroRunCases hold runs of zero counts, which scanInts takes eight
+// bytes at a time, against every kind of end: a run whose length is or
+// is not a multiple of four, one closed by ']', one cut off by the end
+// of the body, and runs followed by whitespace or by a count the scanner
+// refuses.
+var zeroRunCases = func() []scanCase {
+	obs := func(counts string) string { return `{"observation":[` + counts + `]}` }
+	zeros := func(n int) string { return strings.Repeat("0,", n) }
+	cases := []scanCase{
+		{obs(zeros(7) + "0"), [3]bool{false, true, true}},
+		{obs(zeros(4) + "0 ," + zeros(4) + "0"), [3]bool{false, true, true}},
+		{obs(zeros(4) + "0, 0,\n0\t,0,0"), [3]bool{false, true, true}},
+		{obs(zeros(8) + "999999999999999999"), [3]bool{false, true, true}},
+		{`{"items":[{"observation":[` + zeros(16) + `3],"location":{"x":1,"y":2}}]}`, [3]bool{true, false, false}},
+		{obs(zeros(8)), [3]bool{}},
+		{`{"observation":[` + zeros(8), [3]bool{}},
+		{`{"observation":[` + zeros(9) + "0", [3]bool{}},
+		{obs(zeros(8) + "00"), [3]bool{}},
+		{obs(zeros(8) + "-1"), [3]bool{}},
+		{obs(zeros(8) + "1.0"), [3]bool{}},
+		{obs(zeros(8) + "1234567890123456789"), [3]bool{}},
+	}
+	for _, n := range []int{3, 4, 7, 8, 9, 16, 17} {
+		cases = append(cases, scanCase{obs(zeros(n) + "2"), [3]bool{false, true, true}})
+	}
+	return cases
+}()
 
 // scanAgrees asserts the scanner's contract on one body for one request
 // type: it hands off, or it returns exactly what the strict encoding/json
@@ -181,6 +224,9 @@ func FuzzV2RequestDecode(f *testing.F) {
 		`{"observation":[1]} garbage`, `{"observation":[1],}`, `[1]`, `"s"`, ``,
 	} {
 		f.Add([]byte(s))
+	}
+	for _, tc := range zeroRunCases {
+		f.Add([]byte(tc.body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := getScratch()
@@ -328,20 +374,12 @@ func TestV2BatchAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	_, srv, det := newTestServer(t)
-	h := srv.Handler()
 	raw, err := json.Marshal(BatchRequest{Items: sampleItems(det, 64, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := new(rewindBody)
-	req := httptest.NewRequest(http.MethodPost, "/v2/detectors/"+tinySpec().ID()+"/check/batch", body)
-	w := &discardWriter{header: http.Header{}}
-	serve := func() {
-		body.Reset(raw)
-		req.Body = body
-		w.status, w.n = 0, 0
-		h.ServeHTTP(w, req)
-	}
+	post, w := replayer(srv.Handler(), "/v2/detectors/"+tinySpec().ID()+"/check/batch")
+	serve := func() { post(raw) }
 	for range 3 {
 		serve()
 	}
@@ -353,4 +391,97 @@ func TestV2BatchAllocs(t *testing.T) {
 		t.Errorf("64-item v2 check/batch: %.0f allocs per request, want at most %d", allocs, maxV2BatchAllocs)
 	}
 	t.Logf("64-item v2 check/batch: %.0f allocs per request", allocs)
+}
+
+// replayer returns a function that serves one POST of a body to path
+// through h, into the discard writer it also returns.
+func replayer(h http.Handler, path string) (func(raw []byte), *discardWriter) {
+	body := new(rewindBody)
+	req := httptest.NewRequest(http.MethodPost, path, body)
+	w := &discardWriter{header: http.Header{}}
+	return func(raw []byte) {
+		body.Reset(raw)
+		req.Body = body
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+	}, w
+}
+
+// paperHandler stands up a warmed server over the paper deployment and
+// returns its handler, default detector and v2 resource path.
+func paperHandler(b *testing.B) (http.Handler, *core.Detector, string) {
+	spec := tinySpec()
+	spec.Deployment = deploy.PaperConfig()
+	spec.Train.Trials = 300
+	srv, err := NewServer(ServerConfig{Default: spec, MaxBatch: 128}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Warmup(); err != nil {
+		b.Fatal(err)
+	}
+	det, err := srv.Pool().await(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return srv.Handler(), det, "/v2/detectors/" + spec.ID()
+}
+
+// benchPost times posting bodies to path through h in rotation.
+func benchPost(b *testing.B, h http.Handler, path string, bodies [][]byte) {
+	post, w := replayer(h, path)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		post(bodies[i%len(bodies)])
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+		i++
+	}
+}
+
+// BenchmarkV2CheckBatch times one 64-item check/batch over 8 claimed
+// locations of the paper deployment, the shape of ladperf's batch-hot,
+// through the whole handler: read, scan, score from the expectation
+// cache, encode. About nine in ten counts of a body are zero.
+func BenchmarkV2CheckBatch(b *testing.B) {
+	h, det, path := paperHandler(b)
+	model, r := det.Model(), rng.New(3)
+	var req BatchRequest
+	for len(req.Items) < 64 {
+		group, la := model.SampleLocation(r)
+		if !model.Field().Contains(la) {
+			continue
+		}
+		for range 8 {
+			req.Items = append(req.Items, BatchItemJSON{
+				Observation: model.SampleObservation(la, group, r),
+				Location:    PointJSON{X: la.X, Y: la.Y},
+			})
+		}
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPost(b, h, path+"/check/batch", [][]byte{raw})
+}
+
+// BenchmarkV2Check times single checks through the whole handler over a
+// rotation of 4096 claimed locations, four times the paper deployment's
+// expectation cache, so each check also fills an expectation: the
+// per-request cost of ladperf's single-cold.
+func BenchmarkV2Check(b *testing.B) {
+	h, det, path := paperHandler(b)
+	items := sampleItems(det, 4096, 5)
+	bodies := make([][]byte, len(items))
+	for i, it := range items {
+		raw, err := json.Marshal(it)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = raw
+	}
+	benchPost(b, h, path+"/check", bodies)
 }

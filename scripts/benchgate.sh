@@ -21,7 +21,7 @@ set -euo pipefail
 GATED='
 internal/core     ^(BenchmarkCheck256|BenchmarkTrain|BenchmarkSnapshotCodec|BenchmarkCheckpoint)$
 internal/localize ^BenchmarkBeaconlessMLE$
-internal/serve    ^BenchmarkAdoptSnapshot$
+internal/serve    ^(BenchmarkAdoptSnapshot|BenchmarkV2CheckBatch|BenchmarkV2Check)$
 '
 PAIRS=10
 MAX_RATIO=1.30
