@@ -85,7 +85,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if _, err := partial.RunBatch(240); err != nil {
 		b.Fatal(err)
 	}
-	ck := TrainCheckpoint{SpecKey: "bench", DeploymentHash: model.Config().Hash()}
+	ck := Snapshot{SpecKey: "bench", DeploymentHash: model.Config().Hash()}
 	partial.CheckpointInto(&ck)
 	buf := ck.AppendBinary(nil)
 	b.Run("encode", func(b *testing.B) {
@@ -94,7 +94,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			buf = ck.AppendBinary(buf[:0])
 		}
 	})
-	var dst TrainCheckpoint
+	var dst Snapshot
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
@@ -114,7 +114,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	})
 	b.Run("resume", func(b *testing.B) {
 		for b.Loop() {
-			c, err := DecodeTrainCheckpoint(buf)
+			c, err := DecodeSnapshot(buf)
 			if err != nil {
 				b.Fatal(err)
 			}

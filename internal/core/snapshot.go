@@ -11,15 +11,23 @@ import (
 	"repro/internal/geom"
 )
 
-// Snapshot is the durable form of a trained detector: everything the
-// serving layer needs to adopt it after a restart with zero retraining.
-// The paper's trained state is a pure function of deployment knowledge
-// and training configuration — a (threshold, benign-sample) pair — so a
-// snapshot carries the full deployment config (to rebuild the model),
-// the training parameters (to re-derive the resource identity), the
-// current operating point, and the ascending-sorted benign sample (so
-// rethresholding survives restarts). Expectation caches and PMF tables
-// are deliberately NOT captured: they are rebuilt lazily on first use.
+// Snapshot is the durable form of a detector: everything the serving
+// layer needs to adopt it after a restart with zero retraining, or to
+// resume its training where a crash left it. The paper's trained state
+// is a pure function of deployment knowledge and training configuration
+// — a (threshold, benign-sample) pair — so a snapshot carries the full
+// deployment config (to rebuild the model), the training parameters (to
+// re-derive the resource identity), the current operating point, and
+// the benign sample (so rethresholding survives restarts). Expectation
+// caches and PMF tables are deliberately NOT captured: they are rebuilt
+// lazily on first use.
+//
+// A record whose TrialsDone is below Trials is a training checkpoint: a
+// snapshot that has not finished. It carries no operating point yet,
+// only the scores of the trials already run (TrainRun.CheckpointInto
+// fills it, ResumeTrainRun continues from it). Because per-trial RNG
+// substreams are pre-derived from the master seed, those scores are all
+// the state a bit-identical resume needs.
 //
 // The wire encoding is versioned, canonical (every accepted
 // current-version byte string re-encodes bit-identically — the
@@ -54,25 +62,42 @@ type Snapshot struct {
 	// pre-epoch build trained. Adopted detectors carry it so operators
 	// can tell which contract produced a stored threshold.
 	SimEpoch int
+	// TrialsDone is the number of completed leading trials: Trials for a
+	// finished detector (and for every version-1 and -2 record), fewer
+	// for a training checkpoint.
+	TrialsDone int
 	// Threshold and Percentile are the current operating point — they
 	// track /rethreshold, so they may differ from the τ the detector was
-	// originally trained at.
+	// originally trained at. A checkpoint holds 0 and the training τ.
 	Threshold  float64
 	Percentile float64
 	// TrainSeconds is the wall time of the original training run.
 	TrainSeconds float64
-	// BenignSample is the retained benign score distribution, ascending.
-	// Rethresholding after adoption re-cuts percentiles from it.
+	// BenignSample is the retained benign score distribution, ascending,
+	// from which rethresholding after adoption re-cuts percentiles. A
+	// checkpoint holds the scores of trials [0, TrialsDone) in trial
+	// order instead: the percentile cut at the end of training sorts a
+	// copy, exactly like an uninterrupted run.
 	BenignSample []float64
 }
+
+// Partial reports whether s is a training checkpoint rather than a
+// finished detector.
+func (s *Snapshot) Partial() bool { return s.TrialsDone < s.Trials }
+
+// TrainCheckpoint is the name a checkpoint had while it was a type of
+// its own. The benchmark harness under bench/ still spells it; the
+// alias goes when that harness is next edited.
+type TrainCheckpoint = Snapshot
 
 // Snapshot decode errors. ErrSnapshotCorrupt covers structural damage
 // (bad magic, checksum mismatch, truncation, impossible field values);
 // ErrSnapshotVersion marks an encoding epoch this build does not speak
 // (version skew, not damage); ErrSnapshotMismatch marks a structurally
 // valid snapshot whose stored deployment hash disagrees with the hash
-// recomputed from its own config. The serving layer quarantines all
-// three but counts them separately.
+// recomputed from its own config, or a checkpoint taken under another
+// training configuration than the run resuming from it. The serving
+// layer quarantines all three but counts them separately.
 var (
 	ErrSnapshotCorrupt  = errors.New("core: snapshot corrupt")
 	ErrSnapshotVersion  = errors.New("core: unsupported snapshot version")
@@ -83,14 +108,21 @@ var (
 // byte is the encoding version.
 const snapshotMagic = "LADSNAP"
 
+// legacyCheckpointMagic branded the training checkpoints older builds
+// kept next to their snapshots. This build decodes them as version skew
+// (ErrSnapshotVersion), so the serving layer quarantines them as stale
+// and their training restarts from trial zero.
+const legacyCheckpointMagic = "LADCKPT"
+
 // snapshotVersion is the current encoding epoch. Bump it when the field
 // layout changes; decoders reject versions they do not speak with
 // ErrSnapshotVersion so stale snapshots fall through to retraining
-// instead of being misread. Version 2 added the simulation-epoch field;
-// version-1 snapshots still decode (as epoch 1) but re-encode in the
-// current form — the canonical bit-identical re-encode property holds
-// for current-version inputs only.
-const snapshotVersion = 2
+// instead of being misread. Version 2 added the simulation-epoch field
+// and version 3 TrialsDone; version-1 and -2 snapshots still decode (v1
+// as epoch 1, both as finished detectors) but re-encode in the current
+// form — the canonical bit-identical re-encode property holds for
+// current-version inputs only.
+const snapshotVersion = 3
 
 // maxSnapshotString bounds the length of encoded string fields (the
 // hex digests are 64 bytes; metric names shorter). Anything larger in a
@@ -121,6 +153,9 @@ func (d *Detector) Snapshot() *Snapshot {
 func RestoreDetector(s *Snapshot) (*Detector, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if s.Partial() {
+		return nil, fmt.Errorf("%w: checkpoint at %d of %d trials has no threshold", ErrSnapshotCorrupt, s.TrialsDone, s.Trials)
 	}
 	if err := s.VerifyDeploymentHash(); err != nil {
 		return nil, err
@@ -197,14 +232,18 @@ func (s *Snapshot) Validate() error {
 	if !(s.TrainSeconds >= 0) {
 		return fmt.Errorf("%w: train seconds %g", ErrSnapshotCorrupt, s.TrainSeconds)
 	}
-	if len(s.BenignSample) != s.Trials {
-		return fmt.Errorf("%w: benign sample has %d scores, trained with %d trials", ErrSnapshotCorrupt, len(s.BenignSample), s.Trials)
+	if s.TrialsDone < 1 || s.TrialsDone > s.Trials {
+		return fmt.Errorf("%w: %d trials done of %d", ErrSnapshotCorrupt, s.TrialsDone, s.Trials)
 	}
+	if len(s.BenignSample) != s.TrialsDone {
+		return fmt.Errorf("%w: benign sample has %d scores, %d trials done", ErrSnapshotCorrupt, len(s.BenignSample), s.TrialsDone)
+	}
+	partial := s.Partial()
 	for i, v := range s.BenignSample {
 		if math.IsNaN(v) {
 			return fmt.Errorf("%w: NaN benign score at %d", ErrSnapshotCorrupt, i)
 		}
-		if i > 0 && v < s.BenignSample[i-1] {
+		if !partial && i > 0 && v < s.BenignSample[i-1] {
 			return fmt.Errorf("%w: benign sample not ascending at %d", ErrSnapshotCorrupt, i)
 		}
 	}
@@ -249,6 +288,7 @@ func (s *Snapshot) AppendBinary(dst []byte) []byte {
 		dst = appendU64(dst, 0)
 	}
 	dst = appendU64(dst, uint64(s.SimEpoch))
+	dst = appendU64(dst, uint64(s.TrialsDone))
 	dst = appendF64(dst, s.Threshold)
 	dst = appendF64(dst, s.Percentile)
 	dst = appendF64(dst, s.TrainSeconds)
@@ -282,11 +322,15 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	if len(data) < headerLen+4 {
 		return fmt.Errorf("%w: %d bytes is shorter than any snapshot", ErrSnapshotCorrupt, len(data))
 	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
+	switch string(data[:len(snapshotMagic)]) {
+	case snapshotMagic:
+	case legacyCheckpointMagic:
+		return fmt.Errorf("%w: legacy training checkpoint", ErrSnapshotVersion)
+	default:
 		return fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
 	version := data[len(snapshotMagic)]
-	if version != 1 && version != snapshotVersion {
+	if version < 1 || version > snapshotVersion {
 		return fmt.Errorf("%w: version %d, this build speaks 1..%d", ErrSnapshotVersion, version, snapshotVersion)
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
@@ -330,6 +374,10 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 		// Version-1 snapshots predate simulation epochs; everything they
 		// trained was the bit-identity path.
 		s.SimEpoch = 1
+	}
+	s.TrialsDone = s.Trials // versions 1 and 2 only ever stored finished detectors
+	if version >= 3 {
+		s.TrialsDone = r.nonNegInt()
 	}
 	s.Threshold = r.f64()
 	s.Percentile = r.f64()

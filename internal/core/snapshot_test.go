@@ -53,6 +53,7 @@ func snapshotOf(t testing.TB, model *deploy.Model, tc TrainConfig) (*Snapshot, *
 	s.Seed = tc.Seed
 	s.KeepInField = tc.KeepInField
 	s.SimEpoch = 1
+	s.TrialsDone = tc.Trials
 	s.Percentile = tc.Percentile
 	s.TrainSeconds = 0.125
 	s.BenignSample = sorted

@@ -136,15 +136,16 @@ func newTrainRun(model *deploy.Model, metrics []Metric, cfg TrainConfig) (*Train
 	return tr, nil
 }
 
-// ResumeTrainRun rebuilds a batched run from a checkpoint: trials
-// [0, TrialsDone) adopt the stored scores and execution continues at
-// the next trial. The checkpoint must validate and must have been taken
-// under exactly this metric and training configuration — any
-// disagreement returns ErrCheckpointMismatch (the seed schedule or
-// trial bodies would diverge and the spliced sample would be silently
-// wrong). Identity fields (SpecKey, DeploymentHash) are the caller's to
-// verify; core checks the training configuration proper.
-func ResumeTrainRun(model *deploy.Model, metric Metric, cfg TrainConfig, ck *TrainCheckpoint) (*TrainRun, error) {
+// ResumeTrainRun rebuilds a batched run from a checkpoint (a partial
+// Snapshot): trials [0, TrialsDone) adopt the stored scores and
+// execution continues at the next trial. The checkpoint must validate
+// and must have been taken under exactly this metric and training
+// configuration — any disagreement returns ErrSnapshotMismatch (the
+// seed schedule or trial bodies would diverge and the spliced sample
+// would be silently wrong). Identity fields (SpecKey, DeploymentHash)
+// are the caller's to verify; core checks the training configuration
+// proper.
+func ResumeTrainRun(model *deploy.Model, metric Metric, cfg TrainConfig, ck *Snapshot) (*TrainRun, error) {
 	tr, err := NewTrainRun(model, metric, cfg)
 	if err != nil {
 		return nil, err
@@ -154,16 +155,16 @@ func ResumeTrainRun(model *deploy.Model, metric Metric, cfg TrainConfig, ck *Tra
 	}
 	if ck.Metric != metric.Name() ||
 		ck.Trials != tr.cfg.Trials ||
-		ck.Percentile != tr.cfg.Percentile ||
+		ck.TrainPercentile != tr.cfg.Percentile ||
 		ck.Seed != tr.cfg.Seed ||
 		ck.KeepInField != tr.cfg.KeepInField ||
 		ck.SimEpoch != tr.cfg.SimEpoch {
 		return nil, fmt.Errorf("%w: checkpoint (%s, %d trials, τ=%g, seed %d, epoch %d) vs run (%s, %d, τ=%g, %d, %d)",
-			ErrCheckpointMismatch,
-			ck.Metric, ck.Trials, ck.Percentile, ck.Seed, ck.SimEpoch,
+			ErrSnapshotMismatch,
+			ck.Metric, ck.Trials, ck.TrainPercentile, ck.Seed, ck.SimEpoch,
 			metric.Name(), tr.cfg.Trials, tr.cfg.Percentile, tr.cfg.Seed, tr.cfg.SimEpoch)
 	}
-	copy(tr.scores[0][:ck.TrialsDone], ck.Scores)
+	copy(tr.scores[0][:ck.TrialsDone], ck.BenignSample)
 	tr.done = ck.TrialsDone
 	return tr, nil
 }
@@ -243,25 +244,26 @@ func (tr *TrainRun) trialInto(w *trialRunner, t int) {
 	}
 }
 
-// CheckpointInto captures the run's durable progress into ck, reusing
-// its score buffer (0 allocs/op at steady state). Identity fields the
-// run does not own (SpecKey, DeploymentHash) are left untouched — the
-// caller sets them once on its reused receiver. CheckpointInto must not
-// be called before any trial completed (a zero-progress checkpoint
-// fails Validate; start from scratch instead).
-func (tr *TrainRun) CheckpointInto(ck *TrainCheckpoint) {
+// CheckpointInto captures the run's durable progress into ck as a
+// partial Snapshot, reusing its score buffer (0 allocs/op at steady
+// state). Identity fields the run does not own (SpecKey,
+// DeploymentHash) are left untouched — the caller sets them once on its
+// reused receiver. Call it between batches of an unfinished run: a
+// zero-progress checkpoint fails Validate (start from scratch instead),
+// and a finished run's sample belongs in a detector's snapshot, sorted.
+func (tr *TrainRun) CheckpointInto(ck *Snapshot) {
+	ck.Deployment = tr.model.Config()
 	ck.Metric = tr.metrics[0].Name()
 	ck.Trials = tr.cfg.Trials
-	ck.Percentile = tr.cfg.Percentile
+	ck.TrainPercentile = tr.cfg.Percentile
 	ck.Seed = tr.cfg.Seed
 	ck.KeepInField = tr.cfg.KeepInField
 	ck.SimEpoch = tr.cfg.SimEpoch
 	ck.TrialsDone = tr.done
-	if cap(ck.Scores) < tr.done {
-		ck.Scores = make([]float64, tr.done)
-	}
-	ck.Scores = ck.Scores[:tr.done]
-	copy(ck.Scores, tr.scores[0][:tr.done])
+	ck.Threshold = 0
+	ck.Percentile = tr.cfg.Percentile
+	ck.TrainSeconds = 0
+	ck.BenignSample = append(ck.BenignSample[:0], tr.scores[0][:tr.done]...)
 }
 
 // Finish cuts the τ-percentile threshold from the completed benign

@@ -100,7 +100,7 @@ func TestResumeBitIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				var ck TrainCheckpoint
+				var ck Snapshot
 				ck.SpecKey = "spec"
 				ck.DeploymentHash = "hash"
 				run.CheckpointInto(&ck)
@@ -110,7 +110,7 @@ func TestResumeBitIdentity(t *testing.T) {
 
 				// Phase 2: decode from wire bytes and resume with a batch
 				// size and worker count the first process never used.
-				restored, err := DecodeTrainCheckpoint(ck.Encode())
+				restored, err := DecodeSnapshot(ck.Encode())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if _, err := run.RunBatch(10); err != nil {
 		t.Fatal(err)
 	}
-	ck := &TrainCheckpoint{SpecKey: "spec", DeploymentHash: "hash"}
+	ck := &Snapshot{SpecKey: "spec", DeploymentHash: "hash"}
 	run.CheckpointInto(ck)
 
 	mutations := []struct {
@@ -166,12 +166,12 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		{"epoch", func(c TrainConfig) TrainConfig { c.SimEpoch = 2; return c }},
 	}
 	for _, m := range mutations {
-		if _, err := ResumeTrainRun(model, ProbMetric{}, m.mut(tc), ck); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("%s mutation: err = %v, want ErrCheckpointMismatch", m.name, err)
+		if _, err := ResumeTrainRun(model, ProbMetric{}, m.mut(tc), ck); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s mutation: err = %v, want ErrSnapshotMismatch", m.name, err)
 		}
 	}
-	if _, err := ResumeTrainRun(model, DiffMetric{}, tc, ck); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Errorf("metric mutation: err = %v, want ErrCheckpointMismatch", err)
+	if _, err := ResumeTrainRun(model, DiffMetric{}, tc, ck); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("metric mutation: err = %v, want ErrSnapshotMismatch", err)
 	}
 	if _, err := ResumeTrainRun(model, ProbMetric{}, tc, ck); err != nil {
 		t.Errorf("unmutated resume failed: %v", err)
@@ -208,7 +208,7 @@ func TestCheckpointIntoLeavesIdentityAlone(t *testing.T) {
 	if _, err := run.RunBatch(10); err != nil {
 		t.Fatal(err)
 	}
-	ck := &TrainCheckpoint{SpecKey: "caller-owned", DeploymentHash: "also-caller-owned"}
+	ck := &Snapshot{SpecKey: "caller-owned", DeploymentHash: "also-caller-owned"}
 	run.CheckpointInto(ck)
 	if ck.SpecKey != "caller-owned" || ck.DeploymentHash != "also-caller-owned" {
 		t.Errorf("identity fields overwritten: %+v", ck)

@@ -2,6 +2,12 @@ package serve
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,23 +34,39 @@ func partialCheckpoint(t *testing.T, spec DetectorSpec, trials int) []byte {
 	if _, err := run.RunBatch(trials); err != nil {
 		t.Fatal(err)
 	}
-	ck := core.TrainCheckpoint{SpecKey: spec.Key(), DeploymentHash: spec.Deployment.Hash()}
+	ck := core.Snapshot{SpecKey: spec.Key(), DeploymentHash: spec.Deployment.Hash()}
 	run.CheckpointInto(&ck)
 	return ck.Encode()
 }
 
-// waitCheckpointGone polls until the resource's checkpoint leaves the
-// store (the delete runs just after the ready state publishes).
+// waitCheckpointGone polls until the resource's record in the store is
+// its finished snapshot, not a checkpoint (the save runs just after the
+// ready state publishes), and is the only record there.
 func waitCheckpointGone(t *testing.T, s store.Store, id string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := s.Get(checkpointStoreID(id)); errors.Is(err, store.ErrNotFound) {
-			return
+		if data, err := s.Get(id); err == nil {
+			if snap, err := core.DecodeSnapshot(data); err == nil && !snap.Partial() {
+				assertOnlyRecord(t, s, id)
+				return
+			}
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("checkpoint for %s still in store", id)
+}
+
+// assertOnlyRecord fails unless id is the one record in s.
+func assertOnlyRecord(t *testing.T, s store.Store, id string) {
+	t.Helper()
+	ids, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ids, []string{id}) {
+		t.Errorf("store holds %v, want exactly [%s]", ids, id)
+	}
 }
 
 // TestCheckpointResumeAcrossPools is the crash-resume path end to end:
@@ -64,7 +86,7 @@ func TestCheckpointResumeAcrossPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Put(checkpointStoreID(spec.ID()), partialCheckpoint(t, spec, preTrials)); err != nil {
+	if err := fs.Put(spec.ID(), partialCheckpoint(t, spec, preTrials)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,7 +187,8 @@ func TestCheckpointWriteFaultDegrades(t *testing.T) {
 
 // TestCheckpointRejectedOnCorruptOrForeignBytes: a mangled checkpoint
 // and one for a different spec both degrade to a clean from-scratch
-// run, are counted, and are removed so they are consulted only once.
+// run, are counted, and are quarantined so they are consulted only
+// once; the finished detector's snapshot then takes the key.
 func TestCheckpointRejectedOnCorruptOrForeignBytes(t *testing.T) {
 	spec := tinySpec()
 	other := tinySpec()
@@ -190,7 +213,7 @@ func TestCheckpointRejectedOnCorruptOrForeignBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.Put(checkpointStoreID(spec.ID()), tc.bytes(t)); err != nil {
+			if err := fs.Put(spec.ID(), tc.bytes(t)); err != nil {
 				t.Fatal(err)
 			}
 			p := NewDetectorPool(0)
@@ -202,17 +225,18 @@ func TestCheckpointRejectedOnCorruptOrForeignBytes(t *testing.T) {
 			if resumes != 0 || rejected != 1 {
 				t.Errorf("resumes/rejected = %d/%d, want 0/1", resumes, rejected)
 			}
-			if _, err := fs.Get(checkpointStoreID(spec.ID())); !errors.Is(err, store.ErrNotFound) {
-				t.Errorf("rejected checkpoint still in store (err=%v)", err)
+			if _, err := os.Stat(filepath.Join(fs.Dir(), spec.ID()+".snap.quarantined")); err != nil {
+				t.Errorf("rejected checkpoint not quarantined: %v", err)
 			}
 			waitSaves(t, p, 1)
+			waitCheckpointGone(t, fs, spec.ID())
 		})
 	}
 }
 
-// TestAdoptSkipsCheckpoints: boot-time adoption must treat checkpoint
-// entries as a different species, not quarantine them as corrupt
-// snapshots (which would destroy resumable progress at every boot).
+// TestAdoptSkipsCheckpoints: boot-time adoption must leave a valid
+// checkpoint in place for its flight to resume, not install it or
+// quarantine it (which would destroy resumable progress at every boot).
 func TestAdoptSkipsCheckpoints(t *testing.T) {
 	spec := tinySpec()
 	fs, err := store.OpenFS(t.TempDir())
@@ -220,7 +244,7 @@ func TestAdoptSkipsCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckBytes := partialCheckpoint(t, spec, 16)
-	if err := fs.Put(checkpointStoreID(spec.ID()), ckBytes); err != nil {
+	if err := fs.Put(spec.ID(), ckBytes); err != nil {
 		t.Fatal(err)
 	}
 	p := NewDetectorPool(0)
@@ -229,12 +253,213 @@ func TestAdoptSkipsCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Adopted != 0 || stats.Corrupt != 0 || stats.Errors != 0 {
+	if stats.Adopted != 0 || stats.Corrupt != 0 || stats.Stale != 0 || stats.Mismatch != 0 || stats.Errors != 0 {
 		t.Errorf("AdoptSnapshots = %v, want everything zero for a checkpoint-only store", stats)
 	}
-	got, err := fs.Get(checkpointStoreID(spec.ID()))
+	got, err := fs.Get(spec.ID())
 	if err != nil || len(got) != len(ckBytes) {
 		t.Errorf("checkpoint disturbed by adoption: err=%v", err)
+	}
+	if _, ok := p.Lookup(spec.ID()); ok {
+		t.Error("a checkpoint was installed as a resource")
+	}
+}
+
+// TestAdoptQuarantinesBadCheckpoints: a checkpoint gets the same
+// adoption taxonomy as any snapshot — a corrupt one and one whose
+// embedded deployment no longer hashes to its stored hash are
+// quarantined at boot, not left for resume.
+func TestAdoptQuarantinesBadCheckpoints(t *testing.T) {
+	spec := tinySpec()
+	fs, err := store.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := partialCheckpoint(t, spec, 16)
+	corrupt[len(corrupt)/2] ^= 0x40
+	other := tinySpec()
+	other.Train.Seed++
+	forged, err := core.DecodeSnapshot(partialCheckpoint(t, other, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.DeploymentHash = strings.Repeat("0", 64)
+	for id, data := range map[string][]byte{spec.ID(): corrupt, other.ID(): forged.Encode()} {
+		if err := fs.Put(id, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := NewDetectorPool(0)
+	p.SetStore(fs)
+	stats, err := p.AdoptSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Corrupt != 1 || stats.Mismatch != 1 || stats.Adopted != 0 || stats.Skipped != 0 {
+		t.Errorf("AdoptSnapshots = %v, want corrupt=1 mismatch=1", stats)
+	}
+	if ids, _ := fs.List(); len(ids) != 0 {
+		t.Errorf("bad checkpoints left for resume: %v", ids)
+	}
+}
+
+// TestOneRecordPerDetector: a training flight's checkpoints and its
+// finished snapshot share the resource's one store key — after every
+// mid-training save and after the final save, the store holds exactly
+// [id].
+func TestOneRecordPerDetector(t *testing.T) {
+	fs, err := store.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &listingStore{Store: fs}
+	p := NewDetectorPool(0)
+	p.SetSchedBatchTrials(16)
+	p.SetStore(rec)
+	spec := tinySpec() // 80 trials → 5 batches → 4 mid-run checkpoints
+	if _, err := p.await(spec); err != nil {
+		t.Fatal(err)
+	}
+	waitSaves(t, p, 1)
+	rec.mu.Lock()
+	lists, partials := rec.lists, rec.partials
+	rec.mu.Unlock()
+	if len(lists) != 5 || partials != 4 {
+		t.Fatalf("saw %d saves (%d checkpoints), want 5 (4)", len(lists), partials)
+	}
+	for i, ids := range lists {
+		if !slices.Equal(ids, []string{spec.ID()}) {
+			t.Errorf("after save %d the store holds %v, want exactly [%s]", i, ids, spec.ID())
+		}
+	}
+	waitCheckpointGone(t, fs, spec.ID())
+}
+
+// listingStore records the store's listing after every Put, and how
+// many of the Puts were checkpoints.
+type listingStore struct {
+	store.Store
+	mu       sync.Mutex
+	lists    [][]string
+	partials int
+}
+
+func (s *listingStore) Put(id string, data []byte) error {
+	err := s.Store.Put(id, data)
+	ids, _ := s.Store.List()
+	snap, _ := core.DecodeSnapshot(data)
+	s.mu.Lock()
+	s.lists = append(s.lists, ids)
+	if snap != nil && snap.Partial() {
+		s.partials++
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// gatedStore holds its next Put, once armed, between the save building
+// its record and the write: entered fires when the Put arrives, the
+// write waits for release, and written closes once it has landed.
+type gatedStore struct {
+	store.Store
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	written chan struct{}
+}
+
+func newGatedStore(s store.Store) *gatedStore {
+	return &gatedStore{Store: s, entered: make(chan struct{}, 1), release: make(chan struct{}), written: make(chan struct{})}
+}
+
+func (g *gatedStore) Put(id string, data []byte) error {
+	if !g.armed.CompareAndSwap(true, false) {
+		return g.Store.Put(id, data)
+	}
+	g.entered <- struct{}{}
+	<-g.release
+	defer close(g.written)
+	return g.Store.Put(id, data)
+}
+
+// deleteDuringGatedPut runs Delete(id) while g holds a save's Put, then
+// lets the Put land: give Delete time to finish first (it does when it
+// ignores the save), then release the write.
+func deleteDuringGatedPut(t *testing.T, p *DetectorPool, g *gatedStore, id string) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no save reached the store")
+	}
+	deleted := make(chan bool)
+	go func() { deleted <- p.Delete(id) }()
+	var ok bool
+	select {
+	case ok = <-deleted:
+		close(g.release)
+	case <-time.After(50 * time.Millisecond):
+		close(g.release)
+		ok = <-deleted
+	}
+	if !ok {
+		t.Fatal("Delete returned false")
+	}
+	<-g.written
+	p.WaitSaves()
+}
+
+// TestDeleteDuringSnapshotSaveStays: a Delete that lands while a
+// rethreshold's snapshot is between its build and its Put must win —
+// the deleted detector may not come back at the next boot.
+func TestDeleteDuringSnapshotSaveStays(t *testing.T) {
+	fs, err := store.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGatedStore(fs)
+	p := NewDetectorPool(0)
+	p.SetStore(g)
+	spec := tinySpec()
+	if _, err := p.await(spec); err != nil {
+		t.Fatal(err)
+	}
+	waitSaves(t, p, 1)
+	g.armed.Store(true)
+	if _, err := p.Rethreshold(spec.ID(), 95); err != nil {
+		t.Fatal(err)
+	}
+	deleteDuringGatedPut(t, p, g, spec.ID())
+	if ids, _ := fs.List(); len(ids) != 0 {
+		t.Errorf("deleted detector's record outlived Delete: %v", ids)
+	}
+	p2 := NewDetectorPool(0)
+	p2.SetStore(fs)
+	if stats, err := p2.AdoptSnapshots(); err != nil || stats.Adopted != 0 {
+		t.Errorf("next boot AdoptSnapshots = %v, %v; want nothing adopted", stats, err)
+	}
+}
+
+// TestDeleteDuringCheckpointSaveStays: the same race on a training
+// flight's checkpoint — a mid-training Delete during a batch's save
+// leaves no orphan record.
+func TestDeleteDuringCheckpointSaveStays(t *testing.T) {
+	fs, err := store.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGatedStore(fs)
+	g.armed.Store(true)
+	p := NewDetectorPool(0)
+	p.SetSchedBatchTrials(16)
+	p.SetStore(g)
+	st, _, err := p.Register(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleteDuringGatedPut(t, p, g, st.ID)
+	if ids, _ := fs.List(); len(ids) != 0 {
+		t.Errorf("deleted flight's checkpoint outlived Delete: %v", ids)
 	}
 }
 

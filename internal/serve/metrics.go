@@ -86,7 +86,7 @@ func (p *DetectorPool) registerMetrics() {
 		ckptSaveErr:       r.Counter("ladd_sched_checkpoint_saves_total", ckptSaves, "outcome", "error"),
 		ckptResumes:       r.Counter("ladd_sched_checkpoint_resumes_total", "Training jobs resumed from a stored checkpoint instead of trial zero."),
 		ckptResumedTrials: r.Counter("ladd_sched_resumed_trials_total", "Monte-Carlo trials adopted from checkpoints (work a crash did not lose)."),
-		ckptRejected:      r.Counter("ladd_sched_checkpoint_rejected_total", "Stored checkpoints discarded at resume (corrupt, or for a different spec/configuration)."),
+		ckptRejected:      r.Counter("ladd_sched_checkpoint_rejected_total", "Stored checkpoints quarantined at resume (corrupt, stale, or for a different spec/configuration)."),
 	}
 	r.CounterFunc("ladd_train_jobs_completed_total", completed,
 		func() float64 { return float64(p.trainSeconds.Totals().Count) }, "outcome", "ok")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"strings"
 	"sync"
 	"time"
 
@@ -13,11 +12,15 @@ import (
 	"repro/internal/store"
 )
 
-// Snapshot persistence: when a store is configured (SetStore), the pool
-// writes a detector snapshot every time a resource becomes ready or is
-// rethresholded, removes it on Delete, and on boot (AdoptSnapshots)
-// re-installs every valid snapshot as a StateReady resource — zero
-// retraining, expectation caches rebuilt lazily on first check.
+// Snapshot persistence: when a store is configured (SetStore), each
+// resource id has one record under one store key, <id>. The pool writes
+// a partial snapshot (a training checkpoint) after every non-final
+// training batch and a complete one every time the resource becomes
+// ready or is rethresholded, each replacing the last; it removes the
+// record on Delete and when a flight fails. On boot (AdoptSnapshots) it
+// re-installs every valid complete snapshot as a StateReady resource —
+// zero retraining, expectation caches rebuilt lazily on first check —
+// and leaves valid partial ones for their flight to resume (resumeRun).
 //
 // Degradation rules, in both directions:
 //
@@ -80,6 +83,7 @@ func (p *DetectorPool) buildSnapshot(e *poolEntry) (*core.Snapshot, bool) {
 	if s.SimEpoch == 0 {
 		s.SimEpoch = 1 // spec default; the snapshot format stores it explicit
 	}
+	s.TrialsDone = s.Trials
 	s.Percentile = e.percentile
 	s.TrainSeconds = e.trainSecs
 	s.BenignSample = append([]float64(nil), e.scores...)
@@ -101,8 +105,8 @@ func (p *DetectorPool) persistEntry(e *poolEntry) {
 }
 
 // WaitSaves blocks until the pool's store writes in flight have
-// finished: snapshot saves of ready and rethresholded detectors, and
-// the checkpoint cleanup of flights that just published. A save makes
+// finished: snapshot saves of ready and rethresholded detectors,
+// including those of flights that just published. A save makes
 // at most saveSnapshotAttempts attempts with backoff capped at 50 ms,
 // so the wait is bounded by the store's own latency. Call it before
 // exiting, after the last request has been served, or a snapshot saved
@@ -159,7 +163,8 @@ const saveSnapshotAttempts = 4
 // saveEntrySnapshot writes one snapshot with capped-backoff retries.
 // saveMu serializes saves per entry, and the snapshot is rebuilt from
 // live state under it, so concurrent ready+rethreshold saves cannot
-// persist an older operating point over a newer one.
+// persist an older operating point over a newer one, and a Delete
+// cannot land between the build and the Put.
 func (p *DetectorPool) saveEntrySnapshot(e *poolEntry) {
 	e.saveMu.Lock()
 	defer e.saveMu.Unlock()
@@ -196,30 +201,25 @@ func (p *DetectorPool) saveEntrySnapshot(e *poolEntry) {
 		e.id, saveSnapshotAttempts, err)
 }
 
-// deleteSnapshot removes id's snapshot from the store, best-effort.
-func (p *DetectorPool) deleteSnapshot(id string) {
+// deleteSnapshot removes e's record from the store, best-effort. It
+// holds saveMu, so no save that began before it can land after it.
+func (p *DetectorPool) deleteSnapshot(e *poolEntry) {
 	if p.snapStore == nil {
 		return
 	}
-	if err := p.snapStore.Delete(id); err != nil {
+	e.saveMu.Lock()
+	defer e.saveMu.Unlock()
+	if err := p.snapStore.Delete(e.id); err != nil {
 		p.storeErrors.Add(1)
-		log.Printf("serve: deleting snapshot %s: %v", id, err)
+		log.Printf("serve: deleting snapshot %s: %v", e.id, err)
 	}
 }
 
-// Training checkpoints share the snapshot store under a reserved id
-// prefix: "ckpt-<resource id>". They carry mid-training state (a
-// core.TrainCheckpoint, not a core.Snapshot), so adoption skips them
-// and resumeRun is their only reader.
-const checkpointPrefix = "ckpt-"
-
-// checkpointStoreID maps a resource id to its checkpoint's store id.
-func checkpointStoreID(id string) string { return checkpointPrefix + id }
-
-// saveCheckpoint persists t's run progress after a non-final batch:
-// one synchronous Put, no retries — the next batch brings the next
-// save, which is all the retry a checkpoint needs. No-op without a
-// store. Failures are counted and swallowed: a dead disk degrades
+// saveCheckpoint persists t's run progress after a non-final batch as
+// a partial snapshot under the resource's id: one synchronous Put, no
+// retries — the next batch brings the next save, which is all the retry
+// a checkpoint needs. No-op without a store or once the resource is
+// deleted. Failures are counted and swallowed: a dead disk degrades
 // crash-resume to restart-from-zero, it never fails the training job.
 // The encode reuses the task's receiver and buffer (0 allocs/op at
 // steady state, held by core.TestCheckpointEncodeDecodeZeroAllocs).
@@ -227,11 +227,18 @@ func (p *DetectorPool) saveCheckpoint(t *trialTask) {
 	if p.snapStore == nil {
 		return
 	}
-	t.ck.SpecKey = t.specKey
-	t.ck.DeploymentHash = t.depHash
+	e := t.e
+	e.saveMu.Lock()
+	defer e.saveMu.Unlock()
+	e.mu.Lock()
+	evicted := e.evicted
+	e.mu.Unlock()
+	if evicted {
+		return
+	}
 	t.run.CheckpointInto(&t.ck)
 	t.buf = t.ck.AppendBinary(t.buf[:0])
-	if err := p.snapStore.Put(checkpointStoreID(t.e.id), t.buf); err != nil {
+	if err := p.snapStore.Put(e.id, t.buf); err != nil {
 		p.ckptSaveErr.Add(1)
 		p.storeErrors.Add(1)
 		return
@@ -239,28 +246,18 @@ func (p *DetectorPool) saveCheckpoint(t *trialTask) {
 	p.ckptSaveOK.Add(1)
 }
 
-// deleteCheckpoint removes id's training checkpoint, best-effort.
-func (p *DetectorPool) deleteCheckpoint(id string) {
-	if p.snapStore == nil {
-		return
-	}
-	if err := p.snapStore.Delete(checkpointStoreID(id)); err != nil {
-		p.storeErrors.Add(1)
-		log.Printf("serve: deleting checkpoint for %s: %v", id, err)
-	}
-}
-
-// resumeRun tries to rebuild a training run from a stored checkpoint.
-// Any failure — no store, no checkpoint, unreadable bytes, a checkpoint
-// for a different spec or configuration — returns nil and the caller
-// starts from trial zero; unusable checkpoints are deleted so they are
-// consulted exactly once. ck is the caller's reusable decode receiver.
-func (p *DetectorPool) resumeRun(id, specKey, depHash string, model *deploy.Model, metric core.Metric, cfg core.TrainConfig, ck *core.TrainCheckpoint) *core.TrainRun {
+// resumeRun tries to rebuild a training run from the partial snapshot
+// stored under id. Any failure — no store, no record, unreadable bytes,
+// a record for a different spec or configuration — returns nil and the
+// caller starts from trial zero; records resume cannot use are counted
+// and quarantined so they are consulted exactly once. A complete record
+// is left alone: the flight's final save replaces it. ck is the
+// caller's reusable decode receiver.
+func (p *DetectorPool) resumeRun(id, specKey, depHash string, model *deploy.Model, metric core.Metric, cfg core.TrainConfig, ck *core.Snapshot) *core.TrainRun {
 	if p.snapStore == nil {
 		return nil
 	}
-	sid := checkpointStoreID(id)
-	data, err := p.snapStore.Get(sid)
+	data, err := p.snapStore.Get(id)
 	if err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
 			p.storeErrors.Add(1)
@@ -268,36 +265,26 @@ func (p *DetectorPool) resumeRun(id, specKey, depHash string, model *deploy.Mode
 		}
 		return nil
 	}
-	if err := ck.UnmarshalBinary(data); err != nil {
-		p.rejectCheckpoint(sid, err)
-		return nil
+	var run *core.TrainRun
+	if err = ck.UnmarshalBinary(data); err == nil {
+		if !ck.Partial() {
+			return nil
+		}
+		if ck.SpecKey != specKey || ck.DeploymentHash != depHash {
+			err = fmt.Errorf("%w: stored identity does not name this resource", core.ErrSnapshotMismatch)
+		} else {
+			run, err = core.ResumeTrainRun(model, metric, cfg, ck)
+		}
 	}
-	if ck.SpecKey != specKey || ck.DeploymentHash != depHash {
-		p.rejectCheckpoint(sid, fmt.Errorf("%w: stored identity does not name this resource", core.ErrCheckpointMismatch))
-		return nil
-	}
-	run, err := core.ResumeTrainRun(model, metric, cfg, ck)
 	if err != nil {
-		p.rejectCheckpoint(sid, err)
+		p.ckptRejected.Add(1)
+		p.quarantineSnapshot(id, err)
 		return nil
 	}
 	p.ckptResumes.Add(1)
 	p.ckptResumedTrials.Add(uint64(run.TrialsDone()))
 	log.Printf("serve: resuming training for %s from checkpoint: %d of %d trials done", id, run.TrialsDone(), run.Trials())
 	return run
-}
-
-// rejectCheckpoint counts and removes a checkpoint resume declined to
-// use. Unlike snapshots, bad checkpoints are deleted rather than
-// quarantined: the job retrains the missing trials anyway, so there is
-// nothing to debug from the bytes.
-func (p *DetectorPool) rejectCheckpoint(sid string, cause error) {
-	p.ckptRejected.Add(1)
-	log.Printf("serve: discarding checkpoint %s, training from scratch: %v", sid, cause)
-	if err := p.snapStore.Delete(sid); err != nil {
-		p.storeErrors.Add(1)
-		log.Printf("serve: deleting checkpoint %s failed: %v", sid, err)
-	}
 }
 
 // AdoptStats summarizes one AdoptSnapshots pass.
@@ -311,8 +298,10 @@ type AdoptStats struct {
 	// Errors counts snapshots left in place behind transient store
 	// errors (unreadable now, retried next boot).
 	Errors int
-	// Skipped counts valid snapshots not installed because the resource
-	// already exists or the pool is at its entry limit; their files stay.
+	// Skipped counts valid snapshots not installed: training checkpoints,
+	// which wait in place for their flight to resume, and snapshots whose
+	// resource already exists or that the pool is at its entry limit for.
+	// Their files stay.
 	Skipped int
 }
 
@@ -348,11 +337,6 @@ func (p *DetectorPool) AdoptSnapshots() (AdoptStats, error) {
 		return st, fmt.Errorf("serve: listing snapshot store: %w", err)
 	}
 	for _, id := range ids {
-		if strings.HasPrefix(id, checkpointPrefix) {
-			// Training checkpoints are not snapshots: they resume their
-			// own job on demand (resumeRun), not at boot.
-			continue
-		}
 		switch p.adoptOne(id) {
 		case adoptOK:
 			p.snapLoadOK.Add(1)
@@ -407,6 +391,15 @@ func (p *DetectorPool) adoptOne(id string) string {
 		// epoch change. Adopting it would serve the wrong resource name.
 		p.quarantineSnapshot(id, fmt.Errorf("stored identity %s does not match recomputed spec (key %.12s… id %s)", id, key, spec.ID()))
 		return adoptMismatch
+	}
+	if snap.Partial() {
+		// A training checkpoint: its flight resumes from it (resumeRun)
+		// when the spec is registered again.
+		if err := snap.VerifyDeploymentHash(); err != nil {
+			p.quarantineSnapshot(id, err)
+			return adoptMismatch
+		}
+		return adoptSkipped
 	}
 	det, err := core.RestoreDetector(snap)
 	if err != nil {

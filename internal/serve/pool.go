@@ -215,11 +215,12 @@ type poolEntry struct {
 	//lad:guardedby mu
 	job *sched.Job
 
-	// saveMu serializes snapshot saves for this entry so an initial save
-	// and a racing rethreshold save cannot land on disk out of order (the
-	// snapshot is rebuilt from live state under saveMu, so the last
-	// writer always persists the newest operating point). Never held
-	// together with mu.
+	// saveMu serializes the store writes of this entry's record —
+	// checkpoint, ready and rethreshold saves and the delete — so they
+	// cannot land on disk out of order: each save rebuilds its record
+	// from live state under saveMu and skips once evicted is set, so the
+	// last writer always persists the newest state and nothing outlives
+	// a Delete. Taken before mu, never while holding it.
 	saveMu sync.Mutex
 }
 
@@ -556,15 +557,13 @@ type poolTask interface {
 // flight for the same resource id — after an eviction or a crash-reboot
 // — resumes from it bit-identically instead of restarting.
 type trialTask struct {
-	p       *DetectorPool
-	e       *poolEntry
-	run     *core.TrainRun
-	specKey string
-	depHash string
-	det     *core.Detector
-	scores  []float64
-	ck      core.TrainCheckpoint // reused checkpoint receiver
-	buf     []byte               // reused encode buffer
+	p      *DetectorPool
+	e      *poolEntry
+	run    *core.TrainRun
+	det    *core.Detector
+	scores []float64
+	ck     core.Snapshot // reused checkpoint receiver
+	buf    []byte        // reused encode buffer
 }
 
 // newTrialTask is the pool's newTask: a trialTask budgeted at the
@@ -615,18 +614,14 @@ func (t *trialTask) init(cancel <-chan struct{}) error {
 	cfg := spec.Train.TrainConfig()
 	cfg.Workers = t.p.trainWorkers
 	cfg.Cancel = cancel
-	t.specKey = spec.Key()
-	t.depHash = spec.Deployment.Hash()
-	if run := t.p.resumeRun(t.e.id, t.specKey, t.depHash, model, metric, cfg, &t.ck); run != nil {
-		t.run = run
-		return nil
+	specKey, depHash := spec.Key(), spec.Deployment.Hash()
+	t.run = t.p.resumeRun(t.e.id, specKey, depHash, model, metric, cfg, &t.ck)
+	// The receiver's identity is set once, after resume decoded into it.
+	t.ck.SpecKey, t.ck.DeploymentHash = specKey, depHash
+	if t.run == nil {
+		t.run, err = core.NewTrainRun(model, metric, cfg)
 	}
-	run, err := core.NewTrainRun(model, metric, cfg)
-	if err != nil {
-		return err
-	}
-	t.run = run
-	return nil
+	return err
 }
 
 // startTraining submits the resource's training flight to the
@@ -666,9 +661,9 @@ func (p *DetectorPool) startTraining(e *poolEntry) {
 // excluding time queued or parked between batches (and, for a resumed
 // job, excluding the pre-crash flight's time).
 func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores []float64, res sched.JobResult) {
-	// Waiters are released before the checkpoint delete and the
-	// snapshot save below; counting the flight as a pending write keeps
-	// WaitSaves from returning in between.
+	// Waiters are released before the record delete or the snapshot
+	// save below; counting the flight as a pending write keeps WaitSaves
+	// from returning in between.
 	p.writes.add()
 	defer p.writes.done()
 	took := time.Duration(res.RunSeconds * float64(time.Second))
@@ -683,7 +678,7 @@ func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores [
 			p.failures.Inc()
 			// A failed spec restarts from scratch on re-arm; its
 			// checkpoint must not outlive the sample it came from.
-			p.deleteCheckpoint(e.id)
+			p.deleteSnapshot(e)
 		}
 		return
 	}
@@ -718,8 +713,8 @@ func (p *DetectorPool) finishTraining(e *poolEntry, det *core.Detector, scores [
 		det.RetireExpCache()
 		return
 	}
-	// The job is complete; its checkpoint is now stale by construction.
-	p.deleteCheckpoint(e.id)
+	// The final snapshot replaces the flight's checkpoint under the same
+	// key (Put is atomic).
 	p.persistEntry(e)
 }
 
@@ -854,8 +849,7 @@ func (p *DetectorPool) Delete(id string) bool {
 	if det != nil {
 		det.RetireExpCache()
 	}
-	p.deleteSnapshot(id)
-	p.deleteCheckpoint(id)
+	p.deleteSnapshot(e)
 	return true
 }
 
