@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/deploy"
 	"repro/internal/localize"
@@ -85,7 +87,8 @@ func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, 
 // seed, so trial t depends only on its own seed.
 //
 // A TrainRun is not safe for concurrent use; one batch executes at a
-// time (the batch itself fans out over cfg.Workers goroutines).
+// time (the batch itself fans out over cfg.Workers goroutines, see
+// SetWorkers).
 type TrainRun struct {
 	model   *deploy.Model
 	metrics []Metric // metrics[0] is the run's detector metric
@@ -176,14 +179,27 @@ func (tr *TrainRun) Trials() int     { return tr.cfg.Trials }
 func (tr *TrainRun) TrialsDone() int { return tr.done }
 func (tr *TrainRun) Done() bool      { return tr.done >= tr.cfg.Trials }
 
+// SetWorkers sets how many goroutines the run's next batches fan out
+// over (n <= 0 means GOMAXPROCS). It may change from one batch to the
+// next: the serving scheduler grants each batch the cores it may use at
+// dispatch. Results do not depend on it.
+func (tr *TrainRun) SetWorkers(n int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	tr.cfg.Workers = n
+}
+
 // RunBatch executes up to n further trials (clamped to the remaining
-// budget; n <= 0 runs them all) over the run's worker pool and returns
-// how many completed. It is the only trial-dispatch loop in the package.
-// Cancellation (TrainConfig.Cancel) is checked between trial
-// dispatches; on cancel the batch returns ErrTrainingCanceled and
-// progress stays at the previous batch boundary — partially computed
-// trials are recomputed (bit-identically) on resume rather than
-// checkpointed.
+// budget; n <= 0 runs them all) over min(Workers, n) goroutines and
+// returns how many completed. It is the only trial-dispatch loop in the
+// package. The calling goroutine is one of the workers, so a one-worker
+// batch spawns nothing; per-worker state is kept across batches and
+// grows to the largest fan-out the run has seen. Cancellation
+// (TrainConfig.Cancel) is checked before every trial; on cancel the
+// batch returns ErrTrainingCanceled and progress stays at the previous
+// batch boundary — partially computed trials are recomputed
+// (bit-identically) on resume rather than checkpointed.
 //
 //lad:ctx
 func (tr *TrainRun) RunBatch(n int) (int, error) {
@@ -194,42 +210,38 @@ func (tr *TrainRun) RunBatch(n int) (int, error) {
 	if n <= 0 || n > remaining {
 		n = remaining
 	}
-	if tr.workers == nil {
-		workers := tr.cfg.Workers
-		tr.workers = make([]*trialRunner, workers)
-		for i := range tr.workers {
-			tr.workers[i] = newTrialRunner(tr.model, tr.loc, len(tr.metrics))
-		}
+	fanout := min(tr.cfg.Workers, n)
+	for len(tr.workers) < fanout {
+		tr.workers = append(tr.workers, newTrialRunner(tr.model, tr.loc, len(tr.metrics)))
 	}
 	lo, hi := tr.done, tr.done+n
-	var wg sync.WaitGroup
-	next := make(chan int, len(tr.workers))
-	for _, w := range tr.workers {
-		wg.Add(1)
-		go func(w *trialRunner) {
-			defer wg.Done()
-			//lint:ignore ladvet/ctxcheck bounded: the producer sends at most one batch of indices and closes next early when TrainConfig.Cancel trips
-			for t := range next {
-				tr.trialInto(w, t)
+	// Workers claim trial indices from a shared counter; trial t writes
+	// only its own score slots, so the claim order is immaterial.
+	var claimed atomic.Int64
+	var canceled atomic.Bool
+	claim := func() int { return lo + int(claimed.Add(1)) - 1 }
+	pump := func(w *trialRunner) {
+		for t := claim(); t < hi; t = claim() {
+			select {
+			case <-tr.cfg.Cancel: // a nil Cancel never fires
+				canceled.Store(true)
+				return
+			default:
 			}
-		}(w)
-	}
-	canceled := false
-	for t := lo; t < hi; t++ {
-		// With a nil Cancel the second case can never fire and the
-		// select degenerates to the plain send.
-		select {
-		case next <- t:
-		case <-tr.cfg.Cancel:
-			canceled = true
-		}
-		if canceled {
-			break
+			tr.trialInto(w, t)
 		}
 	}
-	close(next)
+	var wg sync.WaitGroup
+	for _, w := range tr.workers[1:fanout] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pump(w)
+		}()
+	}
+	pump(tr.workers[0])
 	wg.Wait()
-	if canceled {
+	if canceled.Load() {
 		return 0, ErrTrainingCanceled
 	}
 	tr.done = hi

@@ -142,6 +142,45 @@ func TestResumeBitIdentity(t *testing.T) {
 	}
 }
 
+// TestTrainRunVaryingFanoutMatchesTrain: the serving scheduler grants
+// each batch its own fan-out, so a run may go 1 → 3 → 2 → 1 workers
+// between batches. The per-worker state grows and is reused across those
+// changes without moving a bit of the sample or the threshold, under
+// both simulation epochs.
+func TestTrainRunVaryingFanoutMatchesTrain(t *testing.T) {
+	model := deploy.MustNew(trainRunConfig(deploy.LayoutGrid))
+	for _, epoch := range []int{1, 2} {
+		tc := trainRunTC()
+		tc.SimEpoch = epoch
+		det, want, err := Train(model, ProbMetric{}, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := NewTrainRun(model, ProbMetric{}, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []struct{ workers, n int }{{1, 13}, {3, 17}, {2, 11}, {1, 0}} {
+			run.SetWorkers(b.workers)
+			if _, err := run.RunBatch(b.n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotDet, got, err := run.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotDet.Threshold() != det.Threshold() {
+			t.Fatalf("epoch %d: threshold %v, one-shot Train %v", epoch, gotDet.Threshold(), det.Threshold())
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("epoch %d: trial %d score %v, one-shot Train %v", epoch, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	model := deploy.MustNew(trainRunConfig(deploy.LayoutGrid))
 	tc := trainRunTC()

@@ -7,6 +7,10 @@
 // one-goroutine-per-job-behind-a-semaphore model it replaces could not
 // give.
 //
+// The scheduler is the one layer that knows the contention, so it also
+// decides each batch's fan-out at dispatch: GOMAXPROCS divided by the
+// batches that can run at once. A job training alone uses every core.
+//
 // The scheduler is deliberately storage- and domain-agnostic: tasks are
 // an interface and a submission's only record is the *Job handle Submit
 // returns. The serving pool owns the mapping onto detectors and specs,
@@ -19,6 +23,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -26,14 +31,16 @@ import (
 )
 
 // Task is one schedulable job body. RunBatch executes up to n work
-// units and reports how many ran and whether the job is complete;
-// cancel is the job's cancel channel, closed by Job.Cancel, which a
-// long batch may watch to return early. The scheduler calls RunBatch
+// units on at most procs goroutines and reports how many ran and
+// whether the job is complete; procs is the batch's share of the cores,
+// decided at dispatch (at least 1). cancel is the job's cancel channel,
+// closed by Job.Cancel, which a long batch may watch to return early.
+// The scheduler calls RunBatch
 // from exactly one worker at a time (no concurrent RunBatch on the same
 // Task), so implementations need no internal locking against the
 // scheduler. A returned error terminates the job.
 type Task interface {
-	RunBatch(n int, cancel <-chan struct{}) (ran int, done bool, err error)
+	RunBatch(n, procs int, cancel <-chan struct{}) (ran int, done bool, err error)
 }
 
 // ErrCanceled terminates a job whose Cancel arrived before it completed.
@@ -77,9 +84,9 @@ type JobStatus struct {
 	// 0 means executing now or next in line.
 	QueuePosition int
 	UnitsDone     int
-	// ETA estimates time until completion from the observed mean batch
-	// throughput and the current worker contention; 0 when no batch has
-	// completed yet (no throughput sample to extrapolate from).
+	// ETA estimates time until completion from the observed core time
+	// per unit and the job's current share of the machine; 0 when no
+	// batch has completed yet (no throughput sample to extrapolate from).
 	ETA time.Duration
 }
 
@@ -153,10 +160,10 @@ type Scheduler struct {
 	//lad:guardedby mu
 	executing int
 	//lad:guardedby mu
-	runNanosTotal int64
+	coreNanosTotal float64 // Σ batch wall ns × the batch's core share
 
 	// Exported counters and histograms. units is also the ETA's
-	// denominator; it moves together with runNanosTotal under mu.
+	// denominator; it moves together with coreNanosTotal under mu.
 	batches, units                     *metrics.Counter
 	jobsDone, jobsFailed, jobsCanceled *metrics.Counter
 	waitHist, runHist                  *metrics.Histogram
@@ -279,10 +286,12 @@ func (j *Job) Status() JobStatus {
 		}
 	}
 	if units := s.units.Load(); units > 0 {
-		nsPerUnit := float64(s.runNanosTotal) / float64(units)
+		// Core time per unit does not depend on the shares batches ran
+		// at; this job's share of the machine from here on is 1/live of
+		// it (the ring gives every live job one batch per cycle).
+		coreNsPerUnit := s.coreNanosTotal / float64(units)
 		remaining := float64(j.total - j.unitsDone)
-		contention := max(1, float64(s.live)/float64(s.workers))
-		st.ETA = time.Duration(remaining * nsPerUnit * contention)
+		st.ETA = time.Duration(remaining * coreNsPerUnit * float64(s.live) / float64(runtime.GOMAXPROCS(0)))
 	}
 	return st
 }
@@ -377,10 +386,11 @@ func (s *Scheduler) runOne(j *Job) {
 		j.ran = true
 		s.waitHist.Observe(time.Since(j.enqueued).Seconds())
 	}
+	cores := s.shareLocked()
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	ran, done, err := task.RunBatch(s.batch, j.cancel)
+	ran, done, err := task.RunBatch(s.batch, max(1, int(cores)), j.cancel)
 	elapsed := time.Since(t0).Nanoseconds()
 
 	s.mu.Lock()
@@ -390,7 +400,7 @@ func (s *Scheduler) runOne(j *Job) {
 	j.runNanos += elapsed
 	s.batches.Inc()
 	s.units.Add(uint64(ran))
-	s.runNanosTotal += elapsed
+	s.coreNanosTotal += float64(elapsed) * cores
 	var finish func()
 	switch {
 	case err == nil && done:
@@ -407,6 +417,19 @@ func (s *Scheduler) runOne(j *Job) {
 	if finish != nil {
 		finish()
 	}
+}
+
+// shareLocked is the share of the machine, in cores, of a batch
+// dispatched now: GOMAXPROCS divided by the batches that can run at
+// once, min(Workers, live jobs). A lone job trains on every core; with
+// Workers or more live jobs each batch gets GOMAXPROCS/Workers. The
+// share is fixed for the batch's duration, so a job that arrives while
+// a lone job's batch runs oversubscribes the cores for at most that one
+// batch; the lone job's next batch is dispatched at the smaller share.
+//
+//lad:requires mu
+func (s *Scheduler) shareLocked() float64 {
+	return float64(runtime.GOMAXPROCS(0)) / float64(min(s.workers, s.live))
 }
 
 // completeLocked moves j to its terminal state, counting it under

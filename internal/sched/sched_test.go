@@ -2,6 +2,8 @@ package sched
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +17,7 @@ type unitTask struct {
 	onBatch   func(ran int)
 }
 
-func (t *unitTask) RunBatch(n int, _ <-chan struct{}) (int, bool, error) {
+func (t *unitTask) RunBatch(n, _ int, _ <-chan struct{}) (int, bool, error) {
 	if n > t.remaining {
 		n = t.remaining
 	}
@@ -30,7 +32,7 @@ func (t *unitTask) RunBatch(n int, _ <-chan struct{}) (int, bool, error) {
 // of holding the scheduler still while it stages submissions.
 type blockTask struct{ release <-chan struct{} }
 
-func (t blockTask) RunBatch(int, <-chan struct{}) (int, bool, error) {
+func (t blockTask) RunBatch(int, int, <-chan struct{}) (int, bool, error) {
 	<-t.release
 	return 1, true, nil
 }
@@ -264,7 +266,9 @@ type funcTask struct {
 	fn func(n int, cancel <-chan struct{}) (int, bool, error)
 }
 
-func (t *funcTask) RunBatch(n int, cancel <-chan struct{}) (int, bool, error) { return t.fn(n, cancel) }
+func (t *funcTask) RunBatch(n, _ int, cancel <-chan struct{}) (int, bool, error) {
+	return t.fn(n, cancel)
+}
 
 func TestBatchErrorFailsJob(t *testing.T) {
 	boom := errors.New("boom")
@@ -315,5 +319,130 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit(1, &unitTask{remaining: 1}, nil); err == nil {
 		t.Error("submit after Close should fail")
+	}
+}
+
+// shareTask records the procs share of every batch it runs. Before its
+// first batch returns it reports on entered and waits for gate, the
+// test's window to stage submissions while the batch holds its share.
+type shareTask struct {
+	remaining int
+	entered   chan<- struct{}
+	gate      <-chan struct{}
+
+	mu     sync.Mutex
+	shares []int
+}
+
+func (t *shareTask) RunBatch(n, procs int, _ <-chan struct{}) (int, bool, error) {
+	t.mu.Lock()
+	t.shares = append(t.shares, procs)
+	first := len(t.shares) == 1
+	t.mu.Unlock()
+	if first && t.entered != nil {
+		t.entered <- struct{}{}
+		<-t.gate
+	}
+	n = min(n, t.remaining)
+	t.remaining -= n
+	return n, t.remaining == 0, nil
+}
+
+func (t *shareTask) got() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.shares)
+}
+
+// TestBatchShareFollowsLiveJobs: each batch's fan-out is decided at
+// dispatch from the live job count. A lone job's batch gets every core;
+// once a second job arrives (during that batch) the job's next batch
+// gets GOMAXPROCS/Workers, as does every batch dispatched with Workers
+// or more live jobs.
+func TestBatchShareFollowsLiveJobs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const workers = 2
+	s := New(Config{Workers: workers, BatchUnits: 10})
+	defer s.Close()
+
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	lone := &shareTask{remaining: 30, entered: entered, gate: gate}
+	done := make(chan JobResult, 3)
+	submit(t, s, 30, lone, doneHook(done))
+	<-entered // the lone job's first batch holds its share
+
+	// A blocker pins the second worker, so a third job shares the
+	// remaining worker with the first: three live jobs on two workers.
+	release := make(chan struct{})
+	submit(t, s, 1, blockTask{release}, doneHook(done))
+	third := &shareTask{remaining: 20}
+	submit(t, s, 20, third, doneHook(done))
+	close(gate)
+	waitDone(t, done)
+	waitDone(t, done)
+	close(release)
+	waitDone(t, done)
+
+	if got, want := lone.got(), []int{4, 4 / workers, 4 / workers}; !slices.Equal(got, want) {
+		t.Errorf("lone-then-contended job shares = %v, want %v", got, want)
+	}
+	if got, want := third.got(), []int{4 / workers, 4 / workers}; !slices.Equal(got, want) {
+		t.Errorf("contended job shares = %v, want %v", got, want)
+	}
+}
+
+// sleepTask models a batch of CPU-bound units that parallelize
+// perfectly: a batch of n units at share procs takes n·perUnit/procs of
+// wall time (slept, so the test needs no idle cores). After its second
+// batch at full share has been dispatched it reports on lone.
+type sleepTask struct {
+	remaining int
+	perUnit   time.Duration
+	full      int
+	lone      chan<- struct{}
+	fullSeen  int
+}
+
+func (t *sleepTask) RunBatch(n, procs int, _ <-chan struct{}) (int, bool, error) {
+	n = min(n, t.remaining)
+	if procs == t.full {
+		if t.fullSeen++; t.fullSeen == 2 && t.lone != nil {
+			t.lone <- struct{}{}
+		}
+	}
+	time.Sleep(time.Duration(n) * t.perUnit / time.Duration(procs))
+	t.remaining -= n
+	return n, t.remaining == 0, nil
+}
+
+// TestETAWithVaryingShares: a job that ran contended (a third of the
+// machine per batch) and then trains alone on every core must be
+// estimated from core time, not wall time per unit — the wall-time mean
+// of the contended batches would overstate its lone remainder by the
+// share ratio (3× here).
+func TestETAWithVaryingShares(t *testing.T) {
+	const procs, workers = 6, 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	const perUnit = 6 * time.Millisecond
+	s := New(Config{Workers: workers, BatchUnits: 10})
+	defer s.Close()
+	done := make(chan JobResult, workers)
+	for range workers - 1 {
+		submit(t, s, 40, &sleepTask{remaining: 40, perUnit: perUnit, full: procs}, doneHook(done))
+	}
+	lone := make(chan struct{}, 1)
+	jobDone := make(chan JobResult, 1)
+	j := submit(t, s, 100, &sleepTask{remaining: 100, perUnit: perUnit, full: procs, lone: lone}, doneHook(jobDone))
+	<-lone
+	eta := j.Status().ETA
+	t0 := time.Now()
+	waitDone(t, jobDone)
+	actual := time.Since(t0)
+	for range workers - 1 {
+		waitDone(t, done)
+	}
+	if eta <= 0 || eta > 2*actual || actual > 2*eta {
+		t.Errorf("lone-job ETA %v, actual remaining %v: want within 2x", eta, actual)
 	}
 }

@@ -61,7 +61,7 @@ func (p *DetectorPool) registerMetrics() {
 	const (
 		completed = "Training flights finished, by outcome."
 		saves     = "Detector snapshot saves, by outcome (error = abandoned after retries; the detector keeps serving from memory)."
-		loads     = "Boot-time snapshot loads, by outcome (corrupt/stale/mismatch are quarantined and retrained)."
+		loads     = "Snapshot loads at boot or registration, by outcome (corrupt/stale/mismatch are quarantined and retrained)."
 		ckptSaves = "Mid-training checkpoint saves, by outcome (error = degraded to restart-from-zero on crash; training itself is unaffected)."
 		states    = "Detector resources resident in the pool, by lifecycle state."
 	)
@@ -79,7 +79,7 @@ func (p *DetectorPool) registerMetrics() {
 		snapLoadCorrupt:  r.Counter("ladd_snapshot_loads_total", loads, "outcome", "corrupt"),
 		snapLoadStale:    r.Counter("ladd_snapshot_loads_total", loads, "outcome", "stale"),
 		snapLoadMismatch: r.Counter("ladd_snapshot_loads_total", loads, "outcome", "mismatch"),
-		snapAdopted:      r.Counter("ladd_snapshots_adopted_total", "Detectors installed ready from snapshots at boot (restarts served with zero retraining)."),
+		snapAdopted:      r.Counter("ladd_snapshots_adopted_total", "Detectors installed ready from stored snapshots at boot or registration (served with zero retraining)."),
 		storeErrors:      r.Counter("ladd_store_errors_total", "Snapshot store operations that failed (put/get/delete/quarantine, each attempt counted)."),
 
 		ckptSaveOK:        r.Counter("ladd_sched_checkpoint_saves_total", ckptSaves, "outcome", "ok"),

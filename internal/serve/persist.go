@@ -21,6 +21,9 @@ import (
 // re-installs every valid complete snapshot as a StateReady resource —
 // zero retraining, expectation caches rebuilt lazily on first check —
 // and leaves valid partial ones for their flight to resume (resumeRun).
+// A registration of a spec that is not resident adopts its complete
+// record the same way (adoptRegistered), so one that boot skipped at
+// the pool's entry limit is not retrained either.
 //
 // Degradation rules, in both directions:
 //
@@ -287,6 +290,29 @@ func (p *DetectorPool) resumeRun(id, specKey, depHash string, model *deploy.Mode
 	return run
 }
 
+// adoptRegistered installs the complete snapshot stored under spec's id
+// as a ready resource, as boot adoption does; the registration then
+// serves at once and starts no training job. Any other record is left
+// for the flight's own read (resumeRun), which resumes a partial one and
+// classifies and counts an unusable one.
+func (p *DetectorPool) adoptRegistered(spec DetectorSpec) {
+	id, key := spec.ID(), spec.Key()
+	data, err := p.snapStore.Get(id)
+	if err != nil {
+		return
+	}
+	snap, err := core.DecodeSnapshot(data)
+	if err != nil || snap.Partial() || snap.SpecKey != key || specFromSnapshot(snap).Key() != key {
+		return
+	}
+	det, err := core.RestoreDetector(snap)
+	if err != nil || !p.installAdopted(id, spec, snap, det) {
+		return
+	}
+	p.snapLoadOK.Add(1)
+	p.snapAdopted.Add(1)
+}
+
 // AdoptStats summarizes one AdoptSnapshots pass.
 type AdoptStats struct {
 	// Adopted counts snapshots installed as ready resources.
@@ -301,7 +327,7 @@ type AdoptStats struct {
 	// Skipped counts valid snapshots not installed: training checkpoints,
 	// which wait in place for their flight to resume, and snapshots whose
 	// resource already exists or that the pool is at its entry limit for.
-	// Their files stay.
+	// Their files stay; registering the spec later adopts a complete one.
 	Skipped int
 }
 

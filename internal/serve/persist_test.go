@@ -531,13 +531,21 @@ func TestAdoptFaultInjection(t *testing.T) {
 				}
 			}
 
-			// The spec falls through to normal retraining and serves.
+			// A quarantined spec falls through to normal retraining and
+			// serves. The record a transient error left in place is valid,
+			// so registering the spec adopts it instead: no training job.
 			det, err := p.await(spec)
 			if err != nil {
-				t.Fatalf("retraining after fault: %v", err)
+				t.Fatalf("registration after fault: %v", err)
 			}
 			if v := fixedVerdict(det); v.Threshold == 0 && v.Score == 0 {
-				t.Fatal("retrained detector served a zero verdict")
+				t.Fatal("registered detector served a zero verdict")
+			}
+			if !tc.quarantine {
+				if started := p.jobsStarted.Load(); started != 0 {
+					t.Fatalf("registration over a valid stored record started %d training jobs, want 0", started)
+				}
+				return
 			}
 			waitSaves(t, p, 1) // and the retrained detector persists again
 		})
@@ -592,6 +600,68 @@ func TestAdoptSkipsResidentAndOverLimit(t *testing.T) {
 	}
 	if _, err := fs.Get(spec.ID()); err != nil {
 		t.Fatalf("skipped snapshot was removed: %v", err)
+	}
+}
+
+// TestRegistrationAdoptsSkippedSnapshot: a complete snapshot that boot
+// adoption skipped because the pool was at its entry limit is adopted
+// when its spec is registered later — ready at once, no training job,
+// and the stored detector's verdicts bit-for-bit.
+func TestRegistrationAdoptsSkippedSnapshot(t *testing.T) {
+	fs, err := store.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []DetectorSpec{tinySpec(), tinySpec()}
+	specs[1].Train.Seed++
+	stored := map[string]core.Verdict{}
+	p1 := NewDetectorPool(0)
+	p1.SetStore(fs)
+	for _, spec := range specs {
+		det, err := p1.await(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[spec.ID()] = fixedVerdict(det)
+	}
+	waitSaves(t, p1, 2)
+
+	p2 := NewDetectorPool(1)
+	p2.SetStore(fs)
+	stats, err := p2.AdoptSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Adopted != 1 || stats.Skipped != 1 {
+		t.Fatalf("AdoptSnapshots into a 1-entry pool = %v, want 1 adopted, 1 skipped", stats)
+	}
+	adopted := p2.List()[0].ID
+	skipped := specs[0]
+	if skipped.ID() == adopted {
+		skipped = specs[1]
+	}
+	if !p2.Delete(adopted) {
+		t.Fatal("delete of the adopted detector failed")
+	}
+	st, created, err := p2.Register(skipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created || st.State != StateReady {
+		t.Fatalf("registration = %+v (created %v), want the stored detector ready at once", st, created)
+	}
+	if started := p2.jobsStarted.Load(); started != 0 {
+		t.Errorf("ladd_train_jobs_started_total = %d, want 0", started)
+	}
+	if n := p2.snapAdopted.Load(); n != 2 {
+		t.Errorf("ladd_snapshots_adopted_total = %d, want 2", n)
+	}
+	det, _, ok := p2.Detector(skipped.ID())
+	if !ok {
+		t.Fatal("registered detector not servable")
+	}
+	if got, want := fixedVerdict(det), stored[skipped.ID()]; got != want {
+		t.Errorf("verdict = %+v, want the stored detector's %+v", got, want)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -283,10 +282,10 @@ func (e *poolEntry) corrector(det *core.Detector) *core.Corrector {
 var ErrPoolFull = errors.New("serve: detector pool is full")
 
 // DefaultTrainConcurrency is the number of training runs a pool lets
-// proceed at once. Each run's worker pool is sized GOMAXPROCS/conc, so
-// N concurrent cold starts share the machine instead of oversubscribing
-// it N-fold; 2 overlaps one run's tail with the next's ramp-up without
-// meaningfully splitting the CPU.
+// proceed at once. A batch gets GOMAXPROCS divided by the jobs that can
+// run at once, so concurrent cold starts share the machine instead of
+// oversubscribing it, and a lone job gets every core; 2 overlaps one
+// run's tail with the next's ramp-up.
 const DefaultTrainConcurrency = 2
 
 // DetectorPool holds detector resources keyed by DetectorSpec.Key (and
@@ -307,20 +306,15 @@ type DetectorPool struct {
 	poolMetrics // counters and histograms, registered in metrics.go
 
 	// sched is the fair-share training scheduler: a fixed worker pool
-	// that interleaves queued jobs' trial batches round-robin, replacing
-	// the one-goroutine-per-job-behind-a-semaphore model. schedWorkers
-	// and schedBatch are its configuration (rebuildSched applies them);
-	// trainWorkers is the per-batch trial-loop worker budget
-	// (GOMAXPROCS / schedWorkers), so concurrent batch executions share
-	// the machine instead of each claiming GOMAXPROCS.
+	// that interleaves queued jobs' trial batches round-robin and grants
+	// each batch its share of the cores at dispatch. schedWorkers and
+	// schedBatch are its configuration (rebuildSched applies them).
 	//lad:guardedby setup
 	sched *sched.Scheduler
 	//lad:guardedby setup
 	schedWorkers int
 	//lad:guardedby setup
 	schedBatch int
-	//lad:guardedby setup
-	trainWorkers int
 	// expBudget is the pool-wide expectation-cache admission budget in
 	// bytes, shared by every detector the pool trains. Created in
 	// account-only mode (capacity 0 = unlimited, bytes still tracked for
@@ -367,9 +361,9 @@ func NewDetectorPool(limit int) *DetectorPool {
 }
 
 // SetTrainConcurrency sets the scheduler's worker count — how many
-// trial batches may execute at once (n <= 0 restores the default) — and
-// splits GOMAXPROCS across them. Not safe to call while trainings are
-// in flight — configure the pool before serving.
+// trial batches may execute at once (n <= 0 restores the default). Not
+// safe to call while trainings are in flight — configure the pool
+// before serving.
 //
 //lad:setup
 func (p *DetectorPool) SetTrainConcurrency(n int) {
@@ -377,7 +371,6 @@ func (p *DetectorPool) SetTrainConcurrency(n int) {
 		n = DefaultTrainConcurrency
 	}
 	p.schedWorkers = n
-	p.trainWorkers = max(1, runtime.GOMAXPROCS(0)/n)
 	p.rebuildSched()
 }
 
@@ -439,7 +432,9 @@ func (p *DetectorPool) SetExpCacheByteBudget(bytes int64) {
 //
 // When a scheduler worker is idle, the returned status is already
 // StateTraining (the job's first batch starts without queueing);
-// otherwise the resource is StatePending until a worker frees up.
+// otherwise the resource is StatePending until a worker frees up. A
+// spec that is not resident but whose complete snapshot is in the store
+// is adopted instead: StateReady at once, no flight, created false.
 func (p *DetectorPool) Register(spec DetectorSpec) (DetectorStatus, bool, error) {
 	e, created, err := p.admit(spec)
 	if err != nil {
@@ -459,6 +454,14 @@ func (p *DetectorPool) admit(spec DetectorSpec) (*poolEntry, bool, error) {
 	key := spec.Key()
 	p.mu.Lock()
 	e := p.entries[key]
+	if e == nil && p.snapStore != nil {
+		// A stored complete record makes the resource ready without a
+		// flight. The store read runs outside the pool lock.
+		p.mu.Unlock()
+		p.adoptRegistered(spec)
+		p.mu.Lock()
+		e = p.entries[key]
+	}
 	if e != nil {
 		e.mu.Lock()
 		failed := e.state == StateFailed
@@ -572,12 +575,15 @@ func (p *DetectorPool) newTrialTask(e *poolEntry) (poolTask, int) {
 	return &trialTask{p: p, e: e}, e.spec.Train.Trials
 }
 
-func (t *trialTask) RunBatch(n int, cancel <-chan struct{}) (int, bool, error) {
+// RunBatch advances the run by one batch fanned out over the
+// scheduler's share for it.
+func (t *trialTask) RunBatch(n, procs int, cancel <-chan struct{}) (int, bool, error) {
 	if t.run == nil {
 		if err := t.init(cancel); err != nil {
 			return 0, false, err
 		}
 	}
+	t.run.SetWorkers(procs)
 	ran, err := t.run.RunBatch(n)
 	if err != nil {
 		return ran, false, err
@@ -612,7 +618,6 @@ func (t *trialTask) init(cancel <-chan struct{}) error {
 		return fmt.Errorf("%w: unknown metric %q", ErrInvalidSpec, spec.Metric)
 	}
 	cfg := spec.Train.TrainConfig()
-	cfg.Workers = t.p.trainWorkers
 	cfg.Cancel = cancel
 	specKey, depHash := spec.Key(), spec.Deployment.Hash()
 	t.run = t.p.resumeRun(t.e.id, specKey, depHash, model, metric, cfg, &t.ck)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,15 +35,15 @@ func tinySpec() DetectorSpec {
 }
 
 // newDetectorPoolWithTrainer returns a pool that trains every flight
-// with one call to trainer (given the spec, the pool's per-run worker
-// count and the flight's cancel channel), run as a single scheduler
-// batch: concurrency is capped at the scheduler's worker count and runs
-// never interleave.
+// with one call to trainer (given the spec, the scheduler's core share
+// for the batch and the flight's cancel channel), run as a single
+// scheduler batch: concurrency is capped at the scheduler's worker
+// count and runs never interleave.
 func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
 	p := NewDetectorPool(0)
 	p.newTask = func(e *poolEntry) (poolTask, int) {
-		return &monoTask{train: func(cancel <-chan struct{}) (*core.Detector, []float64, error) {
-			return trainer(e.spec, p.trainWorkers, cancel)
+		return &monoTask{train: func(procs int, cancel <-chan struct{}) (*core.Detector, []float64, error) {
+			return trainer(e.spec, procs, cancel)
 		}}, 1
 	}
 	return p
@@ -50,13 +51,13 @@ func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{})
 
 // monoTask is a whole training run as one scheduler batch.
 type monoTask struct {
-	train  func(cancel <-chan struct{}) (*core.Detector, []float64, error)
+	train  func(procs int, cancel <-chan struct{}) (*core.Detector, []float64, error)
 	det    *core.Detector
 	scores []float64
 }
 
-func (t *monoTask) RunBatch(_ int, cancel <-chan struct{}) (int, bool, error) {
-	det, scores, err := t.train(cancel)
+func (t *monoTask) RunBatch(_, procs int, cancel <-chan struct{}) (int, bool, error) {
+	det, scores, err := t.train(procs, cancel)
 	if err != nil {
 		return 0, false, err
 	}
@@ -256,16 +257,21 @@ func TestFailedTrainingDoesNotBrickPool(t *testing.T) {
 }
 
 // TestTrainingConcurrencyCap proves parallel cold starts share the
-// machine: at most cap trainings run at once, each with a split worker
-// budget, instead of N runs each claiming GOMAXPROCS.
+// machine: at most cap trainings run at once, and each batch's core
+// share is GOMAXPROCS divided by the jobs that could run at once when it
+// was dispatched — every core for the first, lone registration, the
+// cap's split for every batch dispatched while cap or more jobs were
+// live. Trainings are released one at a time, so the live count at each
+// dispatch is known: all eight submissions land while the first two
+// trainings hold both workers, and each later dispatch follows one
+// completion.
 func TestTrainingConcurrencyCap(t *testing.T) {
+	const procs, capacity, lookups = 4, 2, 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var active, peak atomic.Int32
-	var badWorkers atomic.Int32
+	entered := make(chan int, lookups) // each training's core share
 	release := make(chan struct{})
-	pool := newDetectorPoolWithTrainer(func(spec DetectorSpec, workers int, _ <-chan struct{}) (*core.Detector, []float64, error) {
-		if workers < 1 || workers > max(1, runtime.GOMAXPROCS(0)/2) {
-			badWorkers.Store(int32(workers))
-		}
+	pool := newDetectorPoolWithTrainer(func(spec DetectorSpec, share int, _ <-chan struct{}) (*core.Detector, []float64, error) {
 		n := active.Add(1)
 		for {
 			p := peak.Load()
@@ -273,14 +279,14 @@ func TestTrainingConcurrencyCap(t *testing.T) {
 				break
 			}
 		}
+		entered <- share
 		<-release
 		active.Add(-1)
 		return nil, nil, fmt.Errorf("synthetic")
 	})
-	pool.SetTrainConcurrency(2)
-	const lookups = 8
+	pool.SetTrainConcurrency(capacity)
 	var wg sync.WaitGroup
-	for i := 0; i < lookups; i++ {
+	await := func(i int) {
 		spec := tinySpec()
 		spec.Train.Seed = 1000 + uint64(i)
 		wg.Add(1)
@@ -289,15 +295,113 @@ func TestTrainingConcurrencyCap(t *testing.T) {
 			pool.await(spec) //nolint:errcheck // synthetic failure expected
 		}()
 	}
-	// Let the trainings queue up against the semaphore, then drain.
-	time.Sleep(50 * time.Millisecond)
+	wantShare := func(live int) int { return max(1, procs/min(capacity, live)) }
+
+	// The first registration trains alone.
+	await(0)
+	shares := []int{<-entered}
+	wants := []int{wantShare(1)}
+	for i := 1; i < lookups; i++ {
+		await(i)
+	}
+	// The second is dispatched with at least two jobs live.
+	shares = append(shares, <-entered)
+	wants = append(wants, wantShare(2))
+	for pool.SchedStats().ActiveJobs < lookups {
+		time.Sleep(time.Millisecond)
+	}
+	// Let the trainings queue up against the cap, then drain one at a
+	// time: after the k-th completion the next dispatch sees lookups-k
+	// live jobs.
+	time.Sleep(20 * time.Millisecond)
+	for k := 1; k <= lookups-capacity; k++ {
+		release <- struct{}{}
+		shares = append(shares, <-entered)
+		wants = append(wants, wantShare(lookups-k))
+	}
 	close(release)
 	wg.Wait()
-	if got := peak.Load(); got > 2 {
-		t.Errorf("peak concurrent trainings = %d, cap is 2", got)
+	if got := peak.Load(); got > capacity {
+		t.Errorf("peak concurrent trainings = %d, cap is %d", got, capacity)
 	}
-	if w := badWorkers.Load(); w != 0 {
-		t.Errorf("training worker budget %d outside [1, GOMAXPROCS/2]", w)
+	if !slices.Equal(shares, wants) {
+		t.Errorf("per-batch core shares = %v, want %v", shares, wants)
+	}
+}
+
+// shareTask wraps a production trial task, recording the core share of
+// each batch. Its first batch reports on entered and waits for gate
+// before it runs, holding the share it was dispatched with.
+type shareTask struct {
+	poolTask
+	entered chan<- struct{}
+	gate    <-chan struct{}
+	shares  []int // read after the flight finishes
+}
+
+func (t *shareTask) RunBatch(n, procs int, cancel <-chan struct{}) (int, bool, error) {
+	t.shares = append(t.shares, procs)
+	if len(t.shares) == 1 {
+		t.entered <- struct{}{}
+		<-t.gate
+	}
+	return t.poolTask.RunBatch(n, procs, cancel)
+}
+
+// TestTrainingShareFollowsLiveJobs drives real trainings through the
+// pool's scheduler: a registration training alone gets every core for
+// its batch, its later batches get the split while a second job is
+// live, and the second job's batches grow to every core once it trains
+// alone. Thresholds stay bit-identical to a one-worker core.Train.
+func TestTrainingShareFollowsLiveJobs(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	p := NewDetectorPool(0)
+	p.SetTrainConcurrency(2)
+	p.SetSchedBatchTrials(20) // 80-trial specs: four batches each
+	specs := []DetectorSpec{tinySpec(), tinySpec()}
+	specs[1].Train.Seed++
+	entered := make(chan struct{})
+	gates := map[string]chan struct{}{specs[0].ID(): make(chan struct{}), specs[1].ID(): make(chan struct{})}
+	tasks := map[string]*shareTask{}
+	p.newTask = func(e *poolEntry) (poolTask, int) {
+		inner, units := p.newTrialTask(e)
+		task := &shareTask{poolTask: inner, entered: entered, gate: gates[e.id]}
+		tasks[e.id] = task // Register runs newTask on the test goroutine
+		return task, units
+	}
+	for _, spec := range specs {
+		if _, _, err := p.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+	}
+	// The first job finishes while the second holds its first batch,
+	// then the second trains alone.
+	for _, spec := range specs {
+		close(gates[spec.ID()])
+		det, err := p.await(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := deploy.New(spec.Deployment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := spec.Train.TrainConfig()
+		cfg.Workers = 1
+		want, _, err := core.Train(model, core.MetricByName(spec.Metric), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if det.Threshold() != want.Threshold() {
+			t.Errorf("%s: threshold %v, one-worker Train %v", spec.ID(), det.Threshold(), want.Threshold())
+		}
+	}
+	for i, want := range [][]int{{procs, procs / 2, procs / 2, procs / 2}, {procs / 2, procs, procs, procs}} {
+		if got := tasks[specs[i].ID()].shares; !slices.Equal(got, want) {
+			t.Errorf("job %d batch shares = %v, want %v", i, got, want)
+		}
 	}
 }
 

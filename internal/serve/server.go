@@ -77,9 +77,10 @@ type ServerConfig struct {
 	// consulted when NewServer builds the pool itself.
 	MaxCachedDetectors int
 	// MaxConcurrentTrainings caps detector training runs in flight at
-	// once — it sizes the fair-share scheduler's worker pool (each
-	// worker's trial batches fan out over GOMAXPROCS/cap goroutines, so
-	// parallel cold starts share the machine); 0 means
+	// once — it sizes the fair-share scheduler's worker pool. A batch
+	// gets GOMAXPROCS divided by the jobs that can run at once (at most
+	// this cap), so parallel cold starts share the machine and a lone job
+	// gets every core; 0 means
 	// DefaultTrainConcurrency. Only consulted when NewServer builds the
 	// pool itself.
 	MaxConcurrentTrainings int
