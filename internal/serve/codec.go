@@ -48,7 +48,25 @@ type scratch struct {
 	batch    []core.BatchItem
 	verdicts []core.Verdict
 
+	locs  [maxLocs]locSpan // location objects this body has decoded
+	nlocs int
+
 	out []byte // encoded response body
+}
+
+// maxLocs bounds the per-body location table. A gateway's batch repeats
+// a handful of claimed positions; a body with more distinct ones than
+// this decodes the rest with scanPoint, as if there were no table.
+const maxLocs = 8
+
+// locSpan is one location object the scanner accepted: body[lo:hi]
+// runs from its '{' to its matching '}' and decodes to p. head, its
+// first eight bytes read little-endian, turns away most other objects
+// with one compare.
+type locSpan struct {
+	lo, hi int
+	head   uint64
+	p      PointJSON
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -134,6 +152,7 @@ func decodeJSON(body []byte, dst any) error {
 //lad:noalloc
 func (c *scratch) reset() {
 	c.pos = 0
+	c.nlocs = 0
 	if cap(c.ints) < 1 {
 		c.ints = make([]int, 0, 256)
 	}
@@ -248,13 +267,44 @@ func (c *scratch) scanItem(it *BatchItemJSON) bool {
 			ok = c.scanInts(&it.Observation)
 		case !seenLoc && sameKey(k, "location"):
 			seenLoc = true
-			ok = c.scanPoint(&it.Location)
+			ok = c.location(&it.Location)
 		default:
 			ok = false
 		}
 		if !ok {
 			return false
 		}
+	}
+	return true
+}
+
+// location scans an item's location object through the body's table
+// of decoded ones. Bytes that start with a remembered span hold that
+// same object, '{' to matching '}', so they decode to its point: the
+// scanner copies it and skips the span. Anything else goes to scanPoint,
+// and an accepted object of at least eight bytes (every one that holds
+// both coordinates) is remembered while the table has room.
+//
+//lad:noalloc
+func (c *scratch) location(p *PointJSON) bool {
+	c.skipSpace()
+	if rest := c.body[c.pos:]; len(rest) >= 8 {
+		head := binary.LittleEndian.Uint64(rest)
+		for _, l := range c.locs[:c.nlocs] {
+			if l.head == head && bytes.HasPrefix(rest, c.body[l.lo:l.hi]) {
+				*p = l.p
+				c.pos += l.hi - l.lo
+				return true
+			}
+		}
+	}
+	lo := c.pos
+	if !c.scanPoint(p) {
+		return false
+	}
+	if c.nlocs < maxLocs && c.pos-lo >= 8 {
+		c.locs[c.nlocs] = locSpan{lo: lo, hi: c.pos, head: binary.LittleEndian.Uint64(c.body[lo:]), p: *p}
+		c.nlocs++
 	}
 	return true
 }

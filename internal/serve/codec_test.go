@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -130,6 +132,7 @@ func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 		{``, [3]bool{}},
 	}
 	cases = append(cases, zeroRunCases...)
+	cases = append(cases, locTableCases...)
 	c := new(scratch)
 	for _, tc := range cases {
 		c.body = []byte(tc.body)
@@ -174,6 +177,70 @@ var zeroRunCases = func() []scanCase {
 	}
 	return cases
 }()
+
+// batchOf is a batch body whose items carry the given location texts,
+// each with a one-count observation.
+func batchOf(locs ...string) string {
+	items := make([]string, len(locs))
+	for i, l := range locs {
+		items[i] = `{"observation":[` + strconv.Itoa(i) + `],"location":` + l + `}`
+	}
+	return `{"items":[` + strings.Join(items, ",") + `]}`
+}
+
+// locTableCases exercise the scanner's per-body table of decoded
+// location objects: byte-identical repeats, which it copies; repeats
+// that differ in whitespace or key order, and texts that extend a
+// remembered one, which it must decode afresh; objects too short to be
+// remembered; more distinct locations than the table holds; and a
+// remembered text followed by bytes the scanner refuses.
+var locTableCases = func() []scanCase {
+	const a = `{"x":1,"y":2}`
+	distinct := make([]string, 10)
+	for i := range distinct {
+		distinct[i] = `{"x":` + strconv.Itoa(100+i) + `.5,"y":-` + strconv.Itoa(i) + `}`
+	}
+	batch := [3]bool{true, false, false}
+	return []scanCase{
+		{batchOf(a, a, a, a), batch},
+		{batchOf(a, `{ "x":1,"y":2}`, `{"x":1, "y":2 }`, `{"y":2,"x":1}`, a), batch},
+		{batchOf(a, `{"x":1,"y":25}`, `{"x":1,"y":2.5}`, `{"x":1,"y":2e1}`, a), batch},
+		{batchOf(a, `{"x":1}`, `{"x":1}`, `{}`, `{}`, a), batch},
+		{batchOf(append(distinct, distinct[9], distinct[8], distinct[0], distinct[7])...), batch},
+		{batchOf(a, a+`x`), [3]bool{}},
+		{batchOf(a, a+`,"location":`+a), [3]bool{}},
+		{batchOf(a, `{"x":1,"y":2,"x":3}`), [3]bool{}},
+		{batchOf(a, `{"x":1,"y":2`), [3]bool{}},
+		{`{"items":[{"observation":[0],"location":` + a + `},{"observation":[1],"location":` + a, [3]bool{}},
+	}
+}()
+
+// TestLocationTableResetsPerBody decodes bodies one after another
+// through one scratch. Each body's location texts extend or rewrite the
+// previous body's at the same offsets, so a table entry left over from
+// the previous body would match there and hand back its point.
+func TestLocationTableResetsPerBody(t *testing.T) {
+	c := new(scratch)
+	for _, body := range []string{
+		batchOf(`{"x":1,"y":2}`, `{"x":1,"y":2}`, `{"x":3,"y":4}`),
+		batchOf(`{"x":1,"y":25}`, `{"x":1,"y":2.5}`, `{"x":3,"y":4.5}`),
+		batchOf(`{"x":1,"y":7}`, `{"x":1,"y":2}`, `{"x":3,"y":4}`),
+	} {
+		if err := c.readBody(strings.NewReader(body), int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+		var got, want BatchRequest
+		if !c.scanBatch(&got) {
+			t.Fatalf("scanner refused %s", body)
+		}
+		if err := decodeJSON([]byte(body), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scanner decoded %v, encoding/json %v", body, got.Items, want.Items)
+		}
+	}
+}
 
 // scanAgrees asserts the scanner's contract on one body for one request
 // type: it hands off, or it returns exactly what the strict encoding/json
@@ -225,7 +292,7 @@ func FuzzV2RequestDecode(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	for _, tc := range zeroRunCases {
+	for _, tc := range slices.Concat(zeroRunCases, locTableCases) {
 		f.Add([]byte(tc.body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -291,6 +358,40 @@ func TestTrailingDataRejected(t *testing.T) {
 			if e := decodeAPIError(t, body.Bytes()); e.Code != CodeInvalidArgument || !strings.Contains(e.Message, "after top-level value") {
 				t.Errorf("%s: error %+v, want invalid_argument naming the trailing data", tc.name, e)
 			}
+		}
+	}
+}
+
+// TestResponsesDeclareLength: every encoded response carries its
+// Content-Length, including a 64-item batch's, which is larger than
+// net/http's 2 kB buffer and used to go out chunked with no length.
+func TestResponsesDeclareLength(t *testing.T) {
+	ts, _, det := newTestServer(t)
+	its := sampleItems(det, 64, 9)
+	batch, err := json.Marshal(BatchRequest{Items: its})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check, err := json.Marshal(its[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := defaultURL(ts)
+	for _, tc := range []struct{ url, body string }{
+		{v2 + "/check/batch", string(batch)},
+		{v2 + "/check", string(check)},
+		{v2 + "/check", "{"},
+	} {
+		resp, err := http.Post(tc.url, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, _ = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.ContentLength != int64(body.Len()) || len(resp.TransferEncoding) > 0 {
+			t.Errorf("%s (status %d): ContentLength %d, TransferEncoding %v for a %d-byte body",
+				tc.url, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, body.Len())
 		}
 	}
 }
@@ -366,7 +467,8 @@ func (*rewindBody) Close() error { return nil }
 // check/batch through the whole handler stack. The codec contributes
 // none; what is left is core's per-batch location dedup map (about 9
 // for 64 distinct locations), net/http's routing, body cap and header
-// map, the instrumentation's status recorder, and the request value.
+// map, the response's header values and formatted length, the
+// instrumentation's status recorder, and the request value.
 const maxV2BatchAllocs = 16
 
 func TestV2BatchAllocs(t *testing.T) {
@@ -445,7 +547,16 @@ func benchPost(b *testing.B, h http.Handler, path string, bodies [][]byte) {
 // locations of the paper deployment, the shape of ladperf's batch-hot,
 // through the whole handler: read, scan, score from the expectation
 // cache, encode. About nine in ten counts of a body are zero.
-func BenchmarkV2CheckBatch(b *testing.B) {
+func BenchmarkV2CheckBatch(b *testing.B) { benchBatch(b, 8) }
+
+// BenchmarkV2CheckBatchDistinct is BenchmarkV2CheckBatch over 64
+// distinct claimed locations: every item misses the scanner's per-body
+// location table, and all but the first eight find it full.
+func BenchmarkV2CheckBatchDistinct(b *testing.B) { benchBatch(b, 1) }
+
+// benchBatch times one 64-item check/batch whose in-field claimed
+// locations each repeat perLoc times.
+func benchBatch(b *testing.B, perLoc int) {
 	h, det, path := paperHandler(b)
 	model, r := det.Model(), rng.New(3)
 	var req BatchRequest
@@ -454,7 +565,7 @@ func BenchmarkV2CheckBatch(b *testing.B) {
 		if !model.Field().Contains(la) {
 			continue
 		}
-		for range 8 {
+		for range perLoc {
 			req.Items = append(req.Items, BatchItemJSON{
 				Observation: model.SampleObservation(la, group, r),
 				Location:    PointJSON{X: la.X, Y: la.Y},

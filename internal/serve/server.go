@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -280,9 +281,13 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 // writeBody sends an encoded JSON body with status. The body is complete
 // before the status goes out, so an encoding failure can still answer
-// 500.
+// 500, and its length is declared: net/http would send a body over its
+// 2 kB buffer chunked. Both header values share one array, one
+// allocation.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	vals := [...]string{"application/json", strconv.Itoa(len(body))}
+	h["Content-Type"], h["Content-Length"] = vals[:1:1], vals[1:]
 	//lint:ignore ladvet/errcodes this IS the envelope writer every handler and writeAPIError funnel through
 	w.WriteHeader(status)
 	_, _ = w.Write(body)

@@ -20,8 +20,9 @@ set -euo pipefail
 # The gated benchmarks: one package and -test.bench pattern per line.
 GATED='
 internal/core     ^(BenchmarkCheck256|BenchmarkTrain|BenchmarkSnapshotCodec|BenchmarkCheckpoint)$
+internal/deploy   ^BenchmarkGTableBuild$
 internal/localize ^BenchmarkBeaconlessMLE$
-internal/serve    ^(BenchmarkAdoptSnapshot|BenchmarkV2CheckBatch|BenchmarkV2Check)$
+internal/serve    ^(BenchmarkAdoptSnapshot|BenchmarkV2CheckBatch|BenchmarkV2CheckBatchDistinct|BenchmarkV2Check)$
 '
 PAIRS=10
 MAX_RATIO=1.30
