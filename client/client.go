@@ -312,36 +312,13 @@ func (c *Client) retry202(ctx context.Context, call func() error) error {
 	}
 }
 
-// CorrectOption tunes a correction request.
-type CorrectOption func(*correctRequest)
-
-type correctRequest struct {
-	Observation  []int   `json:"observation"`
-	Trimmed      bool    `json:"trimmed,omitempty"`
-	TrimFraction float64 `json:"trim_fraction,omitempty"`
-	Rounds       int     `json:"rounds,omitempty"`
-}
-
-// Trimmed requests the trimmed refit variant: fit, drop the fraction of
-// groups with the worst residuals, refit, for rounds iterations. Zero
-// values keep the server defaults (5%, 1 round).
-func Trimmed(fraction float64, rounds int) CorrectOption {
-	return func(r *correctRequest) {
-		r.Trimmed = true
-		r.TrimFraction = fraction
-		r.Rounds = rounds
-	}
-}
-
 // Correct asks the detector to re-estimate the sensor's location from
 // the observation itself — the move after an alarm, when the reported
-// localization is suspect. Plain by default; pass Trimmed for the
-// iterated-trim variant. Retries 202 like Check.
-func (c *Client) Correct(ctx context.Context, id string, observation []int, opts ...CorrectOption) (Correction, error) {
-	req := correctRequest{Observation: observation}
-	for _, o := range opts {
-		o(&req)
-	}
+// localization is suspect. Retries 202 like Check.
+func (c *Client) Correct(ctx context.Context, id string, observation []int) (Correction, error) {
+	req := struct {
+		Observation []int `json:"observation"`
+	}{observation}
 	var out Correction
 	err := c.retry202(ctx, func() error {
 		return c.do(ctx, http.MethodPost, "/v2/detectors/"+id+"/correct", req, &out)

@@ -336,13 +336,6 @@ func TestFullLifecycleAgainstRealServer(t *testing.T) {
 	if fix.Location == (Point{}) {
 		t.Error("correction returned the zero point")
 	}
-	trimmed, err := c.Correct(ctx, det.ID, obs, Trimmed(0.2, 2))
-	if err != nil {
-		t.Fatalf("trimmed correct: %v", err)
-	}
-	if len(trimmed.Excluded) == 0 {
-		t.Error("trimmed correction excluded no groups")
-	}
 
 	// Rethreshold moves the operating point without retraining.
 	trainsBefore := trainCount(ctx, t, c)

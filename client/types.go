@@ -198,10 +198,9 @@ type Item struct {
 }
 
 // Correction is the outcome of a /correct call: the re-estimated
-// location and, for trimmed corrections, the group indices dropped.
+// location.
 type Correction struct {
 	Location Point `json:"location"`
-	Excluded []int `json:"excluded,omitempty"`
 }
 
 // APIError is the server's structured error. It implements error; use

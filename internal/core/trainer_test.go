@@ -267,9 +267,11 @@ func TestBenignScoresAreModest(t *testing.T) {
 }
 
 func TestTrimmedCorrectionIsDocumentedNegative(t *testing.T) {
-	// The corrector doc and EXPERIMENTS.md state that residual trimming
-	// does not beat the plain MLE against the Diff-greedy attacker. Pin
-	// that finding so a future "fix" that flips it updates the docs too.
+	// The corrector doc and the figure that reproduces it (`ladsim
+	// -figure correct`, series "trimmed-MLE correction") state that
+	// residual trimming does not beat the plain MLE against the
+	// Diff-greedy attacker. Pin that finding so a future "fix" that flips
+	// it updates the docs too.
 	model := paperModel()
 	c := NewCorrector(model)
 	r := rng.New(61)

@@ -216,7 +216,7 @@ func (c *scratch) scanCheck(dst *BatchItemJSON) bool {
 func (c *scratch) scanCorrect(dst *CorrectRequest) bool {
 	c.reset()
 	var req CorrectRequest
-	var seenObs, seenTrimmed, seenFraction, seenRounds bool
+	var seenObs bool
 	if !c.consume('{') {
 		return false
 	}
@@ -227,15 +227,6 @@ func (c *scratch) scanCorrect(dst *CorrectRequest) bool {
 		case !seenObs && sameKey(k, "observation"):
 			seenObs = true
 			ok = c.scanInts(&req.Observation)
-		case !seenTrimmed && sameKey(k, "trimmed"):
-			seenTrimmed = true
-			req.Trimmed, ok = c.boolean()
-		case !seenFraction && sameKey(k, "trim_fraction"):
-			seenFraction = true
-			req.TrimFraction, ok = c.number()
-		case !seenRounds && sameKey(k, "rounds"):
-			seenRounds = true
-			req.Rounds, ok = c.count()
 		default:
 			ok = false
 		}
@@ -464,41 +455,8 @@ func sameKey(k []byte, name string) bool {
 	return true
 }
 
-// boolean scans true or false.
-//
-//lad:noalloc
-func (c *scratch) boolean() (bool, bool) {
-	if c.literal("true") {
-		return true, true
-	}
-	return false, c.literal("false")
-}
-
-// literal skips whitespace and advances past word if it comes next.
-//
-//lad:noalloc
-func (c *scratch) literal(word string) bool {
-	c.skipSpace()
-	if len(c.body)-c.pos < len(word) || !sameKey(c.body[c.pos:c.pos+len(word)], word) {
-		return false
-	}
-	c.pos += len(word)
-	return true
-}
-
 // maxCountDigits keeps every accepted count below 1e18, inside int64.
 const maxCountDigits = 18
-
-// count scans a count.
-//
-//lad:noalloc
-func (c *scratch) count() (int, bool) {
-	v, next, ok := parseCount(c.body, spaceEnd(c.body, c.pos))
-	if ok {
-		c.pos = next
-	}
-	return v, ok
-}
 
 // parseCount parses the non-negative integer of at most maxCountDigits
 // digits, without a leading zero, that starts at b[i], returning it and
@@ -615,18 +573,7 @@ func (c *scratch) encodeCorrection(resp CorrectResponse) bool {
 	if !c.float(resp.Location.Y) {
 		return false
 	}
-	c.out = append(c.out, '}')
-	if len(resp.Excluded) > 0 {
-		c.out = append(c.out, `,"excluded":[`...)
-		for i, g := range resp.Excluded {
-			if i > 0 {
-				c.out = append(c.out, ',')
-			}
-			c.out = strconv.AppendInt(c.out, int64(g), 10)
-		}
-		c.out = append(c.out, ']')
-	}
-	c.out = append(c.out, "}\n"...)
+	c.out = append(c.out, "}}\n"...)
 	return true
 }
 
@@ -667,7 +614,7 @@ func (c *scratch) verdict(v core.Verdict, thr *thresholdMemo) bool {
 
 // float appends f exactly as encoding/json writes a float64: the
 // shortest representation, in exponent form below 1e-6 and from 1e21,
-// with a two-digit negative exponent trimmed to one (e-07 → e-7).
+// with a two-digit negative exponent shortened to one (e-07 → e-7).
 //
 //lad:noalloc
 func (c *scratch) float(f float64) bool {

@@ -60,14 +60,12 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 		if want := marshalLine(t, verdictJSON(v)); !bytes.Equal(c.out, want) {
 			t.Fatalf("verdict %v: got %q, want %q", v, c.out, want)
 		}
-		for _, ex := range [][]int{nil, {}, {0}, {3, 17, 99}} {
-			resp := CorrectResponse{Location: PointJSON{X: f, Y: -f}, Excluded: ex}
-			if !c.encodeCorrection(resp) {
-				t.Fatalf("encodeCorrection(%v) refused a finite value", resp)
-			}
-			if want := marshalLine(t, resp); !bytes.Equal(c.out, want) {
-				t.Fatalf("correction %v: got %q, want %q", resp, c.out, want)
-			}
+		resp := CorrectResponse{Location: PointJSON{X: f, Y: -f}}
+		if !c.encodeCorrection(resp) {
+			t.Fatalf("encodeCorrection(%v) refused a finite value", resp)
+		}
+		if want := marshalLine(t, resp); !bytes.Equal(c.out, want) {
+			t.Fatalf("correction %v: got %q, want %q", resp, c.out, want)
 		}
 	}
 	// A batch whose threshold repeats, changes mid-batch (a rethreshold
@@ -114,7 +112,6 @@ func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 		{`{}`, [3]bool{true, true, true}},
 		{item, [3]bool{false, true, false}},
 		{`{"location":{"x":1e3}}`, [3]bool{false, true, false}},
-		{`{"observation":[5],"trimmed":true,"trim_fraction":0.25,"rounds":3}`, [3]bool{false, false, true}},
 		{`{"observation":[999999999999999999]}`, [3]bool{false, true, true}},
 		// Hand-offs: each is a shape the scanner refuses.
 		{`{"items":[` + item + `]}{"items":[]}`, [3]bool{}},
@@ -129,6 +126,9 @@ func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 		{`{"location":{"x":-}}`, [3]bool{}},
 		{`{"detector":{},"items":[]}`, [3]bool{}},
 		{`{"observation":[1],"extra":0}`, [3]bool{}},
+		// The retired correction knobs are unknown keys like any other.
+		{`{"observation":[5],"trimmed":true,"trim_fraction":0.25,"rounds":3}`, [3]bool{}},
+		{`{"observation":[5],"trimmed":false}`, [3]bool{}},
 		{``, [3]bool{}},
 	}
 	cases = append(cases, zeroRunCases...)
@@ -270,25 +270,27 @@ func FuzzV2RequestDecode(f *testing.F) {
 	for _, s := range []string{
 		`{"items":[{"observation":[0,1,2],"location":{"x":150,"y":150.5}}]}`,
 		`{"observation":[0,1,2],"location":{"x":1,"y":2}}`,
-		`{"observation":[4,0],"trimmed":true,"trim_fraction":0.1,"rounds":2}`,
 		`{"items":[]}`, `{"observation":[]}`, `{}`,
 		// Case-variant, duplicate, null and escaped keys.
 		`{"Observation":[1],"LOCATION":{"X":1,"y":2}}`,
 		`{"observation":[1],"observation":[2]}`,
 		`{"location":{"x":1},"location":{"y":2}}`,
-		`{"items":null}`, `{"observation":null}`, `{"location":null}`, `{"trimmed":null}`,
+		`{"items":null}`, `{"observation":null}`, `{"location":null}`,
 		`{"items":[null]}`, `{"observation":[null]}`,
 		`{"observ\u0061tion":[1]}`, `{"items":[{"location":{"\u0078":1}}]}`, `{"x":1}`,
 		// Number edges.
 		`{"location":{"x":-0,"y":1e400}}`, `{"location":{"x":01}}`, `{"location":{"x":5e-324,"y":1E+2}}`,
 		`{"observation":[1234567890123456789]}`, `{"observation":[999999999999999999]}`,
 		`{"observation":[-1]}`, `{"observation":[-0]}`, `{"observation":[1.0]}`, `{"observation":[1e2]}`,
-		`{"rounds":-3}`, `{"rounds":1.5}`, `{"trim_fraction":-0.0}`,
 		// Missing location, whitespace everywhere, trailing data.
 		`{"items":[{"observation":[3]}]}`,
 		" \t\n{ \"items\" : [ { \"observation\" : [ 1 , 2 ] , \"location\" : { \"x\" : 1 , \"y\" : 2 } } ] } \r\n",
 		`{"items":[{"observation":[1]}]}{"items":[{"observation":[2]}]}`,
 		`{"observation":[1]} garbage`, `{"observation":[1],}`, `[1]`, `"s"`, ``,
+		// The retired correction knobs: both decoders refuse them.
+		`{"observation":[4,0],"trimmed":true,"trim_fraction":0.1,"rounds":2}`,
+		`{"observation":[4,0],"trimmed":false}`, `{"trimmed":null}`,
+		`{"rounds":-3}`, `{"rounds":1.5}`, `{"trim_fraction":-0.0}`,
 	} {
 		f.Add([]byte(s))
 	}

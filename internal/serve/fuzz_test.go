@@ -59,12 +59,13 @@ func FuzzV2RequestJSON(f *testing.F) {
 	for verb, body := range []string{
 		`{"observation":` + obs + `,"location":{"x":150,"y":150}}`,
 		`{"items":[{"observation":` + obs + `,"location":{"x":150,"y":150}}]}`,
-		`{"observation":[0,0,0,0,9,0,0,0,0],"trimmed":true,"trim_fraction":0.2,"rounds":2}`,
+		`{"observation":[0,0,0,0,9,0,0,0,0]}`,
 	} {
 		for _, b := range []string{
 			body, body + "garbage", body + body, strings.ToUpper(body),
 			`{"observation":[1,2]}`, `{"items":[]}`, `{"observation":` + obs + `,"rounds":-1}`,
 			`{"observation":` + obs + `,"trim_fraction":1}`, `{"items":[{"observation":[-1,0,0,0,0,0,0,0,0]}]}`,
+			`{"observation":[0,0,0,0,9,0,0,0,0],"trimmed":true,"trim_fraction":0.2,"rounds":2}`,
 			`{"location":{"x":1e400}}`, `null`, ``,
 		} {
 			f.Add(uint8(verb), []byte(b))

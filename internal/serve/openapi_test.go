@@ -301,3 +301,43 @@ func TestOpenAPICoversV2Routes(t *testing.T) {
 		t.Errorf("spec documents %d paths, server registers %d", len(paths), len(want))
 	}
 }
+
+// TestOpenAPIRequestBodiesClosed: the server decodes every request body
+// with unknown fields disallowed, so each schema a requestBody
+// references must say so with "additionalProperties": false, or a
+// generated client would accept keys the server answers 400 to.
+func TestOpenAPIRequestBodiesClosed(t *testing.T) {
+	spec := loadOpenAPI(t)
+	schemas := specSchemas(t, spec)
+	paths, _ := spec["paths"].(map[string]any)
+	n := 0
+	for path, rawOps := range paths {
+		ops, _ := rawOps.(map[string]any)
+		for method, rawOp := range ops {
+			op, _ := rawOp.(map[string]any)
+			body, ok := op["requestBody"].(map[string]any)
+			if !ok {
+				continue
+			}
+			content, _ := body["content"].(map[string]any)
+			for _, rawMedia := range content {
+				media, _ := rawMedia.(map[string]any)
+				schema, _ := media["schema"].(map[string]any)
+				ref, _ := schema["$ref"].(string)
+				name := strings.TrimPrefix(ref, "#/components/schemas/")
+				s, ok := schemas[name].(map[string]any)
+				if !ok {
+					t.Errorf("%s %s: request body schema %q is not a component", method, path, ref)
+					continue
+				}
+				n++
+				if s["additionalProperties"] != false {
+					t.Errorf("%s %s: request body schema %s lacks \"additionalProperties\": false", method, path, name)
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Error("spec declares no request bodies")
+	}
+}

@@ -198,7 +198,7 @@ type poolEntry struct {
 	evicted bool
 	// corr is the resource's shared plain corrector, built lazily on the
 	// first /correct (its pooled localization sessions amortize across
-	// requests). Trimmed corrections with custom knobs build their own.
+	// requests).
 	// Guarded by corrOnce, not mu: the once is the synchronization.
 	corrOnce sync.Once
 	corr     *core.Corrector

@@ -5,16 +5,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/mathx"
+	"repro/internal/rng"
 )
 
 // slowSeed marks specs the fake trainer must block on until released.
@@ -448,7 +452,7 @@ func TestV2CorrectRoundTrip(t *testing.T) {
 	}
 	it := sampleItems(det, 1, 31)[0]
 
-	// Plain correction must equal the direct corrector's estimate.
+	// The served correction must equal the direct corrector's estimate.
 	resp, body := doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/correct", CorrectRequest{Observation: it.Observation}, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("correct: status %d: %s", resp.StatusCode, body)
@@ -464,44 +468,105 @@ func TestV2CorrectRoundTrip(t *testing.T) {
 	if got.Location.X != want.X || got.Location.Y != want.Y {
 		t.Errorf("served correction (%v,%v) != direct (%v,%v)", got.Location.X, got.Location.Y, want.X, want.Y)
 	}
-	if got.Excluded != nil {
-		t.Errorf("plain correction reported exclusions: %v", got.Excluded)
-	}
-
-	// Trimmed correction with custom knobs matches a matching corrector.
-	resp, body = doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/correct",
-		CorrectRequest{Observation: it.Observation, Trimmed: true, TrimFraction: 0.2, Rounds: 2}, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("correct trimmed: status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	corr := core.NewCorrector(det.Model())
-	corr.TrimFraction = 0.2
-	corr.Rounds = 2
-	wantP, wantMask, err := corr.CorrectTrimmed(it.Observation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Location.X != wantP.X || got.Location.Y != wantP.Y {
-		t.Errorf("served trimmed (%v,%v) != direct (%v,%v)", got.Location.X, got.Location.Y, wantP.X, wantP.Y)
-	}
-	var wantIdx []int
-	for i, ex := range wantMask {
-		if ex {
-			wantIdx = append(wantIdx, i)
-		}
-	}
-	if fmt.Sprint(got.Excluded) != fmt.Sprint(wantIdx) {
-		t.Errorf("excluded %v != %v", got.Excluded, wantIdx)
-	}
 
 	// An all-silent observation has no MLE: invalid_argument, not a 500.
 	resp, body = doJSON(t, "POST", ts.URL+"/v2/detectors/"+id+"/correct",
 		CorrectRequest{Observation: make([]int, det.Model().NumGroups())}, "")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("silent correct: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestCorrectRejectsRemovedKnobs: /correct takes exactly an observation.
+// The trimmed-refit knobs it once served (trimmed, trim_fraction, rounds)
+// are unknown keys now, so each one alone, even "trimmed":false, is a 400
+// invalid_argument from the strict decoder rather than a correction.
+func TestCorrectRejectsRemovedKnobs(t *testing.T) {
+	ts, _, det := newTestServer(t)
+	obs, err := json.Marshal(sampleItems(det, 1, 31)[0].Observation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v2/detectors/" + tinySpec().ID() + "/correct"
+	for _, knob := range []string{`"trimmed":true`, `"trimmed":false`, `"trim_fraction":0.2`, `"rounds":2`} {
+		body := json.RawMessage(`{"observation":` + string(obs) + `,` + knob + `}`)
+		resp, got := doJSON(t, "POST", url, body, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", knob, resp.StatusCode, got)
+			continue
+		}
+		if e := decodeAPIError(t, got); e.Code != CodeInvalidArgument {
+			t.Errorf("%s: code %q, want %q", knob, e.Code, CodeInvalidArgument)
+		}
+	}
+}
+
+// TestConcurrentCorrectMatchesFreshCorrector: concurrent /correct
+// requests share one resource's corrector and its pooled localization
+// sessions. Each answer must still be bit-identical to a fresh
+// corrector's estimate of the same observation, so no session state
+// leaks from one request into another.
+func TestConcurrentCorrectMatchesFreshCorrector(t *testing.T) {
+	ts, _, det := newTestServer(t)
+	model := det.Model()
+	const workers, perWorker = 8, 6
+	r := rng.New(43)
+	var obs [][]int
+	for len(obs) < workers*perWorker {
+		group, la := model.SampleLocation(r)
+		if !model.Field().Contains(la) {
+			continue
+		}
+		a := model.SampleObservation(la, group, r)
+		le := attack.ForgeLocationInField(la, 120, model.Field(), r, 64)
+		o := attack.NewDiffMinimizer(core.NewExpectation(model, le).Mu, attack.DecBounded).Taint(a, attack.Compromised(a, 0.10))
+		if _, err := core.NewCorrector(model).Correct(o); err == nil {
+			obs = append(obs, o)
+		}
+	}
+
+	url := ts.URL + "/v2/detectors/" + tinySpec().ID() + "/correct"
+	got := make([]CorrectResponse, len(obs))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(obs); i += workers {
+				raw, err := json.Marshal(CorrectRequest{Observation: obs[i]})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("observation %d: status %d, err %v: %s", i, resp.StatusCode, err, body)
+					return
+				}
+				if err := json.Unmarshal(body, &got[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, o := range obs {
+		want, err := core.NewCorrector(model).Correct(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Location.X != want.X || got[i].Location.Y != want.Y {
+			t.Errorf("observation %d: served (%v,%v) != fresh corrector (%v,%v)",
+				i, got[i].Location.X, got[i].Location.Y, want.X, want.Y)
+		}
 	}
 }
 

@@ -103,25 +103,15 @@ type ListResponse struct {
 // CorrectRequest asks for a location re-estimate from an observation —
 // the paper's stated future work ("not only detect the anomalies, but
 // also correct the errors"), served over HTTP for the first time. The
-// plain correction is the beaconless MLE of the observation itself,
-// discarding the attacked localization result entirely; Trimmed
-// additionally iterates fit → drop worst residual groups → refit (a
-// documented negative ablation against the budget-limited silence
-// attacker, kept for experimentation).
+// correction is the beaconless MLE of the observation itself,
+// discarding the attacked localization result entirely.
 type CorrectRequest struct {
 	Observation []int `json:"observation"`
-	Trimmed     bool  `json:"trimmed,omitempty"`
-	// TrimFraction and Rounds tune the trimmed variant; zero values take
-	// the core defaults (5%, 1 round). Ignored unless Trimmed.
-	TrimFraction float64 `json:"trim_fraction,omitempty"`
-	Rounds       int     `json:"rounds,omitempty"`
 }
 
-// CorrectResponse carries the re-estimated location. Excluded lists the
-// group indices the trimmed variant dropped (absent for plain).
+// CorrectResponse carries the re-estimated location.
 type CorrectResponse struct {
 	Location PointJSON `json:"location"`
-	Excluded []int     `json:"excluded,omitempty"`
 }
 
 // RethresholdRequest re-cuts the operating point from the retained
@@ -251,56 +241,21 @@ func (s *Server) handleV2Correct(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument, "%v", err))
 		return
 	}
-	if req.TrimFraction < 0 || req.TrimFraction >= 1 {
-		writeAPIError(w, apiErrorf(CodeInvalidArgument, "trim_fraction must be in [0, 1), got %g", req.TrimFraction))
+	corr, ok := s.pool.Corrector(r.PathValue("id"))
+	if !ok {
+		// The resource raced away between v2Detector and here.
+		writeAPIError(w, apiErrorf(CodeNotFound, "no detector %q", r.PathValue("id")))
 		return
 	}
-	if req.Rounds < 0 {
-		writeAPIError(w, apiErrorf(CodeInvalidArgument, "rounds must be non-negative, got %d", req.Rounds))
+	p, err := corr.Correct(req.Observation)
+	if err != nil {
+		// An isolated observation (no audible neighbors) has no MLE;
+		// that is a property of the input, not the server.
+		writeAPIError(w, apiErrorf(CodeInvalidArgument, "correction impossible: %v", err))
 		return
-	}
-
-	var resp CorrectResponse
-	if req.Trimmed {
-		// Custom knobs mutate the corrector, so trimmed corrections get
-		// their own instance (construction is cheap — the deployment
-		// model is shared; only session scratch is fresh).
-		corr := core.NewCorrector(det.Model())
-		if req.TrimFraction > 0 {
-			corr.TrimFraction = req.TrimFraction
-		}
-		if req.Rounds > 0 {
-			corr.Rounds = req.Rounds
-		}
-		p, excluded, err := corr.CorrectTrimmed(req.Observation)
-		if err != nil {
-			writeAPIError(w, apiErrorf(CodeInvalidArgument, "correction impossible: %v", err))
-			return
-		}
-		resp.Location = PointJSON{X: p.X, Y: p.Y}
-		for i, ex := range excluded {
-			if ex {
-				resp.Excluded = append(resp.Excluded, i)
-			}
-		}
-	} else {
-		corr, ok := s.pool.Corrector(r.PathValue("id"))
-		if !ok {
-			// The resource raced away between v2Detector and here.
-			writeAPIError(w, apiErrorf(CodeNotFound, "no detector %q", r.PathValue("id")))
-			return
-		}
-		p, err := corr.Correct(req.Observation)
-		if err != nil {
-			// An isolated observation (no audible neighbors) has no MLE;
-			// that is a property of the input, not the server.
-			writeAPIError(w, apiErrorf(CodeInvalidArgument, "correction impossible: %v", err))
-			return
-		}
-		resp.Location = PointJSON{X: p.X, Y: p.Y}
 	}
 	s.corrected.Inc()
-	writeEncoded(w, c, c.encodeCorrection(resp))
+	writeEncoded(w, c, c.encodeCorrection(CorrectResponse{Location: PointJSON{X: p.X, Y: p.Y}}))
 }
 
 func (s *Server) handleV2Rethreshold(w http.ResponseWriter, r *http.Request) {
