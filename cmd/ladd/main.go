@@ -22,6 +22,7 @@
 //	ladd -spec deployment.json            # full DetectorSpec from a file
 //	ladd -api-token-file token.txt        # gate register/delete/rethreshold
 //	ladd -store-dir /var/lib/ladd         # durable detectors: persist on ready, adopt on restart
+//	ladd -warmup-only [-spec f.json] -store-dir D  # provision: train or adopt, write one snapshot, print the threshold
 //
 // The default detector is a resource like any other: its id is logged
 // at warmup and listed by GET /v2/detectors. Checks against a
@@ -65,7 +66,7 @@ func main() {
 		expBudget   = flag.Int64("exp-cache-budget", 0, "pool-wide expectation-cache admission budget in bytes, shared across all detectors (0 = unlimited)")
 		tokenFile   = flag.String("api-token-file", "", "file holding the bearer token that gates mutating v2 endpoints (register/delete/rethreshold); empty leaves them open")
 		storeDir    = flag.String("store-dir", "", "directory for durable detector snapshots; ready detectors are persisted there and adopted on restart instead of retrained (empty disables persistence)")
-		warmupOnly  = flag.Bool("warmup-only", false, "train the default detector, print its threshold, and exit")
+		warmupOnly  = flag.Bool("warmup-only", false, "train the default detector, or adopt it from -store-dir, then persist it there, print its threshold and exit (nonzero when -store-dir does not hold its complete snapshot)")
 	)
 	flag.Parse()
 
@@ -137,15 +138,17 @@ func main() {
 		}
 	}
 
-	warmup := func() (*time.Duration, error) {
+	// warmup returns how the default detector became ready.
+	warmup := func() (string, error) {
+		if st, _ := srv.Pool().Lookup(spec.ID()); st.State == serve.StateReady {
+			log.Printf("ladd: default detector %s adopted from the store", spec.ID())
+			return "adopted from the store", srv.Warmup()
+		}
 		log.Printf("ladd: training default detector %s (metric=%s trials=%d percentile=%g)",
 			spec.ID(), spec.Metric, spec.Train.Trials, spec.Train.Percentile)
 		start := time.Now()
-		if err := srv.Warmup(); err != nil {
-			return nil, err
-		}
-		took := time.Since(start).Round(time.Millisecond)
-		return &took, nil
+		err := srv.Warmup()
+		return "trained in " + time.Since(start).Round(time.Millisecond).String(), err
 	}
 	if *warmupOnly {
 		if _, err := warmup(); err != nil {
@@ -156,6 +159,12 @@ func main() {
 		srv.Pool().WaitSaves()
 		det, _, _ := srv.Pool().Detector(spec.ID())
 		log.Printf("ladd: threshold %.4f", det.Threshold())
+		// The snapshot is this run's artifact: a lost write exits nonzero.
+		if *storeDir != "" {
+			if err := srv.Pool().VerifySnapshot(spec.ID(), det.Threshold()); err != nil {
+				log.Fatalf("ladd: default detector not persisted: %v", err)
+			}
+		}
 		fmt.Printf("%g\n", det.Threshold())
 		return
 	}
@@ -181,7 +190,7 @@ func main() {
 	// (possibly multi-second) training run instead of refusing
 	// connections, so orchestrators see "starting", not "dead".
 	go func() {
-		took, err := warmup()
+		how, err := warmup()
 		if err != nil {
 			log.Printf("ladd: warmup failed: %v", err)
 			errCh <- fmt.Errorf("warmup: %w", err)
@@ -189,7 +198,7 @@ func main() {
 		}
 		// The listener is up, so a DELETE may already have evicted it.
 		if det, _, ok := srv.Pool().Detector(spec.ID()); ok {
-			log.Printf("ladd: default detector %s trained in %s; threshold %.4f — ready", spec.ID(), *took, det.Threshold())
+			log.Printf("ladd: default detector %s %s; threshold %.4f — ready", spec.ID(), how, det.Threshold())
 		}
 	}()
 

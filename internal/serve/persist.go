@@ -116,6 +116,23 @@ func (p *DetectorPool) persistEntry(e *poolEntry) {
 // just before shutdown is lost.
 func (p *DetectorPool) WaitSaves() { p.writes.wait() }
 
+// VerifySnapshot reports an error unless id's stored record is the
+// complete snapshot of threshold. A failed save only logs, so a process
+// whose output is that record (ladd -warmup-only -store-dir) checks it
+// after WaitSaves. Requires a store (SetStore).
+func (p *DetectorPool) VerifySnapshot(id string, threshold float64) error {
+	data, err := p.snapStore.Get(id)
+	if err != nil {
+		return err
+	}
+	snap, err := core.DecodeSnapshot(data)
+	if err == nil && (snap.Partial() || snap.Threshold != threshold) {
+		err = fmt.Errorf("serve: stored record %s (%d of %d trials, threshold %g) is not the complete snapshot of threshold %g",
+			id, snap.TrialsDone, snap.Trials, snap.Threshold, threshold)
+	}
+	return err
+}
+
 // pendingWrites counts in-flight work and lets a caller wait for the
 // count to reach zero. Unlike a sync.WaitGroup, add may run
 // concurrently with wait from a zero count: a training flight can still

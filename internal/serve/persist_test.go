@@ -125,7 +125,9 @@ func TestPersistAndAdoptRoundTrip(t *testing.T) {
 // asynchronous and Warmup returns before it, so a process that exits
 // right after Warmup (ladd -warmup-only) calls WaitSaves first. After
 // it the store holds the default detector, with no polling and no
-// half-written temp file.
+// half-written temp file. A second boot on the same store — the
+// provisioning round trip — adopts that record: it starts no training
+// job, reports the same threshold and leaves one record.
 func TestWaitSavesCoversWarmupSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenFS(dir)
@@ -151,6 +153,92 @@ func TestWaitSavesCoversWarmupSnapshot(t *testing.T) {
 	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
 	if err != nil || len(tmps) != 0 {
 		t.Fatalf("temp files left after WaitSaves: %v (%v)", tmps, err)
+	}
+	det1, _, _ := srv.Pool().Detector(tinySpec().ID())
+	if err := srv.Pool().VerifySnapshot(tinySpec().ID(), det1.Threshold()); err != nil {
+		t.Fatalf("stored artifact after WaitSaves: %v", err)
+	}
+	if err := srv.Pool().VerifySnapshot(tinySpec().ID(), det1.Threshold()+1); err == nil {
+		t.Fatal("VerifySnapshot accepted a threshold the record does not carry")
+	}
+
+	srv2, err := NewServer(ServerConfig{Default: tinySpec()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2.Pool().SetStore(fs)
+	if stats, err := srv2.Pool().AdoptSnapshots(); err != nil || stats.Adopted != 1 {
+		t.Fatalf("second boot adopted %+v (%v), want 1", stats, err)
+	}
+	if err := srv2.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	srv2.Pool().WaitSaves()
+	if started := srv2.Pool().jobsStarted.Load(); started != 0 {
+		t.Fatalf("second boot started %d training jobs, want 0", started)
+	}
+	det2, _, _ := srv2.Pool().Detector(tinySpec().ID())
+	if det2.Threshold() != det1.Threshold() {
+		t.Fatalf("second boot threshold %v, want %v", det2.Threshold(), det1.Threshold())
+	}
+	if err := srv2.Pool().VerifySnapshot(tinySpec().ID(), det2.Threshold()); err != nil {
+		t.Fatalf("adopted artifact: %v", err)
+	}
+	if ids, err := fs.List(); err != nil || len(ids) != 1 {
+		t.Fatalf("store lists %v (%v) after the second boot, want one record", ids, err)
+	}
+}
+
+// A provisioning run whose final snapshot Put fails must not pass for
+// one that wrote its artifact. Training succeeds and serves from memory,
+// but VerifySnapshot — ladd -warmup-only's exit check — reports the
+// loss: here the store is left holding the checkpoint the run resumed
+// from, and without it, no record at all.
+func TestVerifySnapshotFailsWhenPutFails(t *testing.T) {
+	fs, err := store.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	if err := fs.Put(spec.ID(), partialCheckpoint(t, spec, 32)); err != nil {
+		t.Fatal(err)
+	}
+	faulty := store.NewFaulty(fs)
+	faulty.SetPutError(errors.New("injected: disk full"))
+	srv, err := NewServer(ServerConfig{Default: spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Pool().SetStore(faulty)
+	if err := srv.Warmup(); err != nil {
+		t.Fatalf("training failed because the store did: %v", err)
+	}
+	srv.Pool().WaitSaves()
+	det, _, _ := srv.Pool().Detector(spec.ID())
+	if err := srv.Pool().VerifySnapshot(spec.ID(), det.Threshold()); err == nil || !strings.Contains(err.Error(), "32 of 80 trials") {
+		t.Fatalf("VerifySnapshot over a left-behind checkpoint = %v, want it refused", err)
+	}
+	// A checkpoint is refused even when its threshold field matches.
+	data, err := fs.Get(spec.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := core.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Threshold = det.Threshold()
+	if err := fs.Put(spec.ID(), ck.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Pool().VerifySnapshot(spec.ID(), det.Threshold()); err == nil {
+		t.Fatal("VerifySnapshot accepted a checkpoint carrying the trained threshold")
+	}
+	if err := fs.Delete(spec.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Pool().VerifySnapshot(spec.ID(), det.Threshold()); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("VerifySnapshot with no record = %v, want ErrNotFound", err)
 	}
 }
 

@@ -1,13 +1,11 @@
 package lad
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/plot"
 )
 
@@ -227,21 +225,5 @@ func TestRunFigure5And8Quick(t *testing.T) {
 	}
 	if len(figs8) != 1 {
 		t.Fatalf("fig8 panels = %d", len(figs8))
-	}
-}
-
-func TestPublicStateRoundTripViaCore(t *testing.T) {
-	model, _ := NewModel(PaperDeployment())
-	det := NewDetector(model, Probability(), 6.2)
-	var buf bytes.Buffer
-	if err := core.Save(&buf, det, 99, 100); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Metric().Name() != "probability" || loaded.Threshold() != 6.2 {
-		t.Error("round trip lost detector state")
 	}
 }
