@@ -257,7 +257,9 @@ func (c *Client) Check(ctx context.Context, id string, observation []int, locati
 
 // CheckBatch scores many pairs in one request (same 202 handling as
 // Check). The server bounds items per request (4096 by default); see
-// CheckBatchChunked for arbitrarily large workloads.
+// CheckBatchChunked for arbitrarily large workloads. An answer that
+// does not hold one verdict per item is an error, since verdicts are
+// matched to items by position.
 func (c *Client) CheckBatch(ctx context.Context, id string, items []Item) ([]Verdict, error) {
 	var resp struct {
 		Results []Verdict `json:"results"`
@@ -267,6 +269,9 @@ func (c *Client) CheckBatch(ctx context.Context, id string, items []Item) ([]Ver
 			Items []Item `json:"items"`
 		}{items}, &resp)
 	})
+	if err == nil && len(resp.Results) != len(items) {
+		return nil, fmt.Errorf("client: batch of %d items answered with %d verdicts", len(items), len(resp.Results))
+	}
 	return resp.Results, err
 }
 

@@ -126,6 +126,29 @@ func Test202RetryPolling(t *testing.T) {
 	}
 }
 
+// TestCheckBatchCountMismatch: a batch answer with fewer verdicts than
+// items is an error, not a short slice that CheckBatchChunked would
+// splice in and so shift every later verdict onto the wrong item.
+func TestCheckBatchCountMismatch(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v2/detectors/d1/check/batch" {
+			t.Errorf("unexpected path %s", r.URL.Path)
+		}
+		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
+			"results": []Verdict{{Score: 1, Threshold: 2}},
+		})
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	items := []Item{{Observation: []int{1}}, {Observation: []int{2}}}
+	if vs, err := c.CheckBatch(context.Background(), "d1", items); err == nil {
+		t.Errorf("CheckBatch returned %d verdicts for 2 items and no error", len(vs))
+	}
+	if vs, err := c.CheckBatchChunked(context.Background(), "d1", append(items, items...), 2); err == nil {
+		t.Errorf("CheckBatchChunked returned %d verdicts for 4 items and no error", len(vs))
+	}
+}
+
 // Test202RetryGivesUpOnContext: a perpetually-training resource must
 // surface the context error, not loop forever.
 func Test202RetryGivesUpOnContext(t *testing.T) {

@@ -8,12 +8,6 @@
 //
 // Valid figure ids: fig4 fig5 fig6 fig7 fig8 fig9 mismatch correct omega
 // schemes layouts.
-//
-// With -loadgen, ladsim instead acts as a load generator for a running
-// ladd daemon, posting pre-generated benign batches and reporting QPS
-// and latency percentiles:
-//
-//	ladsim -loadgen http://localhost:8080 -lg-duration 10s -lg-batch 64
 package main
 
 import (
@@ -37,37 +31,8 @@ func main() {
 		csvDir = flag.String("csv", "", "directory to write per-panel CSV files")
 		width  = flag.Int("width", 68, "chart width (characters)")
 		height = flag.Int("height", 16, "chart height (characters)")
-
-		loadgen     = flag.String("loadgen", "", "drive a ladd daemon at this base URL instead of running figures")
-		lgDur       = flag.Duration("lg-duration", 10*time.Second, "loadgen: measurement duration")
-		lgConc      = flag.Int("lg-concurrency", 8, "loadgen: concurrent workers")
-		lgBatch     = flag.Int("lg-batch", 64, "loadgen: observations per request (1 = single-check endpoint)")
-		lgLocs      = flag.Int("lg-locations", 0, "loadgen: distinct claimed locations per batch (0 = batch/8)")
-		lgToken     = flag.String("lg-token-file", "", "loadgen: bearer token file, required to register the spec on a token-gated daemon")
-		lgMetric    = flag.String("lg-metric", "diff", "loadgen: metric of the registered spec (match the daemon's -metric)")
-		lgTrials    = flag.Int("lg-trials", 4000, "loadgen: trials of the registered spec (match the daemon's -trials to reuse its warmed detector)")
-		lgTrainSeed = flag.Uint64("lg-train-seed", 1, "loadgen: training seed of the registered spec (match the daemon's -seed)")
 	)
 	flag.Parse()
-
-	if *loadgen != "" {
-		if err := runLoadgen(loadgenOptions{
-			url:         *loadgen,
-			duration:    *lgDur,
-			concurrency: *lgConc,
-			batch:       *lgBatch,
-			locations:   *lgLocs,
-			seed:        *seed,
-			tokenFile:   *lgToken,
-			metric:      *lgMetric,
-			trials:      *lgTrials,
-			trainSeed:   *lgTrainSeed,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "ladsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opts := lad.DefaultFigureOptions()
 	if *quick {

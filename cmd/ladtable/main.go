@@ -3,12 +3,18 @@
 //	ladtable            # print the g(z) lookup table (Theorem 1)
 //	ladtable -grid      # deployment-point grid of Figure 1
 //	ladtable -pdf       # one group's Gaussian pdf samples (Figure 2)
-//	ladtable -sweep     # table accuracy vs ω
+//
+// The table's accuracy against ω is the omega figure of cmd/ladsim
+// (ladsim -figure omega). A flag value outside its range is a usage
+// error: ladtable prints it and exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"repro/internal/deploy"
@@ -16,37 +22,70 @@ import (
 	"repro/internal/plot"
 )
 
+// maxSize bounds -omega and the number of printed rows, so neither a
+// huge -omega nor a tiny -step can exhaust memory.
+const maxSize = 1 << 20
+
+// errUsage marks a flag value ladtable refuses; main exits 2 on it.
+var errUsage = errors.New("usage")
+
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ladtable: %v\n", err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run parses args and writes the selected table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ladtable", flag.ContinueOnError)
 	var (
-		r     = flag.Float64("R", 50, "transmission range (m)")
-		sigma = flag.Float64("sigma", 50, "deployment spread σ (m)")
-		omega = flag.Int("omega", deploy.DefaultOmega, "table sub-ranges ω")
-		step  = flag.Float64("step", 10, "z step for table printing (m)")
-		grid  = flag.Bool("grid", false, "print the Figure 1 deployment grid")
-		pdf   = flag.Bool("pdf", false, "print Figure 2 pdf samples")
-		sweep = flag.Bool("sweep", false, "print table accuracy vs ω")
+		r     = fs.Float64("R", 50, "transmission range (m)")
+		sigma = fs.Float64("sigma", 50, "deployment spread σ (m)")
+		omega = fs.Int("omega", deploy.DefaultOmega, "table sub-ranges ω")
+		step  = fs.Float64("step", 10, "z step for table printing (m)")
+		grid  = fs.Bool("grid", false, "print the Figure 1 deployment grid")
+		pdf   = fs.Bool("pdf", false, "print Figure 2 pdf samples")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	inExtent := func(v float64) bool { return v > 0 && v <= deploy.MaxExtent } // false for NaN
+	switch {
+	case !inExtent(*r):
+		return fmt.Errorf("%w: -R must be in (0, %g] m", errUsage, deploy.MaxExtent)
+	case !inExtent(*sigma):
+		return fmt.Errorf("%w: -sigma must be in (0, %g] m", errUsage, deploy.MaxExtent)
+	case *omega < 1 || *omega > maxSize:
+		return fmt.Errorf("%w: -omega must be in [1, %d]", errUsage, maxSize)
+	case !(*step > 0) || math.IsInf(*step, 1):
+		return fmt.Errorf("%w: -step must be positive and finite", errUsage)
+	}
 
 	switch {
 	case *grid:
-		printGrid()
+		return printGrid(stdout)
 	case *pdf:
-		printPDF(*sigma)
-	case *sweep:
-		printSweep(*r, *sigma)
+		return printPDF(stdout, *sigma)
 	default:
-		printTable(*r, *sigma, *omega, *step)
+		return printTable(stdout, *r, *sigma, *omega, *step)
 	}
 }
 
-func printGrid() {
+func printGrid(w io.Writer) error {
 	model, err := deploy.New(deploy.PaperConfig())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ladtable: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("Figure 1 — deployment points (10×10 grid, 1000 m × 1000 m):")
+	fmt.Fprintln(w, "Figure 1 — deployment points (10×10 grid, 1000 m × 1000 m):")
 	var rows [][]string
 	for i, p := range model.DeploymentPoints() {
 		if i%10 == 0 {
@@ -56,24 +95,24 @@ func printGrid() {
 	}
 	for i := len(rows) - 1; i >= 0; i-- { // print north at the top
 		for _, c := range rows[i] {
-			fmt.Printf("%-11s", c)
+			fmt.Fprintf(w, "%-11s", c)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
-func printPDF(sigma float64) {
+func printPDF(w io.Writer, sigma float64) error {
 	cfg := deploy.PaperConfig()
 	cfg.Sigma = sigma
 	model, err := deploy.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ladtable: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	// Figure 2 samples the pdf around deployment point (150, 150) = group 11.
 	const group = 11
 	dp := model.DeploymentPoint(group)
-	fmt.Printf("Figure 2 — deployment pdf around %v (σ=%.0f):\n", dp, sigma)
+	fmt.Fprintf(w, "Figure 2 — deployment pdf around %v (σ=%.0f):\n", dp, sigma)
 	header := []string{"dy\\dx"}
 	for dx := -150.0; dx <= 150; dx += 50 {
 		header = append(header, fmt.Sprintf("%.0f", dx))
@@ -87,26 +126,17 @@ func printPDF(sigma float64) {
 		}
 		rows = append(rows, row)
 	}
-	fmt.Print(plot.Table(header, rows))
+	fmt.Fprint(w, plot.Table(header, rows))
+	return nil
 }
 
-func printSweep(r, sigma float64) {
-	fmt.Printf("g(z) lookup-table accuracy vs ω (R=%.0f, σ=%.0f):\n", r, sigma)
-	var rows [][]string
-	for _, omega := range []int{16, 32, 64, 128, 256, 512, 1024, 2048} {
-		gt := deploy.NewGTable(r, sigma, omega)
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", omega),
-			fmt.Sprintf("%.3e", gt.MaxAbsError(4)),
-		})
-	}
-	fmt.Print(plot.Table([]string{"omega", "max |table - exact|"}, rows))
-}
-
-func printTable(r, sigma float64, omega int, step float64) {
+func printTable(w io.Writer, r, sigma float64, omega int, step float64) error {
 	gt := deploy.NewGTable(r, sigma, omega)
-	fmt.Printf("g(z) — probability a group member lands within R=%.0f of a point\n", r)
-	fmt.Printf("z meters from the deployment point (σ=%.0f, ω=%d, zero beyond %.0f):\n",
+	if gt.MaxZ()/step > maxSize {
+		return fmt.Errorf("%w: -step %g prints more than %d rows up to z = %.0f m", errUsage, step, maxSize, gt.MaxZ())
+	}
+	fmt.Fprintf(w, "g(z) — probability a group member lands within R=%.0f of a point\n", r)
+	fmt.Fprintf(w, "z meters from the deployment point (σ=%.0f, ω=%d, zero beyond %.0f):\n",
 		sigma, omega, gt.MaxZ())
 	var rows [][]string
 	for z := 0.0; z <= gt.MaxZ(); z += step {
@@ -116,5 +146,6 @@ func printTable(r, sigma float64, omega int, step float64) {
 			fmt.Sprintf("%.6f", deploy.GExact(z, r, sigma)),
 		})
 	}
-	fmt.Print(plot.Table([]string{"z", "g(z) table", "g(z) exact"}, rows))
+	fmt.Fprint(w, plot.Table([]string{"z", "g(z) table", "g(z) exact"}, rows))
+	return nil
 }

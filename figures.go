@@ -17,7 +17,9 @@ type FigureOptions = experiment.Options
 // Figure is one reproduced panel of the paper's evaluation.
 type Figure = experiment.Figure
 
-// DefaultFigureOptions are the trial counts used for EXPERIMENTS.md.
+// DefaultFigureOptions are the full-fidelity trial counts (4000 benign
+// trials per configuration, 1500 attacked trials per point), with
+// benign trials on simulation epoch 2; see experiment.DefaultOptions.
 func DefaultFigureOptions() FigureOptions { return experiment.DefaultOptions() }
 
 // QuickFigureOptions trade fidelity for speed (smoke tests, benches).

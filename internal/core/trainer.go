@@ -56,7 +56,7 @@ func (c *TrainConfig) normalize() error {
 	if c.Trials <= 0 {
 		return errors.New("core: TrainConfig.Trials must be positive")
 	}
-	if c.Percentile <= 0 || c.Percentile >= 100 {
+	if !(c.Percentile > 0 && c.Percentile < 100) { // false for NaN
 		return errors.New("core: TrainConfig.Percentile must be in (0, 100)")
 	}
 	if c.Workers <= 0 {

@@ -80,6 +80,12 @@ func TestBenignScoresValidation(t *testing.T) {
 	if _, err := BenignScores(model, AllMetrics(), TrainConfig{Trials: 10, Percentile: 101}); err == nil {
 		t.Error("bad percentile should fail")
 	}
+	if _, err := BenignScores(model, AllMetrics(), TrainConfig{Trials: 10, Percentile: math.NaN()}); err == nil {
+		t.Error("NaN percentile should fail")
+	}
+	if _, _, err := Train(model, DiffMetric{}, TrainConfig{Trials: 10, Percentile: math.NaN()}); err == nil {
+		t.Error("NaN percentile should fail Train")
+	}
 	if _, err := BenignScores(model, nil, TrainConfig{Trials: 10, Percentile: 99}); err == nil {
 		t.Error("no metrics should fail")
 	}

@@ -48,8 +48,9 @@ type Options struct {
 	SimEpoch int
 }
 
-// DefaultOptions match the fidelity used for EXPERIMENTS.md. Benign
-// trials default to simulation epoch 2 (the table-sampler fast path):
+// DefaultOptions are the full-fidelity trial counts: 4000 benign trials
+// per configuration and 1500 attacked trials per point. Benign trials
+// default to simulation epoch 2 (the table-sampler fast path):
 // full-fidelity figure runs are benign-trial dominated and the epoch-2
 // distribution equivalence is exactly the contract figures need — curve
 // shapes, not bit-exact points. Pass SimEpoch 1 (ladsim: -sim-epoch 1)
@@ -59,7 +60,9 @@ func DefaultOptions() Options {
 	return Options{BenignTrials: 4000, AttackTrials: 1500, Seed: 20050425, SimEpoch: 2}
 }
 
-// quick returns a proportionally scaled-down copy for tests/benches.
+// normalize checks o and fills its defaults: it rejects non-positive
+// trial counts and a SimEpoch outside 0–2, and sets Workers to
+// GOMAXPROCS when it is not positive.
 func (o Options) normalize() (Options, error) {
 	if o.BenignTrials <= 0 || o.AttackTrials <= 0 {
 		return o, errors.New("experiment: trial counts must be positive")

@@ -17,8 +17,8 @@
 //     Server register their series there, and /metrics writes it.
 //
 // cmd/ladd wires this package into a daemon; the public client package
-// (repro/client) speaks the v2 API; cmd/ladsim -loadgen drives it to
-// measure sustained QPS.
+// (repro/client) speaks the v2 API; bench/run.sh measures sustained
+// throughput against it.
 package serve
 
 import (
@@ -110,7 +110,7 @@ func (s DetectorSpec) Validate() error {
 	if s.Train.Trials <= 0 {
 		return fmt.Errorf("serve: train.trials must be positive")
 	}
-	if s.Train.Percentile <= 0 || s.Train.Percentile >= 100 {
+	if !(s.Train.Percentile > 0 && s.Train.Percentile < 100) { // false for NaN
 		return fmt.Errorf("serve: train.percentile must be in (0, 100)")
 	}
 	if e := s.Train.SimEpoch; e < 0 || e > 2 {
@@ -864,7 +864,7 @@ func (p *DetectorPool) Delete(id string) bool {
 // move, and in-flight checks see either the old or the new threshold.
 // The resource must be ready and tau in (0, 100).
 func (p *DetectorPool) Rethreshold(id string, tau float64) (DetectorStatus, error) {
-	if tau <= 0 || tau >= 100 {
+	if !(tau > 0 && tau < 100) { // false for NaN
 		return DetectorStatus{}, apiErrorf(CodeInvalidArgument, "percentile must be in (0, 100), got %g", tau)
 	}
 	p.mu.Lock()

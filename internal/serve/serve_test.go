@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -555,6 +557,29 @@ func TestCheckRejectsMalformedRequests(t *testing.T) {
 		t.Errorf("bad metric: status %d, want 400 (%s)", resp.StatusCode, body)
 	} else if e := decodeAPIError(t, body); e.Code != CodeInvalidArgument {
 		t.Errorf("bad metric: code %q, want %q", e.Code, CodeInvalidArgument)
+	}
+}
+
+// TestNaNPercentileRefused pins that a NaN percentile is refused where
+// one enters: as the default spec (NewServer) and on Rethreshold. A
+// range check written as p <= 0 || p >= 100 passes NaN, and the
+// percentile cut after training then panics.
+func TestNaNPercentileRefused(t *testing.T) {
+	bad := tinySpec()
+	bad.Train.Percentile = math.NaN()
+	if _, err := NewServer(ServerConfig{Default: bad}, NewDetectorPool(2)); err == nil {
+		t.Error("NewServer accepted a NaN default percentile")
+	}
+
+	pool := NewDetectorPool(2)
+	spec := tinySpec()
+	if _, err := pool.await(spec); err != nil {
+		t.Fatal(err)
+	}
+	_, err := pool.Rethreshold(spec.ID(), math.NaN())
+	var api *APIError
+	if !errors.As(err, &api) || api.Code != CodeInvalidArgument {
+		t.Errorf("Rethreshold(NaN) = %v, want %s", err, CodeInvalidArgument)
 	}
 }
 
