@@ -8,8 +8,12 @@
 // give.
 //
 // The scheduler is the one layer that knows the contention, so it also
-// decides each batch's fan-out at dispatch: GOMAXPROCS divided by the
-// batches that can run at once. A job training alone uses every core.
+// decides each batch's fan-out at dispatch: the training budget divided
+// by the batches that can run at once. The budget is GOMAXPROCS while
+// the daemon serves no checks and one core fewer (never below 1) while
+// it does (Config.Served), so checks keep a core while a detector
+// trains. A job training alone uses every core while no checks are
+// served.
 //
 // The scheduler is deliberately storage- and domain-agnostic: tasks are
 // an interface and a submission's only record is the *Job handle Submit
@@ -62,6 +66,11 @@ type Config struct {
 	// in a private registry. A scheduler rebuilt on the same registry
 	// continues its predecessor's counters.
 	Metrics *metrics.Registry
+	// Served reads the work the daemon has served so far (checks scored
+	// and corrections made); it must never decrease. While it advances,
+	// training leaves one core to that work. nil means nothing is ever
+	// served, so training always has every core.
+	Served func() uint64
 }
 
 // JobResult is handed to a job's onDone callback at its terminal state.
@@ -77,16 +86,17 @@ type JobResult struct {
 // JobStatus is a point-in-time view of a job.
 type JobStatus struct {
 	// Started is true once the job holds a worker: a batch has run, or a
-	// worker was idle when it was submitted, so its first batch starts
-	// without queueing.
+	// worker and the training budget had room when it was submitted, so
+	// its first batch starts without queueing.
 	Started bool
 	// QueuePosition is the number of jobs ahead in the service ring:
 	// 0 means executing now or next in line.
 	QueuePosition int
 	UnitsDone     int
 	// ETA estimates time until completion from the observed core time
-	// per unit and the job's current share of the machine; 0 when no
-	// batch has completed yet (no throughput sample to extrapolate from).
+	// per unit and the job's current share of the training budget; 0
+	// when no batch has completed yet (no throughput sample to
+	// extrapolate from).
 	ETA time.Duration
 }
 
@@ -99,6 +109,9 @@ type Stats struct {
 	QueueDepth int
 	Executing  int
 	ActiveJobs int
+	// TrainingCores is the training budget: the cores a batch
+	// dispatched now may share (see Scheduler.budgetLocked).
+	TrainingCores int
 	// Batches and Units count completed batch executions and the work
 	// units they ran.
 	Batches                            uint64
@@ -133,6 +146,11 @@ type Job struct {
 	unitsDone int
 	enqueued  time.Time
 	runNanos  int64
+	// The executing batch's grant: its procs, whether they include the
+	// budget's remainder, and Served() when it was dispatched.
+	procs      int
+	remainder  bool
+	servedFrom uint64
 }
 
 // Scheduler interleaves submitted jobs' batches over a fixed worker
@@ -144,6 +162,8 @@ type Scheduler struct {
 	workers int
 	//lad:guardedby setup
 	batch int
+	//lad:guardedby setup
+	served func() uint64
 
 	ctx  context.Context
 	stop context.CancelFunc
@@ -160,7 +180,13 @@ type Scheduler struct {
 	//lad:guardedby mu
 	executing int
 	//lad:guardedby mu
-	coreNanosTotal float64 // Σ batch wall ns × the batch's core share
+	coreNanosTotal float64 // Σ batch wall ns × the batch's granted procs
+	//lad:guardedby mu
+	servedMark uint64 // served() at the budget's last look
+	//lad:guardedby mu
+	serving bool // served work seen since the last batch that ran without any
+	//lad:guardedby mu
+	remainderHeld bool // an executing batch holds the budget's remainder
 
 	// Exported counters and histograms. units is also the ETA's
 	// denominator; it moves together with coreNanosTotal under mu.
@@ -179,6 +205,9 @@ func New(cfg Config) *Scheduler {
 	if cfg.BatchUnits < 1 {
 		cfg.BatchUnits = DefaultBatchUnits
 	}
+	if cfg.Served == nil {
+		cfg.Served = func() uint64 { return 0 }
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -188,6 +217,8 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		workers:      cfg.Workers,
 		batch:        cfg.BatchUnits,
+		served:       cfg.Served,
+		servedMark:   cfg.Served(),
 		ctx:          ctx,
 		stop:         stop,
 		batches:      reg.Counter("ladd_sched_batches_total", "Trial batches the scheduler has executed."),
@@ -205,14 +236,17 @@ func New(cfg Config) *Scheduler {
 		func() float64 { return float64(s.Stats().Executing) })
 	reg.Gauge("ladd_sched_jobs_active", "Live training jobs (queued + executing).",
 		func() float64 { return float64(s.Stats().ActiveJobs) })
+	reg.Gauge("ladd_sched_training_cores", "Cores training batches may share now: GOMAXPROCS, one fewer while checks or corrections are being served.",
+		func() float64 { return float64(s.Stats().TrainingCores) })
 	return s
 }
 
 // Submit enqueues a job of total units and returns its handle. onDone,
 // when non-nil, fires once at the terminal state, outside scheduler
-// locks. When idle worker capacity exists the job is Started from the
-// moment Submit returns — callers use that to report "training" instead
-// of "pending" for submissions that hit an idle scheduler.
+// locks. When a worker and the training budget have room for another
+// batch the job is Started from the moment Submit returns — callers use
+// that to report "training" instead of "pending" for submissions that
+// hit an idle scheduler.
 func (s *Scheduler) Submit(total int, task Task, onDone func(JobResult)) (*Job, error) {
 	if total < 1 {
 		total = 1
@@ -230,7 +264,7 @@ func (s *Scheduler) Submit(total int, task Task, onDone func(JobResult)) (*Job, 
 		}
 	}
 	j := &Job{s: s, total: total, cancel: make(chan struct{}), task: task, onDone: onDone, enqueued: time.Now()}
-	j.started = len(s.ring)+s.executing < s.workers
+	j.started = len(s.ring)+s.executing < min(s.workers, s.budgetLocked())
 	s.live++
 	s.ring = append(s.ring, j)
 	s.cond.Signal()
@@ -287,11 +321,12 @@ func (j *Job) Status() JobStatus {
 	}
 	if units := s.units.Load(); units > 0 {
 		// Core time per unit does not depend on the shares batches ran
-		// at; this job's share of the machine from here on is 1/live of
-		// it (the ring gives every live job one batch per cycle).
+		// at; this job's share of the training budget from here on is
+		// 1/live of it (the ring gives every live job one batch per
+		// cycle).
 		coreNsPerUnit := s.coreNanosTotal / float64(units)
 		remaining := float64(j.total - j.unitsDone)
-		st.ETA = time.Duration(remaining * coreNsPerUnit * float64(s.live) / float64(runtime.GOMAXPROCS(0)))
+		st.ETA = time.Duration(remaining * coreNsPerUnit * float64(s.live) / float64(s.budgetLocked()))
 	}
 	return st
 }
@@ -301,16 +336,17 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		QueueDepth:   len(s.ring),
-		Executing:    s.executing,
-		ActiveJobs:   s.live,
-		Batches:      s.batches.Load(),
-		Units:        s.units.Load(),
-		JobsDone:     s.jobsDone.Load(),
-		JobsFailed:   s.jobsFailed.Load(),
-		JobsCanceled: s.jobsCanceled.Load(),
-		Wait:         s.waitHist.Totals(),
-		Run:          s.runHist.Totals(),
+		QueueDepth:    len(s.ring),
+		Executing:     s.executing,
+		ActiveJobs:    s.live,
+		TrainingCores: s.budgetLocked(),
+		Batches:       s.batches.Load(),
+		Units:         s.units.Load(),
+		JobsDone:      s.jobsDone.Load(),
+		JobsFailed:    s.jobsFailed.Load(),
+		JobsCanceled:  s.jobsCanceled.Load(),
+		Wait:          s.waitHist.Totals(),
+		Run:           s.runHist.Totals(),
 	}
 }
 
@@ -344,18 +380,25 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// next blocks until a job is available or the scheduler closes.
+// next blocks until a job is queued and the training budget has room
+// for another batch, or the scheduler closes, and dispatches the ring
+// head with its grant. A worker held back by a spent budget waits for a
+// batch to finish: that frees a batch's place and is the only moment
+// the budget grows.
 //
 //lad:ctx
 func (s *Scheduler) next() (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var budget int
 	for {
 		if s.ctx.Err() != nil {
 			return nil, false
 		}
 		if len(s.ring) > 0 {
-			break
+			if budget = s.budgetLocked(); s.executing < budget {
+				break
+			}
 		}
 		s.cond.Wait()
 	}
@@ -364,6 +407,15 @@ func (s *Scheduler) next() (*Job, bool) {
 	j.executing = true
 	j.started = true
 	s.executing++
+	// The budget split over the batches that can run at once; the
+	// remainder goes to one of them, so an odd budget idles no core.
+	slots := min(s.workers, s.live, budget)
+	j.procs = budget / slots
+	if rem := budget % slots; rem > 0 && !s.remainderHeld {
+		j.procs += rem
+		j.remainder, s.remainderHeld = true, true
+	}
+	j.servedFrom = s.servedMark
 	return j, true
 }
 
@@ -374,33 +426,35 @@ func (s *Scheduler) runOne(j *Job) {
 	s.mu.Lock()
 	if j.canceled {
 		// Canceled between next and here: no batch for a dead job.
-		j.executing = false
-		s.executing--
+		s.releaseLocked(j)
 		finish := s.completeLocked(j, s.jobsCanceled, ErrCanceled)
 		s.mu.Unlock()
 		finish()
 		return
 	}
-	task := j.task
+	task, procs := j.task, j.procs
 	if !j.ran {
 		j.ran = true
 		s.waitHist.Observe(time.Since(j.enqueued).Seconds())
 	}
-	cores := s.shareLocked()
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	ran, done, err := task.RunBatch(s.batch, max(1, int(cores)), j.cancel)
+	ran, done, err := task.RunBatch(s.batch, procs, j.cancel)
 	elapsed := time.Since(t0).Nanoseconds()
 
 	s.mu.Lock()
-	j.executing = false
-	s.executing--
+	s.budgetLocked() // served work during the batch counts before the batch can clear it
+	if s.servedMark == j.servedFrom {
+		// A whole batch ran with no served work: serving has stopped.
+		s.serving = false
+	}
+	s.releaseLocked(j)
 	j.unitsDone += ran
 	j.runNanos += elapsed
 	s.batches.Inc()
 	s.units.Add(uint64(ran))
-	s.coreNanosTotal += float64(elapsed) * cores
+	s.coreNanosTotal += float64(elapsed) * float64(procs)
 	var finish func()
 	switch {
 	case err == nil && done:
@@ -411,7 +465,6 @@ func (s *Scheduler) runOne(j *Job) {
 		finish = s.completeLocked(j, s.jobsFailed, err)
 	default:
 		s.ring = append(s.ring, j)
-		s.cond.Signal()
 	}
 	s.mu.Unlock()
 	if finish != nil {
@@ -419,17 +472,46 @@ func (s *Scheduler) runOne(j *Job) {
 	}
 }
 
-// shareLocked is the share of the machine, in cores, of a batch
-// dispatched now: GOMAXPROCS divided by the batches that can run at
-// once, min(Workers, live jobs). A lone job trains on every core; with
-// Workers or more live jobs each batch gets GOMAXPROCS/Workers. The
-// share is fixed for the batch's duration, so a job that arrives while
-// a lone job's batch runs oversubscribes the cores for at most that one
-// batch; the lone job's next batch is dispatched at the smaller share.
+// releaseLocked ends j's batch: it gives back the batch's place and its
+// remainder core, and wakes the workers the budget held back.
 //
 //lad:requires mu
-func (s *Scheduler) shareLocked() float64 {
-	return float64(runtime.GOMAXPROCS(0)) / float64(min(s.workers, s.live))
+func (s *Scheduler) releaseLocked(j *Job) {
+	j.executing = false
+	s.executing--
+	if j.remainder {
+		j.remainder, s.remainderHeld = false, false
+	}
+	s.cond.Broadcast()
+}
+
+// budgetLocked is the training budget B: the cores the batches that can
+// run at once share between them, and the most batches that may run at
+// once. B is GOMAXPROCS while the daemon serves no checks and
+// GOMAXPROCS−1 (never below 1) while it does, so a check does not wait
+// for a core behind trial goroutines that never block. Served work
+// lowers B as soon as the scheduler sees it advance — it looks at every
+// dispatch, submission, status read and batch end — and only a batch
+// that runs start to finish with no served work raises B again, so two
+// looks a moment apart cannot mistake a steady check stream for an idle
+// daemon. With no served work (a boot warmup, -warmup-only) a lone job
+// trains on every core.
+//
+// A batch's grant is B split over min(Workers, live jobs, B) batches,
+// fixed for the batch's duration. So a job that arrives while a lone
+// job's batch runs oversubscribes the cores for at most that one batch;
+// the lone job's next batch is dispatched at the smaller share.
+//
+//lad:requires mu
+func (s *Scheduler) budgetLocked() int {
+	if v := s.served(); v != s.servedMark {
+		s.servedMark, s.serving = v, true
+	}
+	b := runtime.GOMAXPROCS(0)
+	if s.serving {
+		b--
+	}
+	return max(1, b)
 }
 
 // completeLocked moves j to its terminal state, counting it under

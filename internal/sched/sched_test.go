@@ -4,7 +4,9 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -149,7 +151,11 @@ func TestRoundRobinFairShare(t *testing.T) {
 	}
 }
 
+// TestPreclaimStopsAtWorkerCount: with cores to spare, the worker
+// count caps the jobs that start at once. (On one core the training
+// budget caps them at one, so the test pins two.)
 func TestPreclaimStopsAtWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := New(Config{Workers: 2, BatchUnits: 10})
 	defer s.Close()
 	release := make(chan struct{})
@@ -444,5 +450,323 @@ func TestETAWithVaryingShares(t *testing.T) {
 	}
 	if eta <= 0 || eta > 2*actual || actual > 2*eta {
 		t.Errorf("lone-job ETA %v, actual remaining %v: want within 2x", eta, actual)
+	}
+}
+
+// grant is one batch dispatch as a stepTask saw it.
+type grant struct {
+	job   string
+	procs int
+}
+
+// stepTask runs one unit per batch and hands every batch to the test:
+// it reports its grant on entered and returns when the test sends on
+// step.
+type stepTask struct {
+	name      string
+	remaining int
+	entered   chan<- grant
+	step      chan struct{}
+}
+
+func newStepTask(name string, units int, entered chan<- grant) *stepTask {
+	return &stepTask{name: name, remaining: units, entered: entered, step: make(chan struct{})}
+}
+
+func (t *stepTask) RunBatch(_, procs int, _ <-chan struct{}) (int, bool, error) {
+	t.entered <- grant{t.name, procs}
+	<-t.step
+	t.remaining--
+	return 1, t.remaining == 0, nil
+}
+
+// nextGrant waits for the next batch dispatch.
+func nextGrant(t *testing.T, entered <-chan grant) grant {
+	t.Helper()
+	select {
+	case g := <-entered:
+		return g
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch was dispatched")
+		return grant{}
+	}
+}
+
+// noGrant fails if a batch is dispatched within a short wait.
+func noGrant(t *testing.T, entered <-chan grant, why string) {
+	t.Helper()
+	select {
+	case g := <-entered:
+		t.Errorf("batch %+v dispatched; %s", g, why)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestLoneJobBudget: a job training alone gets every core while no
+// work is served — status reads and registrations serve none — and one
+// core fewer, never below one, while checks are scored. The core it
+// gives up is all that training loses to checks. The test runs at the
+// ambient GOMAXPROCS; CI runs the package at 1 and 3 as well.
+func TestLoneJobBudget(t *testing.T) {
+	g := runtime.GOMAXPROCS(0)
+	var served atomic.Uint64
+	served.Store(7) // work served before the scheduler was built is history
+	s := New(Config{Workers: 2, BatchUnits: 1, Served: served.Load})
+	defer s.Close()
+	entered := make(chan grant, 1)
+	done := make(chan JobResult, 1)
+
+	idle := newStepTask("idle", 2, entered)
+	j := submit(t, s, 2, idle, doneHook(done))
+	for range 2 {
+		if got := nextGrant(t, entered); got.procs != g {
+			t.Errorf("idle daemon: batch granted %d procs, want GOMAXPROCS = %d", got.procs, g)
+		}
+		j.Status() // polls serve no work
+		if c := s.Stats().TrainingCores; c != g {
+			t.Errorf("idle daemon: training budget %d, want %d", c, g)
+		}
+		idle.step <- struct{}{}
+	}
+	waitDone(t, done)
+
+	loaded := newStepTask("loaded", 2, entered)
+	served.Add(64) // a batch of checks scored while nothing trained
+	submit(t, s, 2, loaded, doneHook(done))
+	want := max(1, g-1)
+	for range 2 {
+		if got := nextGrant(t, entered); got.procs != want {
+			t.Errorf("serving daemon: batch granted %d procs, want max(1, GOMAXPROCS-1) = %d", got.procs, want)
+		}
+		if c := s.Stats().TrainingCores; c != want {
+			t.Errorf("serving daemon: training budget %d, want %d", c, want)
+		}
+		served.Add(1) // checks keep arriving during the batch
+		loaded.step <- struct{}{}
+	}
+	waitDone(t, done)
+}
+
+// TestBudgetFloorIsOneCore: with a single P, serving checks cannot take
+// training's last core.
+func TestBudgetFloorIsOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var served atomic.Uint64
+	s := New(Config{Workers: 2, BatchUnits: 1, Served: served.Load})
+	defer s.Close()
+	entered := make(chan grant, 1)
+	done := make(chan JobResult, 1)
+	task := newStepTask("a", 3, entered)
+	served.Add(1)
+	submit(t, s, 3, task, doneHook(done))
+	for range 3 {
+		if got := nextGrant(t, entered); got.procs != 1 {
+			t.Errorf("GOMAXPROCS=1 under load: batch granted %d procs, want 1", got.procs)
+		}
+		served.Add(1)
+		task.step <- struct{}{}
+	}
+	waitDone(t, done)
+	if c := s.Stats().TrainingCores; c != 1 {
+		t.Errorf("training budget %d, want 1", c)
+	}
+}
+
+// TestServedWorkHoldsBackAWorker walks the budget on two cores through
+// one episode of serving. While checks are scored, one batch runs at a
+// time on one core, and a job the budget holds back reports as not
+// started. A batch that runs start to finish with no served work
+// restores the full budget, and the held-back worker wakes: both jobs
+// train at once, one core each.
+func TestServedWorkHoldsBackAWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var served atomic.Uint64
+	s := New(Config{Workers: 2, BatchUnits: 1, Served: served.Load})
+	defer s.Close()
+	entered := make(chan grant, 2)
+	done := make(chan JobResult, 2)
+	a := newStepTask("a", 2, entered)
+	b := newStepTask("b", 2, entered)
+
+	served.Add(1) // a check scored before the first dispatch
+	submit(t, s, 2, a, doneHook(done))
+	if got := nextGrant(t, entered); got != (grant{"a", 1}) {
+		t.Fatalf("first dispatch %+v, want a on 1 proc", got)
+	}
+	jb := submit(t, s, 2, b, doneHook(done))
+	if jb.Status().Started {
+		t.Error("a job the budget holds back reports as started")
+	}
+	noGrant(t, entered, "the budget of 1 is spent")
+	if c := s.Stats().TrainingCores; c != 1 {
+		t.Errorf("training budget %d while serving, want 1", c)
+	}
+
+	served.Add(1) // checks during a's batch
+	a.step <- struct{}{}
+	if got := nextGrant(t, entered); got != (grant{"b", 1}) {
+		t.Fatalf("dispatch after a's batch %+v, want b on 1 proc", got)
+	}
+	noGrant(t, entered, "a must wait while checks were served during its batch")
+
+	// b's batch runs with no served work: serving has stopped.
+	b.step <- struct{}{}
+	got := []grant{nextGrant(t, entered), nextGrant(t, entered)}
+	slices.SortFunc(got, func(x, y grant) int { return strings.Compare(x.job, y.job) })
+	if want := []grant{{"a", 1}, {"b", 1}}; !slices.Equal(got, want) {
+		t.Errorf("dispatches after a quiet batch %+v, want %+v", got, want)
+	}
+	if c := s.Stats().TrainingCores; c != 2 {
+		t.Errorf("training budget %d after serving stopped, want 2", c)
+	}
+	a.step <- struct{}{}
+	b.step <- struct{}{}
+	waitDone(t, done)
+	waitDone(t, done)
+}
+
+// TestServedWorkCapsConcurrentGrants: with checks scored during every
+// batch, the batches training at once hold at most GOMAXPROCS−1 procs
+// between them. The first batch is dispatched alone and jobs submitted
+// during it overlap it (the one-batch overlap any arrival during a lone
+// batch causes), so the sum is checked from its end on.
+func TestServedWorkCapsConcurrentGrants(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var served atomic.Uint64
+	s := New(Config{Workers: procs, BatchUnits: 5, Served: served.Load})
+	defer s.Close()
+
+	var mu sync.Mutex
+	inFlight, batches, peak, maxProcs, measuring := 0, 0, 0, 0, false
+	run := func(_, p int) {
+		served.Add(1)
+		mu.Lock()
+		first := batches == 0
+		batches++
+		inFlight += p
+		maxProcs = max(maxProcs, p)
+		if measuring {
+			peak = max(peak, inFlight)
+		}
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		inFlight -= p
+		measuring = measuring || first
+		mu.Unlock()
+	}
+	const jobs, units = procs + 1, 40
+	done := make(chan JobResult, jobs)
+	served.Add(1)
+	for range jobs {
+		submit(t, s, units, &procsTask{remaining: units, run: run}, doneHook(done))
+	}
+	for range jobs {
+		waitDone(t, done)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxProcs > procs-1 || peak > procs-1 {
+		t.Errorf("under served work: largest grant %d, peak concurrent procs %d over %d batches; want both <= %d",
+			maxProcs, peak, batches, procs-1)
+	}
+}
+
+// procsTask runs its units in batches, handing each batch's size and
+// grant to run.
+type procsTask struct {
+	remaining int
+	run       func(n, procs int)
+}
+
+func (t *procsTask) RunBatch(n, procs int, _ <-chan struct{}) (int, bool, error) {
+	n = min(n, t.remaining)
+	t.run(n, procs)
+	t.remaining -= n
+	return n, t.remaining == 0, nil
+}
+
+// TestOddBudgetLeavesNoCoreIdle: on three idle cores two jobs share the
+// budget 2+1 — the remainder core goes to one batch — where a
+// fractional 1.5 share would round both down and idle a core.
+func TestOddBudgetLeavesNoCoreIdle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s := New(Config{Workers: 2, BatchUnits: 1})
+	defer s.Close()
+	entered := make(chan grant, 2)
+	done := make(chan JobResult, 2)
+	a := newStepTask("a", 2, entered)
+	b := newStepTask("b", 1, entered)
+	submit(t, s, 2, a, doneHook(done))
+	if got := nextGrant(t, entered); got != (grant{"a", 3}) {
+		t.Fatalf("lone dispatch %+v, want a on all 3 procs", got)
+	}
+	submit(t, s, 1, b, doneHook(done))
+	gb := nextGrant(t, entered)
+	a.step <- struct{}{}
+	ga := nextGrant(t, entered)
+	if gb.procs+ga.procs != 3 || min(gb.procs, ga.procs) != 1 {
+		t.Errorf("two jobs on 3 cores granted %+v and %+v, want 2+1", gb, ga)
+	}
+	a.step <- struct{}{}
+	b.step <- struct{}{}
+	waitDone(t, done)
+	waitDone(t, done)
+}
+
+// TestETAFollowsBudget: a job's ETA spreads its remaining core time
+// over the training budget, so checks served mid-run lengthen it by the
+// core they take — GOMAXPROCS/(GOMAXPROCS−1), 2× on two cores.
+func TestETAFollowsBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var served atomic.Uint64
+	s := New(Config{Workers: 1, BatchUnits: 1, Served: served.Load})
+	defer s.Close()
+	entered := make(chan grant, 1)
+	done := make(chan JobResult, 1)
+	task := newStepTask("a", 10, entered)
+	j := submit(t, s, 10, task, doneHook(done))
+	nextGrant(t, entered)
+	time.Sleep(time.Millisecond) // a measurable first batch
+	task.step <- struct{}{}
+	nextGrant(t, entered) // the second batch holds still
+	idle := j.Status().ETA
+	served.Add(1)
+	loaded := j.Status().ETA
+	if idle <= 0 || loaded-2*idle > 1 || 2*idle-loaded > 1 {
+		t.Errorf("ETA idle %v, with checks served %v: want exactly 2x", idle, loaded)
+	}
+	for i := range 9 {
+		task.step <- struct{}{}
+		if i < 8 {
+			nextGrant(t, entered)
+		}
+	}
+	waitDone(t, done)
+}
+
+// TestCoreTimeChargesGrantedProcs: the core time behind the ETA charges
+// each batch the procs it was granted — a lone job under load on three
+// cores is charged two, not the machine's three.
+func TestCoreTimeChargesGrantedProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	var served atomic.Uint64
+	s := New(Config{Workers: 1, BatchUnits: 2, Served: served.Load})
+	defer s.Close()
+	done := make(chan JobResult, 1)
+	served.Add(1)
+	var grants []int
+	j := submit(t, s, 6, &procsTask{remaining: 6, run: func(_, p int) {
+		served.Add(1)
+		grants = append(grants, p)
+		time.Sleep(time.Millisecond)
+	}}, doneHook(done))
+	waitDone(t, done)
+	s.mu.Lock()
+	charged, wall := s.coreNanosTotal, j.runNanos
+	s.mu.Unlock()
+	if !slices.Equal(grants, []int{2, 2, 2}) || charged != 2*float64(wall) {
+		t.Errorf("grants %v, core time %v ns over %v ns of batches: want 2 procs each, charged 2x", grants, charged, wall)
 	}
 }

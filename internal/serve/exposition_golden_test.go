@@ -120,9 +120,11 @@ type exposedSample struct {
 	id, value string
 }
 
-// timingDependent reports whether a series' value depends on wall time:
-// finite histogram buckets, sums, and the last training duration. Counts
-// (and the +Inf bucket, which equals the count) are deterministic.
+// timingDependent reports whether a series' value depends on wall time
+// or on the host: finite histogram buckets, sums, the last training
+// duration, and the training budget (a count of the host's cores).
+// Counts (and the +Inf bucket, which equals the count) are
+// deterministic.
 func timingDependent(id string) bool {
 	name, _, _ := strings.Cut(id, "{")
 	switch {
@@ -131,7 +133,7 @@ func timingDependent(id string) bool {
 	case strings.HasSuffix(name, "_sum"):
 		return true
 	}
-	return name == "ladd_train_last_seconds"
+	return name == "ladd_train_last_seconds" || name == "ladd_sched_training_cores"
 }
 
 // parseExposition splits an exposition into its HELP/TYPE lines and its

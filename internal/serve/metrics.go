@@ -26,6 +26,11 @@ var trainBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 
 type poolMetrics struct {
 	reg *metrics.Registry
 
+	// Served work, counted by the Server's check and correct handlers
+	// (batch items individually). The pool keeps them because its
+	// scheduler leaves a core to this work while it advances.
+	scored, corrected *metrics.Counter
+
 	hits     *metrics.Counter
 	misses   *metrics.Counter
 	failures *metrics.Counter // failed training runs (per run, not per waiter)
@@ -67,6 +72,8 @@ func (p *DetectorPool) registerMetrics() {
 	)
 	p.poolMetrics = poolMetrics{
 		reg:          r,
+		scored:       r.Counter("ladd_observations_scored_total", "Observations scored (batch items counted individually)."),
+		corrected:    r.Counter("ladd_corrections_total", "Location corrections served (/v2 correct verb)."),
 		hits:         r.Counter("ladd_detector_cache_hits_total", "Pool lookups served from cache."),
 		misses:       r.Counter("ladd_detector_cache_misses_total", "Pool lookups that trained a new detector."),
 		failures:     r.Counter("ladd_detector_cache_failures_total", "Pool lookups that returned a training error (never cached, not hits)."),

@@ -282,10 +282,11 @@ func (e *poolEntry) corrector(det *core.Detector) *core.Corrector {
 var ErrPoolFull = errors.New("serve: detector pool is full")
 
 // DefaultTrainConcurrency is the number of training runs a pool lets
-// proceed at once. A batch gets GOMAXPROCS divided by the jobs that can
-// run at once, so concurrent cold starts share the machine instead of
-// oversubscribing it, and a lone job gets every core; 2 overlaps one
-// run's tail with the next's ramp-up.
+// proceed at once. A batch gets the scheduler's training budget divided
+// by the jobs that can run at once, so concurrent cold starts share the
+// machine instead of oversubscribing it. The budget is GOMAXPROCS, one
+// core fewer while checks are served, so a lone job gets every core
+// while none are; 2 overlaps one run's tail with the next's ramp-up.
 const DefaultTrainConcurrency = 2
 
 // DetectorPool holds detector resources keyed by DetectorSpec.Key (and
@@ -396,10 +397,17 @@ func (p *DetectorPool) rebuildSched() {
 	if p.sched != nil {
 		p.sched.Close()
 	}
+	// Served work is observations scored plus corrections made; status
+	// reads, registrations and 202 answers move neither. The source
+	// holds the two counters, not the pool: the pool has no Close, so
+	// its scheduler's workers stay parked after the pool is dropped, and
+	// they must not keep its detectors alive.
+	scored, corrected := p.scored, p.corrected
 	p.sched = sched.New(sched.Config{
 		Workers:    p.schedWorkers,
 		BatchUnits: p.schedBatch,
 		Metrics:    p.reg,
+		Served:     func() uint64 { return scored.Load() + corrected.Load() },
 	})
 }
 

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/deploy"
@@ -404,6 +405,127 @@ func TestTrainingShareFollowsLiveJobs(t *testing.T) {
 		if got := tasks[specs[i].ID()].shares; !slices.Equal(got, want) {
 			t.Errorf("job %d batch shares = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// stepTask wraps a production trial task and hands every batch to the
+// test: it reports the batch's procs on entered and runs the batch once
+// the test sends on step.
+type stepTask struct {
+	poolTask
+	entered chan<- int
+	step    <-chan struct{}
+}
+
+func (t *stepTask) RunBatch(n, procs int, cancel <-chan struct{}) (int, bool, error) {
+	t.entered <- procs
+	<-t.step
+	return t.poolTask.RunBatch(n, procs, cancel)
+}
+
+// TestTrainingBudgetFollowsServedChecks drives the training budget
+// through the HTTP surface. A warmup that clients watch only through
+// status polls and 202 answers serves no work, so every batch trains on
+// all cores. Once the default detector is ready, a check scored during a
+// registration's batch costs training's next batch one core; a batch
+// with no check after it gives the core back. Fan-out does not touch
+// results: the threshold matches a one-worker core.Train.
+func TestTrainingBudgetFollowsServedChecks(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	pool := NewDetectorPool(0)
+	pool.SetSchedBatchTrials(20) // 80-trial specs: four batches each
+	entered := make(chan int)
+	step := make(chan struct{})
+	pool.newTask = func(e *poolEntry) (poolTask, int) {
+		inner, units := pool.newTrialTask(e)
+		return &stepTask{poolTask: inner, entered: entered, step: step}, units
+	}
+	srv, err := NewServer(ServerConfig{Default: tinySpec()}, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	expect := func(resp *http.Response, body []byte, code int) {
+		t.Helper()
+		if resp.StatusCode != code {
+			t.Fatalf("%s %s: status %d, want %d: %s", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, code, body)
+		}
+	}
+	url := ts.URL + "/v2/detectors/" + tinySpec().ID()
+	item := BatchItemJSON{Observation: make([]int, 9), Location: PointJSON{X: 150, Y: 150}}
+
+	warm := make(chan error, 1)
+	go func() { warm <- srv.Warmup() }()
+	for i := range 4 {
+		if got := <-entered; got != procs {
+			t.Errorf("warmup batch %d granted %d procs, want all %d", i, got, procs)
+		}
+		resp, body := doJSON(t, "GET", url, nil, "")
+		expect(resp, body, http.StatusOK)
+		resp, body = doJSON(t, "POST", url+"/check", item, "")
+		expect(resp, body, http.StatusAccepted)
+		step <- struct{}{}
+	}
+	if err := <-warm; err != nil {
+		t.Fatal(err)
+	}
+
+	spec := tinySpec()
+	spec.Train.Seed++
+	if _, _, err := pool.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	var grants []int
+	for i := range 4 {
+		grants = append(grants, <-entered)
+		if i == 0 {
+			resp, body := doJSON(t, "POST", url+"/check", item, "")
+			expect(resp, body, http.StatusOK)
+		}
+		step <- struct{}{}
+	}
+	if want := []int{procs, procs - 1, procs, procs}; !slices.Equal(grants, want) {
+		t.Errorf("registration batch grants %v around one served check, want %v", grants, want)
+	}
+	det, err := pool.await(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := deploy.New(spec.Deployment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.Train.TrainConfig()
+	cfg.Workers = 1
+	want, _, err := core.Train(model, core.MetricByName(spec.Metric), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det.Threshold() != want.Threshold() {
+		t.Errorf("threshold %v, one-worker Train %v", det.Threshold(), want.Threshold())
+	}
+}
+
+// TestDroppedPoolIsCollected: a pool that trained and is then dropped
+// is garbage, although its scheduler's workers stay parked; nothing the
+// scheduler holds may reach back to the pool and its detectors.
+func TestDroppedPoolIsCollected(t *testing.T) {
+	var wp weak.Pointer[DetectorPool]
+	func() {
+		p := NewDetectorPool(0)
+		if _, err := p.await(tinySpec()); err != nil {
+			t.Fatal(err)
+		}
+		wp = weak.Make(p)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); wp.Value() != nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped pool stayed reachable")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -79,9 +79,10 @@ type ServerConfig struct {
 	MaxCachedDetectors int
 	// MaxConcurrentTrainings caps detector training runs in flight at
 	// once — it sizes the fair-share scheduler's worker pool. A batch
-	// gets GOMAXPROCS divided by the jobs that can run at once (at most
-	// this cap), so parallel cold starts share the machine and a lone job
-	// gets every core; 0 means
+	// gets the training budget divided by the jobs that can run at once
+	// (at most this cap), so parallel cold starts share the machine. The
+	// budget is GOMAXPROCS, one core fewer while checks are served, so a
+	// lone job gets every core while none are. 0 means
 	// DefaultTrainConcurrency. Only consulted when NewServer builds the
 	// pool itself.
 	MaxConcurrentTrainings int
@@ -135,9 +136,9 @@ type Server struct {
 	pool  *DetectorPool
 	ready atomic.Bool
 
-	// Served-work counters, in the pool's registry: observations scored
-	// (batch items counted individually), corrections, rethresholds.
-	scored, corrected, rethresholds *metrics.Counter
+	// rethresholds counts operating-point re-cuts, in the pool's
+	// registry; the pool owns the scored and corrected counters.
+	rethresholds *metrics.Counter
 }
 
 // NewServer validates the default spec and wires a server around the
@@ -171,13 +172,10 @@ func NewServer(cfg ServerConfig, pool *DetectorPool) (*Server, error) {
 		pool.SetSchedBatchTrials(cfg.SchedBatchTrials)
 		pool.SetExpCacheByteBudget(cfg.ExpCacheBudgetBytes)
 	}
-	r := pool.reg
 	return &Server{
 		cfg:          cfg,
 		pool:         pool,
-		scored:       r.Counter("ladd_observations_scored_total", "Observations scored (batch items counted individually)."),
-		corrected:    r.Counter("ladd_corrections_total", "Location corrections served (/v2 correct verb)."),
-		rethresholds: r.Counter("ladd_rethresholds_total", "Operating-point re-cuts served (/v2 rethreshold verb)."),
+		rethresholds: pool.reg.Counter("ladd_rethresholds_total", "Operating-point re-cuts served (/v2 rethreshold verb)."),
 	}, nil
 }
 
@@ -395,7 +393,7 @@ func (s *Server) checkOne(w http.ResponseWriter, c *scratch, det *core.Detector,
 		return
 	}
 	v := det.CheckPooled(o, loc.Point())
-	s.scored.Inc()
+	s.pool.scored.Inc()
 	writeEncoded(w, c, c.encodeVerdict(v))
 }
 
@@ -424,7 +422,7 @@ func (s *Server) scoreBatch(w http.ResponseWriter, c *scratch, det *core.Detecto
 	}
 	c.verdicts = c.verdicts[:len(c.batch)]
 	det.CheckBatchInto(c.verdicts, c.batch)
-	s.scored.Add(uint64(len(c.batch)))
+	s.pool.scored.Add(uint64(len(c.batch)))
 	writeEncoded(w, c, c.encodeBatch(c.verdicts))
 }
 

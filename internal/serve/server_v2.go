@@ -254,7 +254,7 @@ func (s *Server) handleV2Correct(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErrorf(CodeInvalidArgument, "correction impossible: %v", err))
 		return
 	}
-	s.corrected.Inc()
+	s.pool.corrected.Inc()
 	writeEncoded(w, c, c.encodeCorrection(CorrectResponse{Location: PointJSON{X: p.X, Y: p.Y}}))
 }
 
