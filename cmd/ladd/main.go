@@ -61,7 +61,7 @@ func main() {
 		keepInField = flag.Bool("keep-in-field", true, "train on in-field victims only")
 		simEpoch    = flag.Int("sim-epoch", 0, "default training simulation epoch: 0/1 = bit-identical reference, 2 = fast table-sampler path (distribution-level equivalent)")
 		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max items per batch request")
-		trainConc   = flag.Int("train-concurrency", serve.DefaultTrainConcurrency, "training scheduler worker count: max detector trainings in flight (a batch gets the training budget divided by the jobs that can run at once; the budget is GOMAXPROCS, one core fewer while checks are served, so a lone job gets every core while none are)")
+		trainConc   = flag.Int("train-concurrency", serve.DefaultTrainConcurrency, "max training batches the scheduler runs at once: max detector trainings in flight (a batch gets the training budget divided by the jobs that can run at once; the budget is GOMAXPROCS, one core fewer while checks are served, so a lone job gets every core while none are)")
 		schedBatch  = flag.Int("sched-batch-trials", 0, "trials a training job runs per scheduler turn — the fairness and checkpoint granularity (0 = scheduler default)")
 		expBudget   = flag.Int64("exp-cache-budget", 0, "pool-wide expectation-cache admission budget in bytes, shared across all detectors (0 = unlimited)")
 		tokenFile   = flag.String("api-token-file", "", "file holding the bearer token that gates mutating v2 endpoints (register/delete/rethreshold); empty leaves them open")

@@ -9,11 +9,16 @@
 //	ladnet -attack silence -frac 0.2
 //	ladnet -attack flood -auth     # multi-impersonation vs pairwise MACs
 //	ladnet -attack wormhole -leash # range-change vs packet leashes
+//
+// A flag value outside its range is a usage error: ladnet prints it and
+// exits 2 before deploying anything.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/attack"
@@ -26,28 +31,65 @@ import (
 	"repro/internal/wsn"
 )
 
+// errUsage marks a flag value ladnet refuses; main exits 2 on it.
+var errUsage = errors.New("usage")
+
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ladnet: %v\n", err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run parses args, deploys the network, runs the HELLO round under the
+// selected attack and defenses, and writes the detection report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ladnet", flag.ContinueOnError)
 	var (
-		m        = flag.Int("m", 60, "nodes per deployment group")
-		seed     = flag.Uint64("seed", 1, "deployment seed")
-		attackT  = flag.String("attack", "none", "none|silence|impersonate|flood|wormhole")
-		frac     = flag.Float64("frac", 0.10, "fraction of nodes compromised (silence/impersonate/flood)")
-		useAuth  = flag.Bool("auth", false, "enable pairwise message authentication")
-		useLeash = flag.Bool("leash", false, "enable geographic packet leashes (wormhole defense)")
-		victims  = flag.Int("victims", 200, "sensors to localize and check")
-		mte      = flag.Float64("mte", 60, "maximum tolerable localization error (m)")
+		m        = fs.Int("m", 60, "nodes per deployment group")
+		seed     = fs.Uint64("seed", 1, "deployment seed")
+		attackT  = fs.String("attack", "none", "none|silence|impersonate|flood|wormhole")
+		frac     = fs.Float64("frac", 0.10, "fraction of nodes compromised (silence/impersonate/flood)")
+		useAuth  = fs.Bool("auth", false, "enable pairwise message authentication")
+		useLeash = fs.Bool("leash", false, "enable geographic packet leashes (wormhole defense)")
+		victims  = fs.Int("victims", 200, "sensors to localize and check")
+		mte      = fs.Float64("mte", 60, "maximum tolerable localization error (m)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	switch *attackT {
+	case "none", "silence", "impersonate", "flood", "wormhole":
+	default:
+		return fmt.Errorf("%w: unknown attack %q", errUsage, *attackT)
+	}
+	switch {
+	case !(*frac >= 0 && *frac <= 1): // false for NaN
+		return fmt.Errorf("%w: -frac must be in [0, 1]", errUsage)
+	case *m < 1:
+		return fmt.Errorf("%w: -m must be positive", errUsage)
+	case *victims < 1:
+		return fmt.Errorf("%w: -victims must be positive", errUsage)
+	}
 
 	cfg := deploy.PaperConfig()
 	cfg.GroupSize = *m
 	model, err := deploy.New(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	master := rng.New(*seed)
 	net := wsn.Deploy(model, master.Split())
-	fmt.Printf("deployed %d sensors (%d groups × %d), R=%.0f m, σ=%.0f m\n",
+	fmt.Fprintf(stdout, "deployed %d sensors (%d groups × %d), R=%.0f m, σ=%.0f m\n",
 		net.Len(), model.NumGroups(), model.GroupSize(), model.Range(), model.Sigma())
 
 	// Security provisioning (pre-deployment).
@@ -83,13 +125,11 @@ func main() {
 	case "wormhole":
 		wh := attack.NewWormhole(geom.Pt(250, 250), geom.Pt(750, 750), 80)
 		pcfg.Tunnels = []wsn.Tunnel{wh}
-		fmt.Printf("wormhole tunnel: %v → %v (radius 80 m)\n", wh.In, wh.Out)
-	default:
-		fail(fmt.Errorf("unknown attack %q", *attackT))
+		fmt.Fprintf(stdout, "wormhole tunnel: %v → %v (radius 80 m)\n", wh.In, wh.Out)
 	}
 	if len(behaviors) > 0 {
 		pcfg.Behaviors = behaviors
-		fmt.Printf("attack %q: %d compromised nodes\n", *attackT, len(behaviors))
+		fmt.Fprintf(stdout, "attack %q: %d compromised nodes\n", *attackT, len(behaviors))
 	}
 
 	// Defenses. Authentication pins sender→group bindings (kills
@@ -107,13 +147,13 @@ func main() {
 			}
 			return true
 		}
-		fmt.Printf("defenses: auth=%v leash=%v\n", *useAuth, *useLeash)
+		fmt.Fprintf(stdout, "defenses: auth=%v leash=%v\n", *useAuth, *useLeash)
 	}
 
 	// HELLO round.
 	obs, err := net.RunHelloProtocol(pcfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	// Train LAD on clean simulated deployments (Section 5.5).
@@ -121,9 +161,9 @@ func main() {
 		Trials: 1500, Percentile: 99, Seed: master.Uint64(), KeepInField: true,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("trained Diff threshold (P99): %.2f\n\n", det.Threshold())
+	fmt.Fprintf(stdout, "trained Diff threshold (P99): %.2f\n\n", det.Threshold())
 
 	// Localize and check victims.
 	mle := localize.NewBeaconlessModel(model)
@@ -157,22 +197,22 @@ func main() {
 		}
 	}
 	if checked == 0 {
-		fail(fmt.Errorf("no victims could be localized"))
+		return errors.New("no victims could be localized")
 	}
-	fmt.Printf("checked sensors:        %d\n", checked)
-	fmt.Printf("mean localization error: %.1f m (MTE %.0f m)\n", errSum/float64(checked), *mte)
-	fmt.Printf("anomalies (err > MTE):  %d\n", anomalies)
-	fmt.Printf("LAD alarms:             %d (%d caught anomalies, %d false)\n",
+	fmt.Fprintf(stdout, "checked sensors:        %d\n", checked)
+	fmt.Fprintf(stdout, "mean localization error: %.1f m (MTE %.0f m)\n", errSum/float64(checked), *mte)
+	fmt.Fprintf(stdout, "anomalies (err > MTE):  %d\n", anomalies)
+	fmt.Fprintf(stdout, "LAD alarms:             %d (%d caught anomalies, %d false)\n",
 		alarms, caught, falseAlarms)
 	if anomalies > 0 {
-		fmt.Printf("detection rate:         %.2f\n", float64(caught)/float64(anomalies))
+		fmt.Fprintf(stdout, "detection rate:         %.2f\n", float64(caught)/float64(anomalies))
 	}
-	fmt.Printf("false positive rate:    %.4f\n", float64(falseAlarms)/float64(checked))
+	fmt.Fprintf(stdout, "false positive rate:    %.4f\n", float64(falseAlarms)/float64(checked))
 
 	// The wormhole only corrupts sensors near the tunnel exit — report
 	// that cohort explicitly (a random victim sample rarely lands there).
 	if *attackT == "wormhole" {
-		fmt.Println("\nsensors within replay range of the tunnel exit:")
+		fmt.Fprintln(stdout, "\nsensors within replay range of the tunnel exit:")
 		var cohort, cohortAlarms int
 		var cohortErr float64
 		net.ForEachWithin(geom.Pt(750, 750), model.Range(), func(id wsn.NodeID) {
@@ -188,14 +228,10 @@ func main() {
 			}
 		})
 		if cohort > 0 {
-			fmt.Printf("  cohort size:            %d\n", cohort)
-			fmt.Printf("  mean localization error: %.1f m\n", cohortErr/float64(cohort))
-			fmt.Printf("  LAD alarm rate:          %.2f\n", float64(cohortAlarms)/float64(cohort))
+			fmt.Fprintf(stdout, "  cohort size:            %d\n", cohort)
+			fmt.Fprintf(stdout, "  mean localization error: %.1f m\n", cohortErr/float64(cohort))
+			fmt.Fprintf(stdout, "  LAD alarm rate:          %.2f\n", float64(cohortAlarms)/float64(cohort))
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "ladnet: %v\n", err)
-	os.Exit(1)
+	return nil
 }

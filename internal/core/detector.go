@@ -57,7 +57,8 @@ func NewDetector(model *deploy.Model, metric Metric, threshold float64) *Detecto
 	if maxLocs := (1 << 21) / (2 * model.NumGroups()); maxLocs < capacity { // ~16 MiB of G/Mu floats
 		capacity = max(1, maxLocs)
 	}
-	d.expCache = newExpCache(capacity, nil)
+	_, readsPMF := metric.(ProbMetric)
+	d.expCache = newExpCache(capacity, nil, readsPMF)
 	return d
 }
 
@@ -71,7 +72,7 @@ func NewDetector(model *deploy.Model, metric Metric, threshold float64) *Detecto
 //lad:setup
 func (d *Detector) SetExpCacheBudget(b *ExpCacheBudget) {
 	d.expCache.retire()
-	d.expCache = newExpCache(d.expCache.capacity(), b)
+	d.expCache = newExpCache(d.expCache.capacity(), b, d.expCache.armPMF)
 }
 
 // ExpCacheBudget returns the installed byte budget (nil when none).

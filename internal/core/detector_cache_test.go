@@ -66,7 +66,7 @@ func TestCachedAndTableScoringBitIdentical(t *testing.T) {
 // reservations back: the tiny-LRU seam of the eviction and budget tests.
 func setExpCacheCapacity(d *Detector, capacity int) {
 	d.expCache.retire()
-	d.expCache = newExpCache(capacity, d.expCache.budget)
+	d.expCache = newExpCache(capacity, d.expCache.budget, d.expCache.armPMF)
 }
 
 // TestCheckBatchDeterministicUnderSharding re-runs the parallel batch
@@ -239,7 +239,7 @@ func TestPMFTableSkipsOversizedDeployments(t *testing.T) {
 // the direct evaluation path), and evicting armed entries must credit
 // their budget back so the counter tracks residency, not history.
 func TestPMFBudgetBounded(t *testing.T) {
-	det, _ := batchFixture(t, 1, 1)
+	det, _ := batchFixtureMetric(t, ProbMetric{}, 1, 1)
 	model := det.Model()
 	o := make([]int, model.NumGroups())
 	r := rng.New(7)
@@ -292,6 +292,44 @@ func TestPMFBudgetBounded(t *testing.T) {
 	maxResident := int64(((16+expCacheShards-1)/expCacheShards)*expCacheShards) * perEntry
 	if got := c.pmfEntries.Load(); got < 0 || got > maxResident {
 		t.Errorf("budget counter %d after churn, want within [0, %d]", got, maxResident)
+	}
+}
+
+// TestNonProbMetricsChargeNoPMF: diff and add-all never read the
+// log-PMF table, so reusing a location arms none, and the byte budget
+// holds exactly the resident expectations.
+func TestNonProbMetricsChargeNoPMF(t *testing.T) {
+	for _, metric := range []Metric{DiffMetric{}, AddAllMetric{}} {
+		det, items := batchFixtureMetric(t, metric, 16, 4)
+		budget := NewExpCacheBudget(0)
+		det.SetExpCacheBudget(budget)
+		for range 3 {
+			for _, it := range items {
+				det.CheckPooled(it.Observation, it.Location)
+			}
+		}
+		c := det.expCache
+		var resident int64
+		armed := 0
+		for i := range c.shards {
+			s := &c.shards[i]
+			s.mu.Lock()
+			for el := s.lru.Front(); el != nil; el = el.Next() {
+				e := el.Value.(*Expectation)
+				resident += expBytes(e)
+				if e.pmf.Load() != nil {
+					armed++
+				}
+			}
+			s.mu.Unlock()
+		}
+		if resident == 0 {
+			t.Fatalf("%s: no resident expectations; test is vacuous", metric.Name())
+		}
+		if got := budget.InUse(); armed != 0 || got != resident {
+			t.Errorf("%s: %d PMF tables armed, budget in use %d B, resident expectations %d B; want 0 armed and equal bytes",
+				metric.Name(), armed, got, resident)
+		}
 	}
 }
 

@@ -126,6 +126,9 @@ type expCache struct {
 	pmfEntries  atomic.Int64
 	capPerShard int
 	budget      *ExpCacheBudget // nil = unbudgeted
+	// armPMF is whether the detector's metric reads the log-PMF table
+	// (only ProbMetric does); without it a reuse arms and charges none.
+	armPMF bool
 	// retired flips when the owning detector is evicted from the serving
 	// pool: the sweep in retire() credits every resident reservation
 	// back, and later inserts/armings charge nothing, so a cache that is
@@ -143,8 +146,8 @@ type expShard struct {
 	lru list.List // front = most recently used; element values are *Expectation
 }
 
-func newExpCache(capacity int, budget *ExpCacheBudget) *expCache {
-	c := &expCache{capPerShard: (capacity + expCacheShards - 1) / expCacheShards, budget: budget}
+func newExpCache(capacity int, budget *ExpCacheBudget, armPMF bool) *expCache {
+	c := &expCache{capPerShard: (capacity + expCacheShards - 1) / expCacheShards, budget: budget, armPMF: armPMF}
 	for i := range c.shards {
 		c.shards[i].ent = make(map[geom.Point]*list.Element)
 	}
@@ -164,9 +167,9 @@ func (c *expCache) shard(p geom.Point) *expShard {
 }
 
 // get returns the cached expectation for le, computing and inserting it
-// on a miss. On the first hit (= first reuse) it arms the log-PMF table:
-// a location seen once costs exactly what a fresh Check costs, a
-// recurring one graduates to table-driven scoring.
+// on a miss. On the first hit (= first reuse) it arms the log-PMF table
+// when the metric reads one: a location seen once costs exactly what a
+// fresh Check costs, a recurring one graduates to table-driven scoring.
 func (c *expCache) get(model *deploy.Model, le geom.Point) *Expectation {
 	if le.X != le.X || le.Y != le.Y {
 		// A NaN key never equals itself, so it could be neither found
@@ -181,7 +184,7 @@ func (c *expCache) get(model *deploy.Model, le geom.Point) *Expectation {
 	if el, ok := s.ent[le]; ok {
 		s.lru.MoveToFront(el)
 		e := el.Value.(*Expectation)
-		if e.uses.Add(1) == 1 {
+		if c.armPMF && e.uses.Add(1) == 1 {
 			// Arm under the shard lock: eviction (which credits the
 			// budget back) holds the same lock, so an entry can never be
 			// armed and evicted concurrently. The table build itself

@@ -1,17 +1,18 @@
 // Package sched is the fair-share training scheduler: jobs submit as a
-// total number of work units (benign trials), a fixed worker pool
-// executes them one batch at a time, and between batches a job goes to
-// the tail of a round-robin ring. With K queued equal-cost jobs and one
-// worker, every job finishes within ~K× its solo time — no job convoys
+// total number of work units (benign trials), the scheduler runs them
+// one batch at a time, and between batches a job goes to the tail of a
+// round-robin ring. With K queued equal-cost jobs and one batch at a
+// time, every job finishes within ~K× its solo time — no job convoys
 // behind another's 100k-trial run, which is the property the
 // one-goroutine-per-job-behind-a-semaphore model it replaces could not
-// give.
+// give. A batch runs on a goroutine started for it at dispatch, so the
+// scheduler needs no teardown.
 //
 // The scheduler is the one layer that knows the contention, so it also
-// decides each batch's fan-out at dispatch: the training budget divided
-// by the batches that can run at once. The budget is GOMAXPROCS while
-// the daemon serves no checks and one core fewer (never below 1) while
-// it does (Config.Served), so checks keep a core while a detector
+// decides each batch's fan-out as the batch starts: the training budget
+// divided by the batches that can run at once. The budget is GOMAXPROCS
+// while the daemon serves no checks and one core fewer (never below 1)
+// while it does (Config.Served), so checks keep a core while a detector
 // trains. A job training alone uses every core while no checks are
 // served.
 //
@@ -25,7 +26,6 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -37,12 +37,12 @@ import (
 // Task is one schedulable job body. RunBatch executes up to n work
 // units on at most procs goroutines and reports how many ran and
 // whether the job is complete; procs is the batch's share of the cores,
-// decided at dispatch (at least 1). cancel is the job's cancel channel,
-// closed by Job.Cancel, which a long batch may watch to return early.
-// The scheduler calls RunBatch
-// from exactly one worker at a time (no concurrent RunBatch on the same
-// Task), so implementations need no internal locking against the
-// scheduler. A returned error terminates the job.
+// decided as the batch starts (at least 1). cancel is the job's cancel
+// channel, closed by Job.Cancel, which a long batch may watch to return
+// early. The scheduler runs at most one batch of a job at a time (no
+// concurrent RunBatch on the same Task), so implementations need no
+// internal locking against the scheduler. A returned error terminates
+// the job.
 type Task interface {
 	RunBatch(n, procs int, cancel <-chan struct{}) (ran int, done bool, err error)
 }
@@ -51,13 +51,13 @@ type Task interface {
 var ErrCanceled = errors.New("sched: job canceled")
 
 // DefaultBatchUnits is the batch size when Config.BatchUnits is unset:
-// small enough that a paper-scale spec yields the worker several times
-// per run, large enough that batch turnover is noise.
+// small enough that a paper-scale spec returns to the ring several
+// times per run, large enough that batch turnover is noise.
 const DefaultBatchUnits = 500
 
 // Config sizes a Scheduler.
 type Config struct {
-	// Workers is the number of concurrent batch executions; < 1 means 1.
+	// Workers caps the concurrent batch executions; < 1 means 1.
 	Workers int
 	// BatchUnits is the work-unit budget per batch turn; < 1 means
 	// DefaultBatchUnits.
@@ -78,16 +78,16 @@ type JobResult struct {
 	// Err is nil when all units ran, ErrCanceled when the job was
 	// canceled first, and the batch error otherwise.
 	Err error
-	// RunSeconds is the cumulative batch execution time — the job's
-	// worker occupancy, excluding time parked between turns.
+	// RunSeconds is the cumulative batch execution time, excluding
+	// time parked between turns.
 	RunSeconds float64
 }
 
 // JobStatus is a point-in-time view of a job.
 type JobStatus struct {
-	// Started is true once the job holds a worker: a batch has run, or a
-	// worker and the training budget had room when it was submitted, so
-	// its first batch starts without queueing.
+	// Started is true once a batch of the job has been dispatched: at
+	// Submit when a batch place and the training budget had room, so
+	// its first batch starts without queueing, or later from the ring.
 	Started bool
 	// QueuePosition is the number of jobs ahead in the service ring:
 	// 0 means executing now or next in line.
@@ -104,7 +104,7 @@ type JobStatus struct {
 // counters, the values its ladd_sched_* families export.
 type Stats struct {
 	// QueueDepth is the number of jobs parked on the ring waiting for a
-	// worker turn; Executing the number currently running a batch;
+	// batch turn; Executing the number currently running a batch;
 	// ActiveJobs the total live (non-terminal) jobs.
 	QueueDepth int
 	Executing  int
@@ -140,23 +140,18 @@ type Job struct {
 	task      Task
 	onDone    func(JobResult)
 	canceled  bool
-	executing bool // a worker is inside RunBatch right now
+	executing bool // a batch is dispatched and not yet accounted
 	started   bool // see JobStatus.Started
 	ran       bool // first batch dispatched (wait time latched)
 	unitsDone int
 	enqueued  time.Time
 	runNanos  int64
-	// The executing batch's grant: its procs, whether they include the
-	// budget's remainder, and Served() when it was dispatched.
-	procs      int
-	remainder  bool
-	servedFrom uint64
 }
 
-// Scheduler interleaves submitted jobs' batches over a fixed worker
-// pool. Workers launch lazily on first Submit and park when the ring is
-// empty; Close stops them (jobs still queued at Close never complete —
-// it is a setup/teardown operation, not a drain).
+// Scheduler interleaves submitted jobs' batches. It owns no standing
+// goroutines: each dispatched batch runs on a goroutine of its own that
+// exits once the batch is accounted, so an idle or dropped scheduler
+// holds nothing running.
 type Scheduler struct {
 	//lad:guardedby setup
 	workers int
@@ -165,14 +160,7 @@ type Scheduler struct {
 	//lad:guardedby setup
 	served func() uint64
 
-	ctx  context.Context
-	stop context.CancelFunc
-	wg   sync.WaitGroup
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	//lad:guardedby mu
-	launched bool
+	mu sync.Mutex
 	//lad:guardedby mu
 	ring []*Job // round-robin service order; executing jobs are popped out
 	//lad:guardedby mu
@@ -187,6 +175,8 @@ type Scheduler struct {
 	serving bool // served work seen since the last batch that ran without any
 	//lad:guardedby mu
 	remainderHeld bool // an executing batch holds the budget's remainder
+	//lad:guardedby mu
+	procsInUse int // Σ the running batches' granted procs
 
 	// Exported counters and histograms. units is also the ETA's
 	// denominator; it moves together with coreNanosTotal under mu.
@@ -195,7 +185,7 @@ type Scheduler struct {
 	waitHist, runHist                  *metrics.Histogram
 }
 
-// New builds a Scheduler; no goroutines start until the first Submit.
+// New builds a Scheduler; it starts no goroutine.
 //
 //lad:setup
 func New(cfg Config) *Scheduler {
@@ -212,15 +202,12 @@ func New(cfg Config) *Scheduler {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	ctx, stop := context.WithCancel(context.Background())
 	const completed = "Scheduler jobs finished, by outcome."
 	s := &Scheduler{
 		workers:      cfg.Workers,
 		batch:        cfg.BatchUnits,
 		served:       cfg.Served,
 		servedMark:   cfg.Served(),
-		ctx:          ctx,
-		stop:         stop,
 		batches:      reg.Counter("ladd_sched_batches_total", "Trial batches the scheduler has executed."),
 		units:        reg.Counter("ladd_sched_trials_total", "Monte-Carlo trials completed across all training jobs."),
 		jobsDone:     reg.Counter("ladd_sched_jobs_completed_total", completed, "outcome", "ok"),
@@ -229,7 +216,6 @@ func New(cfg Config) *Scheduler {
 		waitHist:     reg.Histogram("ladd_sched_job_wait_seconds", "Time training jobs spent queued before their first batch ran.", durationBounds),
 		runHist:      reg.Histogram("ladd_sched_job_run_seconds", "Cumulative batch execution time of finished training jobs.", durationBounds),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	reg.Gauge("ladd_sched_queue_depth", "Training jobs parked in the scheduler's round-robin ring (not currently executing a batch).",
 		func() float64 { return float64(s.Stats().QueueDepth) })
 	reg.Gauge("ladd_sched_jobs_executing", "Training jobs with a batch running right now.",
@@ -243,32 +229,21 @@ func New(cfg Config) *Scheduler {
 
 // Submit enqueues a job of total units and returns its handle. onDone,
 // when non-nil, fires once at the terminal state, outside scheduler
-// locks. When a worker and the training budget have room for another
-// batch the job is Started from the moment Submit returns — callers use
-// that to report "training" instead of "pending" for submissions that
-// hit an idle scheduler.
-func (s *Scheduler) Submit(total int, task Task, onDone func(JobResult)) (*Job, error) {
+// locks. When a batch place and the training budget have room for
+// another batch the job is Started from the moment Submit returns —
+// callers use that to report "training" instead of "pending" for
+// submissions that hit an idle scheduler.
+func (s *Scheduler) Submit(total int, task Task, onDone func(JobResult)) *Job {
 	if total < 1 {
 		total = 1
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ctx.Err() != nil {
-		return nil, errors.New("sched: scheduler closed")
-	}
-	if !s.launched {
-		s.launched = true
-		for i := 0; i < s.workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-	}
 	j := &Job{s: s, total: total, cancel: make(chan struct{}), task: task, onDone: onDone, enqueued: time.Now()}
-	j.started = len(s.ring)+s.executing < min(s.workers, s.budgetLocked())
 	s.live++
 	s.ring = append(s.ring, j)
-	s.cond.Signal()
-	return j, nil
+	s.dispatchLocked()
+	return j
 }
 
 // Cancel cancels the job and closes its cancel channel. A job parked on
@@ -286,7 +261,7 @@ func (j *Job) Cancel() {
 	j.canceled = true
 	close(j.cancel)
 	if j.executing {
-		// The worker observes canceled when RunBatch returns.
+		// runOne observes canceled when the batch returns.
 		s.mu.Unlock()
 		return
 	}
@@ -350,111 +325,83 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// Close stops the workers. Batches in flight finish; parked jobs are
-// abandoned without a terminal callback, so Close belongs in setup
-// paths (reconfiguration before serving) and tests, not live draining.
-func (s *Scheduler) Close() {
-	s.stop()
-	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// worker is one service loop: pop the ring head, run one batch, requeue
-// at the tail. Fairness is the ring discipline itself — every live job
-// gets one batch per cycle.
+// dispatchLocked starts batches from the ring head while fewer than
+// min(Workers, B) run, each on a goroutine of its own. A batch can only
+// become runnable at Submit or when another batch ends — that frees a
+// batch's place and is the only moment the budget grows — so those are
+// the two callers. Fairness is the ring discipline itself: every live
+// job gets one batch per cycle.
 //
-//lad:ctx
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		if s.ctx.Err() != nil {
-			return
-		}
-		j, ok := s.next()
-		if !ok {
-			return
-		}
-		s.runOne(j)
+//lad:requires mu
+func (s *Scheduler) dispatchLocked() {
+	for len(s.ring) > 0 && s.executing < min(s.workers, s.budgetLocked()) {
+		j := s.ring[0]
+		s.ring = s.ring[1:]
+		j.executing = true
+		j.started = true
+		s.executing++
+		go s.runOne(j)
 	}
 }
 
-// next blocks until a job is queued and the training budget has room
-// for another batch, or the scheduler closes, and dispatches the ring
-// head with its grant. A worker held back by a spent budget waits for a
-// batch to finish: that frees a batch's place and is the only moment
-// the budget grows.
-//
-//lad:ctx
-func (s *Scheduler) next() (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var budget int
-	for {
-		if s.ctx.Err() != nil {
-			return nil, false
-		}
-		if len(s.ring) > 0 {
-			if budget = s.budgetLocked(); s.executing < budget {
-				break
-			}
-		}
-		s.cond.Wait()
-	}
-	j := s.ring[0]
-	s.ring = s.ring[1:]
-	j.executing = true
-	j.started = true
-	s.executing++
-	// The budget split over the batches that can run at once; the
-	// remainder goes to one of them, so an odd budget idles no core.
-	slots := min(s.workers, s.live, budget)
-	j.procs = budget / slots
-	if rem := budget % slots; rem > 0 && !s.remainderHeld {
-		j.procs += rem
-		j.remainder, s.remainderHeld = true, true
-	}
-	j.servedFrom = s.servedMark
-	return j, true
-}
-
-// runOne executes one batch turn of job j. A canceled job completes as
-// canceled even when its batch returned an error: a task that watches
-// the cancel channel reports its own abort as one.
+// runOne executes one batch turn of job j, accounts it, requeues the
+// job at the tail unless it is terminal, and dispatches whatever the
+// batch's end made runnable. A canceled job completes as canceled even
+// when its batch returned an error: a task that watches the cancel
+// channel reports its own abort as one.
 func (s *Scheduler) runOne(j *Job) {
 	s.mu.Lock()
-	if j.canceled {
-		// Canceled between next and here: no batch for a dead job.
-		s.releaseLocked(j)
-		finish := s.completeLocked(j, s.jobsCanceled, ErrCanceled)
+	var (
+		ran       int
+		done      bool
+		err       error
+		remainder bool
+	)
+	// A job canceled between dispatch and here runs no batch.
+	if !j.canceled {
+		// The grant is decided as the batch starts, so submissions that
+		// arrive in a burst all count in live: the budget split over the
+		// batches that can run at once, and the remainder to one of them
+		// while those cores are free, so an odd budget idles no core.
+		budget := s.budgetLocked()
+		slots := min(s.workers, s.live, budget)
+		procs := budget / slots
+		if rem := budget % slots; rem > 0 && !s.remainderHeld && s.procsInUse+procs+rem <= budget {
+			procs += rem
+			remainder, s.remainderHeld = true, true
+		}
+		s.procsInUse += procs
+		servedFrom := s.servedMark
+		if !j.ran {
+			j.ran = true
+			s.waitHist.Observe(time.Since(j.enqueued).Seconds())
+		}
+		task := j.task
 		s.mu.Unlock()
-		finish()
-		return
-	}
-	task, procs := j.task, j.procs
-	if !j.ran {
-		j.ran = true
-		s.waitHist.Observe(time.Since(j.enqueued).Seconds())
-	}
-	s.mu.Unlock()
 
-	t0 := time.Now()
-	ran, done, err := task.RunBatch(s.batch, procs, j.cancel)
-	elapsed := time.Since(t0).Nanoseconds()
+		t0 := time.Now()
+		ran, done, err = task.RunBatch(s.batch, procs, j.cancel)
+		elapsed := time.Since(t0).Nanoseconds()
 
-	s.mu.Lock()
-	s.budgetLocked() // served work during the batch counts before the batch can clear it
-	if s.servedMark == j.servedFrom {
-		// A whole batch ran with no served work: serving has stopped.
-		s.serving = false
+		s.mu.Lock()
+		s.procsInUse -= procs
+		s.budgetLocked() // served work during the batch counts before the batch can clear it
+		if s.servedMark == servedFrom {
+			// A whole batch ran with no served work: serving has stopped.
+			s.serving = false
+		}
+		j.unitsDone += ran
+		j.runNanos += elapsed
+		s.batches.Inc()
+		s.units.Add(uint64(ran))
+		s.coreNanosTotal += float64(elapsed) * float64(procs)
 	}
-	s.releaseLocked(j)
-	j.unitsDone += ran
-	j.runNanos += elapsed
-	s.batches.Inc()
-	s.units.Add(uint64(ran))
-	s.coreNanosTotal += float64(elapsed) * float64(procs)
+	// End the batch: give back its place and its remainder core.
+	j.executing = false
+	s.executing--
+	if remainder {
+		s.remainderHeld = false
+	}
 	var finish func()
 	switch {
 	case err == nil && done:
@@ -466,23 +413,11 @@ func (s *Scheduler) runOne(j *Job) {
 	default:
 		s.ring = append(s.ring, j)
 	}
+	s.dispatchLocked()
 	s.mu.Unlock()
 	if finish != nil {
 		finish()
 	}
-}
-
-// releaseLocked ends j's batch: it gives back the batch's place and its
-// remainder core, and wakes the workers the budget held back.
-//
-//lad:requires mu
-func (s *Scheduler) releaseLocked(j *Job) {
-	j.executing = false
-	s.executing--
-	if j.remainder {
-		j.remainder, s.remainderHeld = false, false
-	}
-	s.cond.Broadcast()
 }
 
 // budgetLocked is the training budget B: the cores the batches that can
@@ -500,7 +435,7 @@ func (s *Scheduler) releaseLocked(j *Job) {
 // A batch's grant is B split over min(Workers, live jobs, B) batches,
 // fixed for the batch's duration. So a job that arrives while a lone
 // job's batch runs oversubscribes the cores for at most that one batch;
-// the lone job's next batch is dispatched at the smaller share.
+// the lone job's next batch starts at the smaller share.
 //
 //lad:requires mu
 func (s *Scheduler) budgetLocked() int {

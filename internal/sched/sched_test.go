@@ -54,21 +54,10 @@ func doneHook(ch chan JobResult) func(JobResult) {
 	return func(res JobResult) { ch <- res }
 }
 
-// submit is Submit for tests that cannot proceed without the handle.
-func submit(t *testing.T, s *Scheduler, total int, task Task, onDone func(JobResult)) *Job {
-	t.Helper()
-	j, err := s.Submit(total, task, onDone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
-}
-
 func TestSingleJobRunsToCompletion(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	done := make(chan JobResult, 1)
-	j := submit(t, s, 35, &unitTask{remaining: 35}, doneHook(done))
+	j := s.Submit(35, &unitTask{remaining: 35}, doneHook(done))
 	if !j.Status().Started {
 		t.Error("idle scheduler should start the first submission at once")
 	}
@@ -82,6 +71,27 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 	}
 	if st.Wait.Count != 1 || st.Run.Count != 1 {
 		t.Errorf("wait/run histogram counts = %d/%d, want 1/1", st.Wait.Count, st.Run.Count)
+	}
+}
+
+// TestNoGoroutinesOutliveTheirJobs: the scheduler keeps no standing
+// goroutines, so once its jobs have run to completion the goroutine
+// count returns to its baseline without any teardown call.
+func TestNoGoroutinesOutliveTheirJobs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(Config{Workers: 2, BatchUnits: 10})
+	done := make(chan JobResult, 3)
+	for range 3 {
+		s.Submit(35, &unitTask{remaining: 35}, doneHook(done))
+	}
+	for range 3 {
+		waitDone(t, done)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after every job finished, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -100,11 +110,10 @@ func TestRoundRobinFairShare(t *testing.T) {
 		m     = units / batch // solo batches per job
 	)
 	s := New(Config{Workers: 1, BatchUnits: batch})
-	defer s.Close()
 
 	release := make(chan struct{})
 	gateDone := make(chan JobResult, 1)
-	submit(t, s, 1, blockTask{release}, doneHook(gateDone))
+	s.Submit(1, blockTask{release}, doneHook(gateDone))
 
 	var mu sync.Mutex
 	batches := 0
@@ -118,7 +127,7 @@ func TestRoundRobinFairShare(t *testing.T) {
 			batches++
 			mu.Unlock()
 		}}
-		submit(t, s, units, task, func(res JobResult) {
+		s.Submit(units, task, func(res JobResult) {
 			mu.Lock()
 			completedAt[id] = batches
 			mu.Unlock()
@@ -157,12 +166,11 @@ func TestRoundRobinFairShare(t *testing.T) {
 func TestPreclaimStopsAtWorkerCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := New(Config{Workers: 2, BatchUnits: 10})
-	defer s.Close()
 	release := make(chan struct{})
 	done := make(chan JobResult, 3)
 	var third *Job
 	for i := 0; i < 3; i++ {
-		third = submit(t, s, 1, blockTask{release}, doneHook(done))
+		third = s.Submit(1, blockTask{release}, doneHook(done))
 		if want := i < 2; third.Status().Started != want {
 			t.Errorf("submission %d started = %v, want %v", i, !want, want)
 		}
@@ -178,12 +186,11 @@ func TestPreclaimStopsAtWorkerCount(t *testing.T) {
 
 func TestCancelQueuedJobCompletesImmediately(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	release := make(chan struct{})
 	defer close(release)
-	submit(t, s, 1, blockTask{release}, nil)
+	s.Submit(1, blockTask{release}, nil)
 	done := make(chan JobResult, 1)
-	j := submit(t, s, 100, &unitTask{remaining: 100}, doneHook(done))
+	j := s.Submit(100, &unitTask{remaining: 100}, doneHook(done))
 	j.Cancel()
 	res := waitDone(t, done)
 	if !errors.Is(res.Err, ErrCanceled) || j.Status().UnitsDone != 0 {
@@ -196,7 +203,6 @@ func TestCancelQueuedJobCompletesImmediately(t *testing.T) {
 
 func TestCancelExecutingJobCompletesAfterBatch(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	inBatch := make(chan struct{})
 	release := make(chan struct{})
 	task := &funcTask{fn: func(int, <-chan struct{}) (int, bool, error) {
@@ -205,7 +211,7 @@ func TestCancelExecutingJobCompletesAfterBatch(t *testing.T) {
 		return 10, false, nil
 	}}
 	done := make(chan JobResult, 1)
-	j := submit(t, s, 100, task, doneHook(done))
+	j := s.Submit(100, task, doneHook(done))
 	<-inBatch
 	j.Cancel()
 	close(release)
@@ -220,7 +226,6 @@ func TestCancelExecutingJobCompletesAfterBatch(t *testing.T) {
 // canceled, not failed.
 func TestCanceledWinsOverBatchError(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	inBatch := make(chan struct{})
 	task := &funcTask{fn: func(_ int, cancel <-chan struct{}) (int, bool, error) {
 		close(inBatch)
@@ -228,7 +233,7 @@ func TestCanceledWinsOverBatchError(t *testing.T) {
 		return 4, false, errors.New("aborted")
 	}}
 	done := make(chan JobResult, 1)
-	j := submit(t, s, 100, task, doneHook(done))
+	j := s.Submit(100, task, doneHook(done))
 	<-inBatch
 	j.Cancel()
 	if res := waitDone(t, done); !errors.Is(res.Err, ErrCanceled) {
@@ -245,13 +250,12 @@ func TestCanceledWinsOverBatchError(t *testing.T) {
 // training holds its whole run.
 func TestFinishedJobReleasesTaskAndCallback(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	release := make(chan struct{})
 	defer close(release)
-	submit(t, s, 1, blockTask{release}, nil)
+	s.Submit(1, blockTask{release}, nil)
 	done := make(chan JobResult, 2)
-	ran := submit(t, s, 5, &unitTask{remaining: 5}, doneHook(done))
-	queued := submit(t, s, 5, &unitTask{remaining: 5}, doneHook(done))
+	ran := s.Submit(5, &unitTask{remaining: 5}, doneHook(done))
+	queued := s.Submit(5, &unitTask{remaining: 5}, doneHook(done))
 	queued.Cancel()
 	waitDone(t, done)
 	release <- struct{}{}
@@ -279,10 +283,9 @@ func (t *funcTask) RunBatch(n, _ int, cancel <-chan struct{}) (int, bool, error)
 func TestBatchErrorFailsJob(t *testing.T) {
 	boom := errors.New("boom")
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	done := make(chan JobResult, 1)
 	task := &funcTask{fn: func(int, <-chan struct{}) (int, bool, error) { return 3, false, boom }}
-	j := submit(t, s, 100, task, doneHook(done))
+	j := s.Submit(100, task, doneHook(done))
 	res := waitDone(t, done)
 	if !errors.Is(res.Err, boom) || j.Status().UnitsDone != 3 {
 		t.Errorf("result = %+v, want boom after 3 units", res)
@@ -294,7 +297,6 @@ func TestBatchErrorFailsJob(t *testing.T) {
 
 func TestStatusProgressAndETA(t *testing.T) {
 	s := New(Config{Workers: 1, BatchUnits: 10})
-	defer s.Close()
 	mid := make(chan struct{})
 	release := make(chan struct{})
 	first := true
@@ -308,7 +310,7 @@ func TestStatusProgressAndETA(t *testing.T) {
 		return 10, true, nil
 	}}
 	done := make(chan JobResult, 1)
-	j := submit(t, s, 20, task, doneHook(done))
+	j := s.Submit(20, task, doneHook(done))
 	<-mid
 	if st := j.Status(); !st.Started || st.UnitsDone != 0 || st.ETA != 0 {
 		t.Errorf("mid-batch status = %+v, want started, no progress, no ETA sample yet", st)
@@ -317,14 +319,6 @@ func TestStatusProgressAndETA(t *testing.T) {
 	waitDone(t, done)
 	if st := j.Status(); st.UnitsDone != 20 || st.ETA != 0 || st.QueuePosition != 0 {
 		t.Errorf("finished status = %+v, want 20 units and no ETA", st)
-	}
-}
-
-func TestSubmitAfterCloseFails(t *testing.T) {
-	s := New(Config{Workers: 1})
-	s.Close()
-	if _, err := s.Submit(1, &unitTask{remaining: 1}, nil); err == nil {
-		t.Error("submit after Close should fail")
 	}
 }
 
@@ -369,21 +363,20 @@ func TestBatchShareFollowsLiveJobs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const workers = 2
 	s := New(Config{Workers: workers, BatchUnits: 10})
-	defer s.Close()
 
 	entered := make(chan struct{})
 	gate := make(chan struct{})
 	lone := &shareTask{remaining: 30, entered: entered, gate: gate}
 	done := make(chan JobResult, 3)
-	submit(t, s, 30, lone, doneHook(done))
+	s.Submit(30, lone, doneHook(done))
 	<-entered // the lone job's first batch holds its share
 
 	// A blocker pins the second worker, so a third job shares the
 	// remaining worker with the first: three live jobs on two workers.
 	release := make(chan struct{})
-	submit(t, s, 1, blockTask{release}, doneHook(done))
+	s.Submit(1, blockTask{release}, doneHook(done))
 	third := &shareTask{remaining: 20}
-	submit(t, s, 20, third, doneHook(done))
+	s.Submit(20, third, doneHook(done))
 	close(gate)
 	waitDone(t, done)
 	waitDone(t, done)
@@ -432,14 +425,13 @@ func TestETAWithVaryingShares(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	const perUnit = 6 * time.Millisecond
 	s := New(Config{Workers: workers, BatchUnits: 10})
-	defer s.Close()
 	done := make(chan JobResult, workers)
 	for range workers - 1 {
-		submit(t, s, 40, &sleepTask{remaining: 40, perUnit: perUnit, full: procs}, doneHook(done))
+		s.Submit(40, &sleepTask{remaining: 40, perUnit: perUnit, full: procs}, doneHook(done))
 	}
 	lone := make(chan struct{}, 1)
 	jobDone := make(chan JobResult, 1)
-	j := submit(t, s, 100, &sleepTask{remaining: 100, perUnit: perUnit, full: procs, lone: lone}, doneHook(jobDone))
+	j := s.Submit(100, &sleepTask{remaining: 100, perUnit: perUnit, full: procs, lone: lone}, doneHook(jobDone))
 	<-lone
 	eta := j.Status().ETA
 	t0 := time.Now()
@@ -512,12 +504,11 @@ func TestLoneJobBudget(t *testing.T) {
 	var served atomic.Uint64
 	served.Store(7) // work served before the scheduler was built is history
 	s := New(Config{Workers: 2, BatchUnits: 1, Served: served.Load})
-	defer s.Close()
 	entered := make(chan grant, 1)
 	done := make(chan JobResult, 1)
 
 	idle := newStepTask("idle", 2, entered)
-	j := submit(t, s, 2, idle, doneHook(done))
+	j := s.Submit(2, idle, doneHook(done))
 	for range 2 {
 		if got := nextGrant(t, entered); got.procs != g {
 			t.Errorf("idle daemon: batch granted %d procs, want GOMAXPROCS = %d", got.procs, g)
@@ -532,7 +523,7 @@ func TestLoneJobBudget(t *testing.T) {
 
 	loaded := newStepTask("loaded", 2, entered)
 	served.Add(64) // a batch of checks scored while nothing trained
-	submit(t, s, 2, loaded, doneHook(done))
+	s.Submit(2, loaded, doneHook(done))
 	want := max(1, g-1)
 	for range 2 {
 		if got := nextGrant(t, entered); got.procs != want {
@@ -553,12 +544,11 @@ func TestBudgetFloorIsOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var served atomic.Uint64
 	s := New(Config{Workers: 2, BatchUnits: 1, Served: served.Load})
-	defer s.Close()
 	entered := make(chan grant, 1)
 	done := make(chan JobResult, 1)
 	task := newStepTask("a", 3, entered)
 	served.Add(1)
-	submit(t, s, 3, task, doneHook(done))
+	s.Submit(3, task, doneHook(done))
 	for range 3 {
 		if got := nextGrant(t, entered); got.procs != 1 {
 			t.Errorf("GOMAXPROCS=1 under load: batch granted %d procs, want 1", got.procs)
@@ -582,18 +572,17 @@ func TestServedWorkHoldsBackAWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var served atomic.Uint64
 	s := New(Config{Workers: 2, BatchUnits: 1, Served: served.Load})
-	defer s.Close()
 	entered := make(chan grant, 2)
 	done := make(chan JobResult, 2)
 	a := newStepTask("a", 2, entered)
 	b := newStepTask("b", 2, entered)
 
 	served.Add(1) // a check scored before the first dispatch
-	submit(t, s, 2, a, doneHook(done))
+	s.Submit(2, a, doneHook(done))
 	if got := nextGrant(t, entered); got != (grant{"a", 1}) {
 		t.Fatalf("first dispatch %+v, want a on 1 proc", got)
 	}
-	jb := submit(t, s, 2, b, doneHook(done))
+	jb := s.Submit(2, b, doneHook(done))
 	if jb.Status().Started {
 		t.Error("a job the budget holds back reports as started")
 	}
@@ -635,7 +624,6 @@ func TestServedWorkCapsConcurrentGrants(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var served atomic.Uint64
 	s := New(Config{Workers: procs, BatchUnits: 5, Served: served.Load})
-	defer s.Close()
 
 	var mu sync.Mutex
 	inFlight, batches, peak, maxProcs, measuring := 0, 0, 0, 0, false
@@ -660,7 +648,7 @@ func TestServedWorkCapsConcurrentGrants(t *testing.T) {
 	done := make(chan JobResult, jobs)
 	served.Add(1)
 	for range jobs {
-		submit(t, s, units, &procsTask{remaining: units, run: run}, doneHook(done))
+		s.Submit(units, &procsTask{remaining: units, run: run}, doneHook(done))
 	}
 	for range jobs {
 		waitDone(t, done)
@@ -693,16 +681,15 @@ func (t *procsTask) RunBatch(n, procs int, _ <-chan struct{}) (int, bool, error)
 func TestOddBudgetLeavesNoCoreIdle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	s := New(Config{Workers: 2, BatchUnits: 1})
-	defer s.Close()
 	entered := make(chan grant, 2)
 	done := make(chan JobResult, 2)
 	a := newStepTask("a", 2, entered)
 	b := newStepTask("b", 1, entered)
-	submit(t, s, 2, a, doneHook(done))
+	s.Submit(2, a, doneHook(done))
 	if got := nextGrant(t, entered); got != (grant{"a", 3}) {
 		t.Fatalf("lone dispatch %+v, want a on all 3 procs", got)
 	}
-	submit(t, s, 1, b, doneHook(done))
+	s.Submit(1, b, doneHook(done))
 	gb := nextGrant(t, entered)
 	a.step <- struct{}{}
 	ga := nextGrant(t, entered)
@@ -722,11 +709,10 @@ func TestETAFollowsBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var served atomic.Uint64
 	s := New(Config{Workers: 1, BatchUnits: 1, Served: served.Load})
-	defer s.Close()
 	entered := make(chan grant, 1)
 	done := make(chan JobResult, 1)
 	task := newStepTask("a", 10, entered)
-	j := submit(t, s, 10, task, doneHook(done))
+	j := s.Submit(10, task, doneHook(done))
 	nextGrant(t, entered)
 	time.Sleep(time.Millisecond) // a measurable first batch
 	task.step <- struct{}{}
@@ -753,11 +739,10 @@ func TestCoreTimeChargesGrantedProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	var served atomic.Uint64
 	s := New(Config{Workers: 1, BatchUnits: 2, Served: served.Load})
-	defer s.Close()
 	done := make(chan JobResult, 1)
 	served.Add(1)
 	var grants []int
-	j := submit(t, s, 6, &procsTask{remaining: 6, run: func(_, p int) {
+	j := s.Submit(6, &procsTask{remaining: 6, run: func(_, p int) {
 		served.Add(1)
 		grants = append(grants, p)
 		time.Sleep(time.Millisecond)

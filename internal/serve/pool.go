@@ -129,11 +129,11 @@ var ErrInvalidSpec = errors.New("serve: invalid detector spec")
 type DetectorState string
 
 const (
-	// StatePending: registered, queued on the training scheduler; no
-	// worker has started the job's first trial batch yet.
+	// StatePending: registered, queued on the training scheduler; the
+	// job's first trial batch has not been dispatched yet.
 	StatePending DetectorState = "pending"
 	// StateTraining: the Monte-Carlo training run has started (its trial
-	// batches interleave with other jobs' on the scheduler's workers).
+	// batches interleave with other jobs' on the scheduler).
 	StateTraining DetectorState = "training"
 	// StateReady: trained; checks, corrections and rethresholds serve.
 	StateReady DetectorState = "ready"
@@ -223,8 +223,8 @@ type poolEntry struct {
 	saveMu sync.Mutex
 }
 
-// status snapshots the entry. A live flight is pending until its job
-// holds a worker and training after; its queue position, progress and
+// status snapshots the entry. A live flight is pending until its job's
+// first batch is dispatched and training after; its queue position, progress and
 // ETA come from the same job snapshot.
 func (e *poolEntry) status() DetectorStatus {
 	e.mu.Lock()
@@ -306,10 +306,10 @@ type DetectorPool struct {
 
 	poolMetrics // counters and histograms, registered in metrics.go
 
-	// sched is the fair-share training scheduler: a fixed worker pool
-	// that interleaves queued jobs' trial batches round-robin and grants
-	// each batch its share of the cores at dispatch. schedWorkers and
-	// schedBatch are its configuration (rebuildSched applies them).
+	// sched is the fair-share training scheduler: it interleaves queued
+	// jobs' trial batches round-robin, at most schedWorkers at once, and
+	// grants each batch its share of the cores as it starts. schedWorkers
+	// and schedBatch are its configuration (rebuildSched applies them).
 	//lad:guardedby setup
 	sched *sched.Scheduler
 	//lad:guardedby setup
@@ -361,8 +361,8 @@ func NewDetectorPool(limit int) *DetectorPool {
 	return p
 }
 
-// SetTrainConcurrency sets the scheduler's worker count — how many
-// trial batches may execute at once (n <= 0 restores the default). Not
+// SetTrainConcurrency sets how many trial batches the scheduler may
+// execute at once (n <= 0 restores the default). Not
 // safe to call while trainings are in flight — configure the pool
 // before serving.
 //
@@ -389,25 +389,17 @@ func (p *DetectorPool) SetSchedBatchTrials(n int) {
 	p.rebuildSched()
 }
 
-// rebuildSched swaps in a scheduler with the current configuration,
-// stopping the previous one's workers.
+// rebuildSched swaps in a scheduler with the current configuration.
 //
 //lad:setup
 func (p *DetectorPool) rebuildSched() {
-	if p.sched != nil {
-		p.sched.Close()
-	}
 	// Served work is observations scored plus corrections made; status
-	// reads, registrations and 202 answers move neither. The source
-	// holds the two counters, not the pool: the pool has no Close, so
-	// its scheduler's workers stay parked after the pool is dropped, and
-	// they must not keep its detectors alive.
-	scored, corrected := p.scored, p.corrected
+	// reads, registrations and 202 answers move neither.
 	p.sched = sched.New(sched.Config{
 		Workers:    p.schedWorkers,
 		BatchUnits: p.schedBatch,
 		Metrics:    p.reg,
-		Served:     func() uint64 { return scored.Load() + corrected.Load() },
+		Served:     func() uint64 { return p.scored.Load() + p.corrected.Load() },
 	})
 }
 
@@ -438,9 +430,9 @@ func (p *DetectorPool) SetExpCacheByteBudget(bytes int64) {
 // the pool is at its live-entry limit first purges failed residents and
 // then, if still full, returns ErrPoolFull.
 //
-// When a scheduler worker is idle, the returned status is already
-// StateTraining (the job's first batch starts without queueing);
-// otherwise the resource is StatePending until a worker frees up. A
+// When the scheduler has room for another batch, the returned status
+// is already StateTraining (the job's first batch starts without
+// queueing); otherwise the resource is StatePending until a batch ends. A
 // spec that is not resident but whose complete snapshot is in the store
 // is adopted instead: StateReady at once, no flight, created false.
 func (p *DetectorPool) Register(spec DetectorSpec) (DetectorStatus, bool, error) {
@@ -642,23 +634,13 @@ func (t *trialTask) init(cancel <-chan struct{}) error {
 func (p *DetectorPool) startTraining(e *poolEntry) {
 	p.jobsStarted.Inc()
 	task, units := p.newTask(e)
-	job, err := p.sched.Submit(units, task, func(res sched.JobResult) {
+	job := p.sched.Submit(units, task, func(res sched.JobResult) {
 		det, scores := task.result()
 		p.finishTraining(e, det, scores, res)
 	})
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err != nil {
-		// Unreachable in normal operation (the scheduler only closes
-		// during setup) — but a job that never ran must still publish a
-		// terminal state or waiters hang forever.
-		e.state = StateFailed
-		e.err = err
-		close(e.done)
-		p.failures.Inc()
-		return
-	}
 	e.job = job
+	e.mu.Unlock()
 }
 
 // finishTraining publishes a flight's terminal outcome. Failed runs

@@ -40,8 +40,8 @@ func tinySpec() DetectorSpec {
 // newDetectorPoolWithTrainer returns a pool that trains every flight
 // with one call to trainer (given the spec, the scheduler's core share
 // for the batch and the flight's cancel channel), run as a single
-// scheduler batch: concurrency is capped at the scheduler's worker
-// count and runs never interleave.
+// scheduler batch: concurrency is capped at the scheduler's batch cap
+// and runs never interleave.
 func newDetectorPoolWithTrainer(trainer func(DetectorSpec, int, <-chan struct{}) (*core.Detector, []float64, error)) *DetectorPool {
 	p := NewDetectorPool(0)
 	p.newTask = func(e *poolEntry) (poolTask, int) {
@@ -509,8 +509,8 @@ func TestTrainingBudgetFollowsServedChecks(t *testing.T) {
 }
 
 // TestDroppedPoolIsCollected: a pool that trained and is then dropped
-// is garbage, although its scheduler's workers stay parked; nothing the
-// scheduler holds may reach back to the pool and its detectors.
+// is garbage; nothing the scheduler holds may reach back to the pool
+// and its detectors.
 func TestDroppedPoolIsCollected(t *testing.T) {
 	var wp weak.Pointer[DetectorPool]
 	func() {
@@ -525,6 +525,27 @@ func TestDroppedPoolIsCollected(t *testing.T) {
 			t.Fatal("a dropped pool stayed reachable")
 		}
 		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDroppedPoolsLeaveNoGoroutines: pools that each trained a
+// detector and are then dropped leave no goroutine behind, with no
+// teardown call — a training batch runs on a goroutine that exits with
+// it, so a pool needs no Close.
+func TestDroppedPoolsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := range 5 {
+		spec := tinySpec()
+		spec.Train.Seed = uint64(100 + i)
+		if _, err := NewDetectorPool(0).await(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after five dropped pools trained, baseline %d", runtime.NumGoroutine(), base)
+		}
 		time.Sleep(time.Millisecond)
 	}
 }

@@ -788,8 +788,8 @@ func TestDeleteReturnsExpCacheBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the cache: distinct claimed locations, each hit twice so PMF
-	// charges land too.
+	// Fill the cache: distinct claimed locations, each hit twice (a
+	// diff detector arms no PMF tables, so only expectations charge).
 	for _, it := range sampleItems(det, 32, 55) {
 		det.CheckPooled(it.Observation, it.Location.Point())
 		det.CheckPooled(it.Observation, it.Location.Point())

@@ -78,9 +78,9 @@ type ServerConfig struct {
 	// consulted when NewServer builds the pool itself.
 	MaxCachedDetectors int
 	// MaxConcurrentTrainings caps detector training runs in flight at
-	// once — it sizes the fair-share scheduler's worker pool. A batch
-	// gets the training budget divided by the jobs that can run at once
-	// (at most this cap), so parallel cold starts share the machine. The
+	// once: the fair-share scheduler's concurrent batches. A batch gets
+	// the training budget divided by the jobs that can run at once (at
+	// most this cap), so parallel cold starts share the machine. The
 	// budget is GOMAXPROCS, one core fewer while checks are served, so a
 	// lone job gets every core while none are. 0 means
 	// DefaultTrainConcurrency. Only consulted when NewServer builds the
