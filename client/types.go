@@ -57,11 +57,13 @@ type TrainSpec struct {
 	Percentile  float64 `json:"percentile"`
 	Seed        uint64  `json:"seed"`
 	KeepInField bool    `json:"keep_in_field"`
-	// SimEpoch selects the server's simulation epoch: 0 or 1 train on
-	// the bit-identity contract (identical results across server builds
-	// back to the scalar seed), 2 on the fast table-sampler path whose
-	// results are equivalent at the distribution level only. Omitted for
-	// the default, so existing clients' requests are unchanged.
+	// SimEpoch selects the server's simulation epoch. 0 (omitted, the
+	// default) and 2 train on the fast table-sampler path, whose results
+	// are equivalent to epoch 1's at the distribution level only, and
+	// name the same resource. 1 trains on the bit-identity contract
+	// (identical results across server builds back to the scalar seed)
+	// and keeps the id servers gave the spec before epoch 2 became the
+	// default.
 	SimEpoch int `json:"sim_epoch,omitempty"`
 }
 
@@ -127,8 +129,8 @@ func (s DetectorSpec) WithSeed(seed uint64) DetectorSpec {
 }
 
 // WithSimEpoch returns the spec trained under the given simulation
-// epoch (0/1 = bit-identity contract, 2 = fast distribution-level
-// path).
+// epoch (0 or 2 = fast distribution-level path, the default; 1 =
+// bit-identity contract).
 func (s DetectorSpec) WithSimEpoch(epoch int) DetectorSpec {
 	s.Train.SimEpoch = epoch
 	return s

@@ -59,7 +59,7 @@ func main() {
 		percentile  = flag.Float64("percentile", 99, "default training percentile τ")
 		seed        = flag.Uint64("seed", 1, "default training seed")
 		keepInField = flag.Bool("keep-in-field", true, "train on in-field victims only")
-		simEpoch    = flag.Int("sim-epoch", 0, "default training simulation epoch: 0/1 = bit-identical reference, 2 = fast table-sampler path (distribution-level equivalent)")
+		simEpoch    = flag.Int("sim-epoch", 0, "default training simulation epoch: 0 or 2 = table-sampler path (distribution-level equivalent; the default), 1 = bit-identical reference (keeps the id the default spec had while epoch 1 was the default)")
 		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max items per batch request")
 		trainConc   = flag.Int("train-concurrency", serve.DefaultTrainConcurrency, "max training batches the scheduler runs at once: max detector trainings in flight (a batch gets the training budget divided by the jobs that can run at once; the budget is GOMAXPROCS, one core fewer while checks are served, so a lone job gets every core while none are)")
 		schedBatch  = flag.Int("sched-batch-trials", 0, "trials a training job runs per scheduler turn — the fairness and checkpoint granularity (0 = scheduler default)")

@@ -31,6 +31,15 @@ import (
 	"repro/internal/wsn"
 )
 
+// maxGroupSize bounds -m. The HELLO round's work grows with the square
+// of m: the paper's m = 300 (30,000 sensors) runs in about 5 s on a
+// 2-vCPU host, and m = 1000 ran for over a minute.
+const maxGroupSize = 500
+
+// maxVictims bounds -victims at the largest network -m allows (100
+// groups of maxGroupSize): a run never checks more sensors than that.
+const maxVictims = 100 * maxGroupSize
+
 // errUsage marks a flag value ladnet refuses; main exits 2 on it.
 var errUsage = errors.New("usage")
 
@@ -75,10 +84,10 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case !(*frac >= 0 && *frac <= 1): // false for NaN
 		return fmt.Errorf("%w: -frac must be in [0, 1]", errUsage)
-	case *m < 1:
-		return fmt.Errorf("%w: -m must be positive", errUsage)
-	case *victims < 1:
-		return fmt.Errorf("%w: -victims must be positive", errUsage)
+	case *m < 1 || *m > maxGroupSize:
+		return fmt.Errorf("%w: -m must be in [1, %d]", errUsage, maxGroupSize)
+	case *victims < 1 || *victims > maxVictims:
+		return fmt.Errorf("%w: -victims must be in [1, %d]", errUsage, maxVictims)
 	}
 
 	cfg := deploy.PaperConfig()

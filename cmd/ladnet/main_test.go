@@ -8,8 +8,9 @@ import (
 )
 
 // TestRunRejectsBadFlags pins the usage errors: each -frac value here
-// once panicked slicing the node permutation, and every case must be
-// refused before a network is deployed.
+// once panicked slicing the node permutation, -m 100000 once deployed
+// ten million sensors, and every case must be refused before a network
+// is deployed.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-m", "10", "-attack", "silence", "-frac", "1.5"},
@@ -17,7 +18,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-m", "10", "-attack", "silence", "-frac", "NaN"},
 		{"-frac", "+Inf"},
 		{"-m", "0"},
+		{"-m", "100000"},
+		{"-m", "501"},
 		{"-victims", "-1"},
+		{"-victims", "50001"},
+		{"-victims", "9223372036854775807"},
 		{"-attack", "bogus"},
 		{"-nosuchflag"},
 	} {

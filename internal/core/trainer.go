@@ -28,14 +28,17 @@ type TrainConfig struct {
 	// Epoch 1 is the bit-identity contract: trial streams, estimates,
 	// scores, and thresholds are bit-identical to the scalar seed path
 	// (and to every PR-2..8 golden). Epoch 2 spends that budget for
-	// throughput: observations draw through deploy.Model's cached
-	// inverse-CDF binomial tables (p quantized to the g-table grid) and
-	// localization runs the fused full-poll probe search over a truncated
-	// active set (localize.Beaconless.SetSimEpoch). Epoch-2 results are
-	// distribution-level equivalent — threshold/detection-rate/FPR within
-	// the tolerance bands pinned by the cross-epoch equivalence tests —
-	// but NOT stream-compatible with epoch 1. Values other than 0, 1, 2
-	// are rejected.
+	// throughput: observations draw through inverse-CDF binomial tables
+	// (deploy.BinomTables, p quantized to the g-table grid) that the run
+	// holds from its start to Finish, shared with overlapping runs of the
+	// same deployment, and localization runs the fused full-poll probe
+	// search over a truncated active set (localize.Beaconless.SetSimEpoch).
+	// Epoch-2 results are distribution-level equivalent —
+	// threshold/detection-rate/FPR within the tolerance bands pinned by
+	// the cross-epoch equivalence tests — but NOT stream-compatible with
+	// epoch 1. The serving layer trains at epoch 2 unless a spec asks for
+	// epoch 1 (serve.TrainSpec); this zero value stays epoch 1. Values
+	// other than 0, 1, 2 are rejected.
 	SimEpoch int
 	// Cancel, when non-nil, aborts the Monte-Carlo run: TrainRun.RunBatch
 	// checks it between trial dispatches, stops dispatching once it is

@@ -42,14 +42,15 @@ func newTrialRunner(model *deploy.Model, loc *localize.Beaconless, nmetrics int)
 
 // trial runs the full body of one benign trial from its pre-derived
 // seed: draw a victim (redrawn into the field under KeepInField), draw
-// its observation through the epoch-selected sampler, localize, and
+// its observation through the epoch-selected sampler (binom, the run's
+// epoch-2 tables, or nil at epoch 1), localize, and
 // score every metric into w.out. Isolated sensors score 0 under every
 // metric: localization is impossible and LAD has nothing to verify, so
 // the trial never alarms.
 // Steady state the body performs no heap allocations, and since the
 // stream depends only on seed, the result is independent of which
 // worker runs the trial and in which order.
-func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, metrics []Metric) {
+func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, binom *deploy.BinomTables, seed uint64, metrics []Metric) {
 	w.r.Reseed(seed)
 	group, la := model.SampleLocation(w.r)
 	if cfg.KeepInField {
@@ -57,8 +58,8 @@ func (w *trialRunner) trial(model *deploy.Model, cfg *TrainConfig, seed uint64, 
 			group, la = model.SampleLocation(w.r)
 		}
 	}
-	if cfg.SimEpoch >= 2 {
-		model.SampleObservationTableInto(w.o, la, group, w.r)
+	if binom != nil {
+		model.SampleObservationTableInto(binom, w.o, la, group, w.r)
 	} else {
 		model.SampleObservationInto(w.o, la, group, w.r)
 	}
@@ -98,6 +99,10 @@ type TrainRun struct {
 	scores  [][]float64 // per metric, in trial order
 	done    int
 	workers []*trialRunner
+	// binom holds the epoch-2 sampler tables from the start of the run
+	// to Finish (nil at epoch 1). Runs of one deployment that overlap
+	// share them; no model or detector keeps them.
+	binom *deploy.BinomTables
 }
 
 // NewTrainRun prepares a batched training run of one metric, starting
@@ -135,6 +140,9 @@ func newTrainRun(model *deploy.Model, metrics []Metric, cfg TrainConfig) (*Train
 	}
 	for mi := range tr.scores {
 		tr.scores[mi] = make([]float64, cfg.Trials)
+	}
+	if cfg.SimEpoch == 2 {
+		tr.binom = model.BinomTables()
 	}
 	return tr, nil
 }
@@ -250,7 +258,7 @@ func (tr *TrainRun) RunBatch(n int) (int, error) {
 
 // trialInto runs trial t on worker w and records its scores.
 func (tr *TrainRun) trialInto(w *trialRunner, t int) {
-	w.trial(tr.model, &tr.cfg, tr.seeds[t], tr.metrics)
+	w.trial(tr.model, &tr.cfg, tr.binom, tr.seeds[t], tr.metrics)
 	for mi := range tr.metrics {
 		tr.scores[mi][t] = w.out[mi]
 	}
@@ -279,11 +287,13 @@ func (tr *TrainRun) CheckpointInto(ck *Snapshot) {
 }
 
 // Finish cuts the τ-percentile threshold from the completed benign
-// sample and returns the detector plus the sample in trial order.
+// sample and returns the detector plus the sample in trial order. It
+// releases the run's epoch-2 sampler tables.
 func (tr *TrainRun) Finish() (*Detector, []float64, error) {
 	if tr.done < tr.cfg.Trials {
 		return nil, nil, fmt.Errorf("core: training incomplete: %d of %d trials", tr.done, tr.cfg.Trials)
 	}
+	tr.binom = nil
 	th := mathx.Percentile(tr.scores[0], tr.cfg.Percentile)
 	return NewDetector(tr.model, tr.metrics[0], th), tr.scores[0], nil
 }

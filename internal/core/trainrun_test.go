@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/deploy"
 	"repro/internal/geom"
@@ -255,4 +258,57 @@ func TestCheckpointIntoLeavesIdentityAlone(t *testing.T) {
 	if err := ck.Validate(); err != nil {
 		t.Errorf("checkpoint invalid: %v", err)
 	}
+}
+
+// TestEpochTwoTablesNotPinned: two concurrent epoch-2 runs of one
+// deployment, each on a model of its own, share one set of sampler
+// tables, and once both have finished nothing pins it — not the runs,
+// not the models, not the trained detectors — so a collection frees it.
+func TestEpochTwoTablesNotPinned(t *testing.T) {
+	cfg := trainRunConfig(deploy.LayoutGrid)
+	models := []*deploy.Model{deploy.MustNew(cfg), deploy.MustNew(cfg)}
+	tc := trainRunTC()
+	tc.SimEpoch = 2
+	runs := make([]*TrainRun, len(models))
+	for i, m := range models {
+		tc.Seed = uint64(20 + i)
+		tr, err := NewTrainRun(m, DiffMetric{}, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = tr
+	}
+	if runs[0].binom == nil || runs[0].binom != runs[1].binom {
+		t.Fatalf("runs hold tables %p and %p, want one shared set", runs[0].binom, runs[1].binom)
+	}
+	tables := weak.Make(runs[0].binom)
+
+	dets := make([]*Detector, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, tr := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !tr.Done() {
+				if _, errs[i] = tr.RunBatch(7); errs[i] != nil {
+					return
+				}
+			}
+			dets[i], _, errs[i] = tr.Finish()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	if tables.Value() != nil {
+		t.Error("epoch-2 tables survived a collection after both runs finished")
+	}
+	runtime.KeepAlive(runs)
+	runtime.KeepAlive(models)
+	runtime.KeepAlive(dets)
 }

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -21,6 +22,16 @@ func BenchmarkGTableBuild(b *testing.B) {
 				NewGTable(50, 50, omega)
 			}
 		})
+	}
+}
+
+// BenchmarkGTableBuildParallel is the omega512 build with its samples
+// spread over GOMAXPROCS goroutines, as training builds its model on
+// every core it was granted.
+func BenchmarkGTableBuildParallel(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	for i := 0; i < b.N; i++ {
+		newGTable(50, 50, DefaultOmega, procs)
 	}
 }
 

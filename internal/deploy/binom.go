@@ -2,7 +2,10 @@ package deploy
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
@@ -23,8 +26,12 @@ import (
 // parameters), which is exactly the distribution-level tolerance the
 // epoch-2 equivalence tests (threshold/detection-rate/FPR bands) bound.
 //
-// Tables build lazily, once per touched bin, and are cached in the Model
-// beside the g-tables; the cache is a slice of atomic pointers, so
+// Tables build lazily, once per touched bin, into a BinomTables set
+// that a training run holds while it runs (Model.BinomTables). The set
+// lives outside the Model: a ready detector's model, a pool's shared
+// models and a reference model never pin it, and runs of the same
+// (GroupSize, R, σ, ω) that overlap in time share one set through a
+// process-wide map of weak pointers. Its bins are atomic pointers, so
 // concurrent training workers may race to build the same bin but always
 // install byte-identical tables (the build is deterministic).
 
@@ -143,37 +150,86 @@ func newBinomTable(n int, p float64) *binomTable {
 	return &binomTable{base: int32(lo), cdf: cdf, guide: guide}
 }
 
-// binomCache is the Model's lazy per-(trials, z-bin) table store. Bins
-// reuse the g-table's grid over [0, MaxZ]; slot layout is full-group
-// tables first, then self-group (m−1 trials) tables.
-type binomCache struct {
+// BinomTables is one lazily built set of epoch-2 samplers, one per
+// (trials, z-bin). Bins reuse the g-table's grid over [0, MaxZ]; slot
+// layout is full-group tables first, then self-group (m−1 trials)
+// tables. Every model with the same key samples identically from it.
+type BinomTables struct {
+	key     binomKey
 	tables  []atomic.Pointer[binomTable]
-	omega   int
 	step    float64 // MaxZ / omega: the z quantization grid
 	invStep float64
-	full    int // trials for a non-self group (m)
-	selfN   int // trials for the victim's own group (m−1)
 	g       *GTable
 }
 
-func (c *binomCache) init(g *GTable, groupSize int) {
-	c.omega = g.Omega()
-	c.step = g.MaxZ() / float64(c.omega)
-	c.invStep = 1 / c.step
-	c.full = groupSize
-	c.selfN = groupSize - 1
-	c.g = g
-	c.tables = make([]atomic.Pointer[binomTable], 2*(c.omega+1))
+// binomKey is everything a set's tables depend on: the group size
+// (trials per draw) and the g-table's (R, σ, ω).
+type binomKey struct {
+	groupSize int
+	r, sigma  float64
+	omega     int
+}
+
+// binomRegistry maps each key to the set some holder currently has.
+// Entries are weak: a set lives exactly as long as someone holds it, and
+// its cleanup removes the dead entry.
+type binomRegistry struct {
+	mu sync.Mutex
+	//lad:guardedby mu
+	sets map[binomKey]weak.Pointer[BinomTables]
+}
+
+// liveBinom is the process-wide registry Model.BinomTables shares sets
+// through.
+var liveBinom = binomRegistry{sets: make(map[binomKey]weak.Pointer[BinomTables])}
+
+func (m *Model) binomKey() binomKey {
+	return binomKey{groupSize: m.cfg.GroupSize, r: m.cfg.Range, sigma: m.cfg.Sigma, omega: m.gTable.Omega()}
+}
+
+// BinomTables returns the epoch-2 sampler tables for the model's
+// (GroupSize, R, σ, ω): the set another holder already has, or a new,
+// empty one. The model keeps no reference: the caller holds the set for
+// as long as it samples (core.TrainRun does for the length of a run),
+// and once no caller holds it the garbage collector frees it.
+func (m *Model) BinomTables() *BinomTables {
+	k := m.binomKey()
+	liveBinom.mu.Lock()
+	defer liveBinom.mu.Unlock()
+	if t := liveBinom.sets[k].Value(); t != nil {
+		return t
+	}
+	step := m.gTable.MaxZ() / float64(k.omega)
+	t := &BinomTables{
+		key:     k,
+		tables:  make([]atomic.Pointer[binomTable], 2*(k.omega+1)),
+		step:    step,
+		invStep: 1 / step,
+		g:       m.gTable,
+	}
+	liveBinom.sets[k] = weak.Make(t)
+	runtime.AddCleanup(t, dropBinomEntry, k)
+	return t
+}
+
+// dropBinomEntry removes k's map entry once its set is collected,
+// unless a newer set has taken the key since.
+func dropBinomEntry(k binomKey) {
+	liveBinom.mu.Lock()
+	defer liveBinom.mu.Unlock()
+	if liveBinom.sets[k].Value() == nil {
+		delete(liveBinom.sets, k)
+	}
 }
 
 // tableFor returns the sampler for the given z-bin, building and caching
 // it on first touch.
-func (c *binomCache) tableFor(selfGroup bool, bin int) *binomTable {
+func (c *BinomTables) tableFor(selfGroup bool, bin int) *binomTable {
 	slot := bin
-	n := c.full
+	n := c.key.groupSize
 	if selfGroup {
-		slot += c.omega + 1
-		n = c.selfN
+		slot += c.key.omega + 1
+		n--
 	}
 	if t := c.tables[slot].Load(); t != nil {
 		return t
@@ -186,7 +242,7 @@ func (c *binomCache) tableFor(selfGroup bool, bin int) *binomTable {
 
 // SampleObservationTableInto is the simulation-epoch-2 counterpart of
 // SampleObservationInto: o_i ~ Binomial(trials, g_i(z_bin)) drawn through
-// the cached inverse-CDF tables, with z quantized to the nearest g-table
+// t, the model's BinomTables, with z quantized to the nearest g-table
 // grid point. One uniform variate is consumed per group within MaxZ, in
 // ascending group order, so the draw stream is identical to a full scan
 // over all n groups (binom_test.go pins it against that oracle, the
@@ -195,9 +251,12 @@ func (c *binomCache) tableFor(selfGroup bool, bin int) *binomTable {
 // epoch split; see the cross-epoch distribution-level equivalence tests.
 //
 //lad:noalloc
-func (m *Model) SampleObservationTableInto(dst []int, loc geom.Point, self int, r *rng.Rand) {
+func (m *Model) SampleObservationTableInto(t *BinomTables, dst []int, loc geom.Point, self int, r *rng.Rand) {
 	if len(dst) != m.NumGroups() {
 		panic("deploy: SampleObservationTableInto length mismatch")
+	}
+	if t.key != m.binomKey() {
+		panic("deploy: SampleObservationTableInto tables of another deployment")
 	}
 	// Distances via sqrt(dx²+dy²) instead of the overflow-hardened
 	// math.Hypot the epoch-1 path shares with scoring: field coordinates
@@ -214,19 +273,19 @@ func (m *Model) SampleObservationTableInto(dst []int, loc geom.Point, self int, 
 		if z >= maxZ {
 			continue
 		}
-		dst[i] = m.sampleGroupTable(int(i) == self, z, r)
+		dst[i] = t.sampleGroup(int(i) == self, z, r)
 	}
 	m.scratch.put(near)
 }
 
-// sampleGroupTable draws one group's neighbor count through the bin
-// table nearest to z.
+// sampleGroup draws one group's neighbor count through the bin table
+// nearest to z.
 //
 //lad:noalloc
-func (m *Model) sampleGroupTable(selfGroup bool, z float64, r *rng.Rand) int {
-	bin := int(z*m.binom.invStep + 0.5)
-	if bin > m.binom.omega {
-		bin = m.binom.omega
+func (c *BinomTables) sampleGroup(selfGroup bool, z float64, r *rng.Rand) int {
+	bin := int(z*c.invStep + 0.5)
+	if bin > c.key.omega {
+		bin = c.key.omega
 	}
-	return m.binom.tableFor(selfGroup, bin).draw(r.Float64())
+	return c.tableFor(selfGroup, bin).draw(r.Float64())
 }

@@ -2,7 +2,9 @@ package deploy
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
@@ -149,7 +151,7 @@ func TestBinomTableSampleMoments(t *testing.T) {
 // scanSampleObservationTableInto is the full-scan oracle of
 // SampleObservationTableInto: every group in ascending order, with the
 // same distance arithmetic and the same one-uniform-per-group draw.
-func scanSampleObservationTableInto(m *Model, dst []int, loc geom.Point, self int, r *rng.Rand) {
+func scanSampleObservationTableInto(m *Model, t *BinomTables, dst []int, loc geom.Point, self int, r *rng.Rand) {
 	maxZ := m.gTable.MaxZ()
 	for i, dp := range m.points {
 		dx, dy := loc.X-dp.X, loc.Y-dp.Y
@@ -158,7 +160,7 @@ func scanSampleObservationTableInto(m *Model, dst []int, loc geom.Point, self in
 			dst[i] = 0
 			continue
 		}
-		dst[i] = m.sampleGroupTable(i == self, z, r)
+		dst[i] = t.sampleGroup(i == self, z, r)
 	}
 }
 
@@ -169,14 +171,15 @@ func scanSampleObservationTableInto(m *Model, dst []int, loc geom.Point, self in
 func TestSampleObservationTableIndexInvariant(t *testing.T) {
 	for name, cfg := range indexTestConfigs() {
 		m := MustNew(cfg)
+		tabs := m.BinomTables()
 		o1 := make([]int, m.NumGroups())
 		o2 := make([]int, m.NumGroups())
 		r := rng.New(7)
 		for trial := 0; trial < 50; trial++ {
 			g, p := m.SampleLocation(r)
 			r1, r2 := rng.New(uint64(trial)), rng.New(uint64(trial))
-			m.SampleObservationTableInto(o1, p, g, r1)
-			scanSampleObservationTableInto(m, o2, p, g, r2)
+			m.SampleObservationTableInto(tabs, o1, p, g, r1)
+			scanSampleObservationTableInto(m, tabs, o2, p, g, r2)
 			for i := range o1 {
 				if o1[i] != o2[i] {
 					t.Fatalf("%s trial %d: o[%d] indexed %d != scan %d", name, trial, i, o1[i], o2[i])
@@ -196,6 +199,7 @@ func TestSampleObservationTableIndexInvariant(t *testing.T) {
 func TestSampleObservationTableMatchesEpoch1Moments(t *testing.T) {
 	model := MustNew(PaperConfig())
 	loc := model.DeploymentPoint(44) // interior cell
+	tabs := model.BinomTables()
 	const trials = 4000
 	n := model.NumGroups()
 	o := make([]int, n)
@@ -207,7 +211,7 @@ func TestSampleObservationTableMatchesEpoch1Moments(t *testing.T) {
 		for g, v := range o {
 			sum1[g] += float64(v)
 		}
-		model.SampleObservationTableInto(o, loc, 44, r)
+		model.SampleObservationTableInto(tabs, o, loc, 44, r)
 		for g, v := range o {
 			sum2[g] += float64(v)
 		}
@@ -227,4 +231,44 @@ func TestSampleObservationTableMatchesEpoch1Moments(t *testing.T) {
 			t.Fatalf("epoch-2 mean group %d: %g, want %g ± %g", g, m2, mu, 6*se+0.02)
 		}
 	}
+}
+
+// TestBinomTablesNotPinned: models of one (GroupSize, R, σ, ω) share the
+// set a holder has; once no holder is left, the set is collected, its
+// registry entry removed.
+func TestBinomTablesNotPinned(t *testing.T) {
+	cfg := PaperConfig()
+	cfg.GroupSize = 37 // a key no other test in the package holds
+	a, b := MustNew(cfg), MustNew(cfg)
+	k := a.binomKey()
+	tabs := a.BinomTables()
+	if b.BinomTables() != tabs {
+		t.Fatal("two models of one deployment got different table sets")
+	}
+	other := cfg
+	other.Sigma = 40
+	if MustNew(other).BinomTables() == tabs {
+		t.Fatal("a different σ shares the table set")
+	}
+	tabs.tableFor(false, 3) // build a bin so the set holds a table
+	tabs = nil
+
+	live := func() bool {
+		liveBinom.mu.Lock()
+		defer liveBinom.mu.Unlock()
+		_, ok := liveBinom.sets[k]
+		return ok
+	}
+	// Cleanups run on their own goroutine after the collection that
+	// finds the set unreachable.
+	deadline := time.Now().Add(5 * time.Second)
+	for live() && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if live() {
+		t.Fatal("registry entry outlived its collected table set")
+	}
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(b)
 }

@@ -124,13 +124,20 @@ const logOmegaFactor = 4
 // NewGTable precomputes g(z) at omega+1 points for the given transmission
 // range and deployment spread, plus the log-space companion table.
 func NewGTable(r, sigma float64, omega int) *GTable {
+	return newGTable(r, sigma, omega, 1)
+}
+
+// newGTable is NewGTable with the omega+1 GExact quadratures, nearly
+// all of the build's time, spread over at most procs goroutines. The
+// result is bit-identical to the serial build for any procs.
+func newGTable(r, sigma float64, omega, procs int) *GTable {
 	if omega < 1 {
 		omega = 1
 	}
 	maxZ := r + tailSigmas*sigma
-	t, err := mathx.NewLinearTable(func(z float64) float64 {
+	t, err := mathx.NewLinearTableProcs(func(z float64) float64 {
 		return GExact(z, r, sigma)
-	}, 0, maxZ, omega)
+	}, 0, maxZ, omega, procs)
 	if err != nil {
 		// Unreachable for validated inputs: omega >= 1 and maxZ > 0.
 		panic(err)

@@ -229,3 +229,49 @@ func TestModelPointsView(t *testing.T) {
 		}
 	}
 }
+
+// TestGTableParallelBuildBitIdentical: a table whose GExact samples are
+// spread over several goroutines equals the serial build bit for bit,
+// for any fan-out, including more goroutines than samples and ω = 1.
+func TestGTableParallelBuildBitIdentical(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range []struct {
+		r, sigma float64
+		omega    int
+	}{
+		{50, 50, DefaultOmega},
+		{50, 50, 1},
+		{30, 70, 129},
+		{120, 25, 7},
+	} {
+		serial := NewGTable(tc.r, tc.sigma, tc.omega)
+		step := serial.MaxZ() / float64(tc.omega)
+		for _, procs := range []int{0, 2, 3, 8, 2 * (tc.omega + 1)} {
+			par := newGTable(tc.r, tc.sigma, tc.omega, procs)
+			for i := 0; i <= 2*tc.omega; i++ {
+				z := float64(i) * step / 2 // every sample and every midpoint
+				if a, b := serial.Eval(z), par.Eval(z); !same(a, b) {
+					t.Fatalf("R=%g σ=%g ω=%d procs=%d: g(%g) serial %v, parallel %v", tc.r, tc.sigma, tc.omega, procs, z, a, b)
+				}
+			}
+			if len(par.logs) != len(serial.logs) {
+				t.Fatalf("R=%g σ=%g ω=%d procs=%d: log table length %d, want %d", tc.r, tc.sigma, tc.omega, procs, len(par.logs), len(serial.logs))
+			}
+			for k := range serial.logs {
+				if !same(serial.logs[k][0], par.logs[k][0]) || !same(serial.logs[k][1], par.logs[k][1]) {
+					t.Fatalf("R=%g σ=%g ω=%d procs=%d: log sample %d differs", tc.r, tc.sigma, tc.omega, procs, k)
+				}
+			}
+		}
+	}
+	a := MustNew(PaperConfig())
+	b, err := NewParallel(PaperConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for z := 0.0; z < a.GTable().MaxZ(); z += 0.37 {
+		if !same(a.GTable().Eval(z), b.GTable().Eval(z)) {
+			t.Fatalf("NewParallel model: g(%g) differs from New's", z)
+		}
+	}
+}

@@ -124,16 +124,23 @@ type Model struct {
 	// groups within GTable.MaxZ() of a location instead of all n.
 	index   *groupIndex
 	scratch scratchPool
-	// binom lazily caches the epoch-2 inverse-CDF observation samplers,
-	// one per (trials, z-bin) — see binom.go. Epoch-1 sampling never
-	// touches it.
-	binom binomCache
+	// The epoch-2 inverse-CDF samplers are not kept here: a training run
+	// holds them while it runs (BinomTables, binom.go), so a model that
+	// outlives its training pins none.
 }
 
 // New constructs a Model from the configuration, laying out deployment
 // points and precomputing the g(z) lookup table with DefaultOmega
 // sub-ranges.
 func New(cfg Config) (*Model, error) {
+	return NewParallel(cfg, 1)
+}
+
+// NewParallel is New with the g(z) table's samples computed over at most
+// procs goroutines, the caller's among them; the model is bit-identical
+// to New's. Training builds its model this way on the cores it was
+// granted.
+func NewParallel(cfg Config, procs int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,9 +155,8 @@ func New(cfg Config) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("deploy: unknown layout %v", cfg.Layout)
 	}
-	m.gTable = NewGTable(cfg.Range, cfg.Sigma, DefaultOmega)
+	m.gTable = newGTable(cfg.Range, cfg.Sigma, DefaultOmega, procs)
 	m.index = newGroupIndex(m.points)
-	m.binom.init(m.gTable, cfg.GroupSize)
 	return m, nil
 }
 

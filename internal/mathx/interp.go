@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // LinearTable is a piecewise-linear interpolation table over uniformly
@@ -21,6 +22,14 @@ type LinearTable struct {
 // NewLinearTable samples f at omega+1 uniformly spaced points on
 // [x0, x1] and returns the lookup table. omega must be >= 1 and x1 > x0.
 func NewLinearTable(f Func1, x0, x1 float64, omega int) (*LinearTable, error) {
+	return NewLinearTableProcs(f, x0, x1, omega, 1)
+}
+
+// NewLinearTableProcs is NewLinearTable with the samples computed over
+// at most procs goroutines (the caller's among them), for an f that is
+// safe to call concurrently. Each sample is f at the same abscissa the
+// serial build uses, so a deterministic f gives a bit-identical table.
+func NewLinearTableProcs(f Func1, x0, x1 float64, omega, procs int) (*LinearTable, error) {
 	if omega < 1 {
 		return nil, errors.New("mathx: LinearTable needs omega >= 1")
 	}
@@ -29,9 +38,24 @@ func NewLinearTable(f Func1, x0, x1 float64, omega int) (*LinearTable, error) {
 	}
 	ys := make([]float64, omega+1)
 	step := (x1 - x0) / float64(omega)
-	for i := range ys {
-		ys[i] = f(x0 + float64(i)*step)
+	procs = min(max(procs, 1), len(ys))
+	// Strided, not blocked: a sample's cost varies smoothly with x, so
+	// every goroutine gets a share of the expensive ones.
+	sample := func(first int) {
+		for i := first; i < len(ys); i += procs {
+			ys[i] = f(x0 + float64(i)*step)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < procs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sample(w)
+		}()
+	}
+	sample(0)
+	wg.Wait()
 	return &LinearTable{x0: x0, x1: x1, step: step, ys: ys}, nil
 }
 

@@ -58,8 +58,8 @@ func specFromSnapshot(s *core.Snapshot) DetectorSpec {
 			Percentile:  s.TrainPercentile,
 			Seed:        s.Seed,
 			KeepInField: s.KeepInField,
-			// Snapshots store the normalized epoch (1 or 2; v1 decodes as
-			// 1). Key() hashes it only beyond 1, so pre-epoch snapshots
+			// Snapshots store the epoch explicitly (1 or 2; v1 decodes as
+			// 1). Key() hashes epoch 1 as nothing, so pre-epoch snapshots
 			// keep their pre-epoch identity.
 			SimEpoch: s.SimEpoch,
 		},
@@ -82,10 +82,7 @@ func (p *DetectorPool) buildSnapshot(e *poolEntry) (*core.Snapshot, bool) {
 	s.TrainPercentile = e.spec.Train.Percentile
 	s.Seed = e.spec.Train.Seed
 	s.KeepInField = e.spec.Train.KeepInField
-	s.SimEpoch = e.spec.Train.SimEpoch
-	if s.SimEpoch == 0 {
-		s.SimEpoch = 1 // spec default; the snapshot format stores it explicit
-	}
+	s.SimEpoch = e.spec.Train.simEpoch() // the format stores it explicit
 	s.TrialsDone = s.Trials
 	s.Percentile = e.percentile
 	s.TrainSeconds = e.trainSecs

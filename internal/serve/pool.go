@@ -46,21 +46,30 @@ type TrainSpec struct {
 	Seed        uint64  `json:"seed"`
 	KeepInField bool    `json:"keep_in_field"`
 	// SimEpoch selects the simulation epoch (core.TrainConfig.SimEpoch):
-	// 0/1 the bit-identity contract, 2 the table-sampler fast path.
-	// omitempty keeps default-epoch requests byte-identical to pre-epoch
-	// clients'.
+	// 0 (omitted) and 2 the table-sampler path, the served default; 1 the
+	// bit-identical reference. Unlike core.TrainConfig, whose zero value
+	// stays epoch 1, a spec's 0 means epoch 2.
 	SimEpoch int `json:"sim_epoch,omitempty"`
 }
 
-// TrainConfig converts the spec to the core training configuration.
-// Workers is deliberately not client-controllable.
+// simEpoch is the epoch the spec trains at: SimEpoch with 0 read as 2.
+func (t TrainSpec) simEpoch() int {
+	if t.SimEpoch == 0 {
+		return 2
+	}
+	return t.SimEpoch
+}
+
+// TrainConfig converts the spec to the core training configuration,
+// with the epoch made explicit. Workers is deliberately not
+// client-controllable.
 func (t TrainSpec) TrainConfig() core.TrainConfig {
 	return core.TrainConfig{
 		Trials:      t.Trials,
 		Percentile:  t.Percentile,
 		Seed:        t.Seed,
 		KeepInField: t.KeepInField,
-		SimEpoch:    t.SimEpoch,
+		SimEpoch:    t.simEpoch(),
 	}
 }
 
@@ -83,12 +92,12 @@ func (s DetectorSpec) Key() string {
 	w.Float(s.Train.Percentile)
 	w.Uint(s.Train.Seed)
 	w.Bool(s.Train.KeepInField)
-	// The simulation epoch joins the hash only beyond the default: 0 and
-	// 1 both name the bit-identity contract and must keep producing the
-	// pre-epoch key, or every snapshot persisted before the field existed
-	// would fail adoption's identity check and retrain.
-	if s.Train.SimEpoch > 1 {
-		w.Int(s.Train.SimEpoch)
+	// The hash carries the epoch a spec trains at, so 0 and 2 share a
+	// key. Epoch 1 joins it as nothing: its specs keep the pre-epoch key,
+	// so every epoch-1 snapshot, including those persisted before the
+	// field existed, keeps passing adoption's identity check.
+	if e := s.Train.simEpoch(); e > 1 {
+		w.Int(e)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -114,7 +123,7 @@ func (s DetectorSpec) Validate() error {
 		return fmt.Errorf("serve: train.percentile must be in (0, 100)")
 	}
 	if e := s.Train.SimEpoch; e < 0 || e > 2 {
-		return fmt.Errorf("serve: train.sim_epoch must be 0 (default), 1, or 2")
+		return fmt.Errorf("serve: train.sim_epoch must be 0 (default, epoch 2), 1, or 2")
 	}
 	return nil
 }
@@ -579,7 +588,7 @@ func (p *DetectorPool) newTrialTask(e *poolEntry) (poolTask, int) {
 // scheduler's share for it.
 func (t *trialTask) RunBatch(n, procs int, cancel <-chan struct{}) (int, bool, error) {
 	if t.run == nil {
-		if err := t.init(cancel); err != nil {
+		if err := t.init(procs, cancel); err != nil {
 			return 0, false, err
 		}
 	}
@@ -602,14 +611,15 @@ func (t *trialTask) RunBatch(n, procs int, cancel <-chan struct{}) (int, bool, e
 
 func (t *trialTask) result() (*core.Detector, []float64) { return t.det, t.scores }
 
-// init builds the run; cancel is the job's cancel channel, which the
-// run checks between trial dispatches.
-func (t *trialTask) init(cancel <-chan struct{}) error {
+// init builds the run, its model on the batch's procs cores; cancel is
+// the job's cancel channel, which the run checks between trial
+// dispatches.
+func (t *trialTask) init(procs int, cancel <-chan struct{}) error {
 	spec := t.e.spec
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	model, err := deploy.New(spec.Deployment)
+	model, err := deploy.NewParallel(spec.Deployment, procs)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}

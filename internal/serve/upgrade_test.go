@@ -15,11 +15,17 @@ import (
 // trials in, of the same spec with seed 6, under its old "ckpt-<id>"
 // key. The snapshot adopts with its verdicts intact, the checkpoint is
 // quarantined as stale, and that spec's next flight starts at trial 0
-// and still reaches the reference threshold.
+// and still reaches the reference threshold. Both were trained at
+// epoch 1, the default of that build, so their specs name it
+// explicitly: an epoch-1 spec keeps the id it was stored under.
 func TestUpgradeParentStore(t *testing.T) {
 	ready, partial := tinySpec(), tinySpec()
+	ready.Train.SimEpoch, partial.Train.SimEpoch = 1, 1
 	partial.Train.Seed = 6
 	legacy := "ckpt-" + partial.ID()
+	if id := ready.ID(); id != "d0444542062cad33d" {
+		t.Fatalf("epoch-1 spec id %s, want the stored d0444542062cad33d", id)
+	}
 
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "parent-store")
